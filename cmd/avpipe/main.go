@@ -9,12 +9,11 @@
 //
 // Without -in, the corpus is generated in memory; with -in, pre-rendered
 // documents (from avgen, optionally re-noised by avocr) are parsed instead.
-// -snapshot-out exports the consolidated failure database as versioned,
-// checksummed study snapshots inside the given directory: the mmap-able
-// columnar study-<seed>.avsnap2 plus the legacy study-<seed>.avsnap for
-// pre-migration readers. avserve/avquery -snapshot-dir load them back
-// without re-running the pipeline (ship the files from CI to every
-// serving replica).
+// -snapshot-out exports the consolidated failure database as a versioned,
+// checksummed, mmap-able columnar study snapshot (study-<seed>.avsnap2)
+// inside the given directory. avserve/avquery -snapshot-dir load it back
+// without re-running the pipeline (ship the files from CI to every serving
+// replica).
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 	"avfda/internal/ocr"
 	"avfda/internal/parse"
 	"avfda/internal/pipeline"
-	"avfda/internal/snapshot"
 	"avfda/internal/snapshot2"
 	"avfda/internal/synth"
 )
@@ -54,7 +52,7 @@ func run() error {
 	workers := flag.Int("workers", 0, "worker pool size for the concurrent stages (0 = all cores)")
 	in := flag.String("in", "", "parse pre-rendered documents from this directory instead of generating")
 	csvOut := flag.String("csv", "", "write the consolidated failure database as CSV into this directory")
-	snapOut := flag.String("snapshot-out", "", "export the study snapshots (study-<seed>.avsnap2 and legacy .avsnap) into this directory")
+	snapOut := flag.String("snapshot-out", "", "export the study snapshot (study-<seed>.avsnap2) into this directory")
 	flag.Parse()
 
 	if *in != "" {
@@ -88,10 +86,8 @@ func run() error {
 	return writeSnapshot(res.DB, *snapOut, *seed)
 }
 
-// writeSnapshot exports the consolidated database as study snapshots when
-// dir is set, so serving processes can warm-start from them. Both formats
-// are written: v2 for the zero-copy mmap tier, v1 so replicas that have
-// not migrated yet keep loading.
+// writeSnapshot exports the consolidated database as a v2 study snapshot
+// when dir is set, so serving processes can warm-start from it.
 func writeSnapshot(db *core.DB, dir string, seed int64) error {
 	if dir == "" {
 		return nil
@@ -99,11 +95,7 @@ func writeSnapshot(db *core.DB, dir string, seed int64) error {
 	if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
 		return err
 	}
-	if err := snapshot.WriteSeed(dir, seed, db); err != nil {
-		return err
-	}
-	fmt.Printf("study snapshots written to %s and %s\n",
-		snapshot2.Path(dir, seed), snapshot.Path(dir, seed))
+	fmt.Printf("study snapshot written to %s\n", snapshot2.Path(dir, seed))
 	return nil
 }
 

@@ -19,12 +19,11 @@
 // stdout; -json emits the listing or the group counts as JSON instead of
 // text. Malformed -from/-to values are rejected with a parse error.
 //
-// With -snapshot-dir, the study is loaded from the directory's snapshots
-// (written by avpipe -snapshot-out) instead of re-running the Stage I-IV
-// pipeline: the mmap-able study-<seed>.avsnap2 columnar file is tried
-// first (zero-copy; disable with -snapshot-v2=false), then the legacy
-// study-<seed>.avsnap. A missing snapshot falls back to the pipeline
-// build, while a corrupt one is a hard error.
+// With -snapshot-dir, the study is mapped from the directory's
+// study-<seed>.avsnap2 columnar snapshot (written by avpipe -snapshot-out
+// or avserve's write-through) instead of re-running the Stage I-IV
+// pipeline. A missing snapshot falls back to the pipeline build, while a
+// corrupt one is a hard error.
 package main
 
 import (
@@ -38,7 +37,6 @@ import (
 
 	"avfda"
 	"avfda/internal/query"
-	"avfda/internal/snapshot"
 	"avfda/internal/snapshot2"
 )
 
@@ -52,7 +50,6 @@ func main() {
 func run() error {
 	seed := flag.Int64("seed", 1, "study seed")
 	snapDir := flag.String("snapshot-dir", "", "load the study from this snapshot directory instead of rebuilding")
-	snapV2 := flag.Bool("snapshot-v2", true, "try the mmap-able v2 snapshot before the legacy v1 file")
 	mfr := flag.String("mfr", "", "filter: manufacturer name")
 	tag := flag.String("tag", "", "filter: fault tag")
 	category := flag.String("category", "", "filter: failure category")
@@ -77,7 +74,7 @@ func run() error {
 		return err
 	}
 
-	eng, err := loadEngine(*snapDir, *seed, *snapV2)
+	eng, err := loadEngine(*snapDir, *seed)
 	if err != nil {
 		return err
 	}
@@ -119,40 +116,28 @@ func run() error {
 	}
 }
 
-// loadEngine builds the query engine, preferring a study snapshot when a
-// directory is given: v2 (mapped, zero-copy) ahead of v1, then the
-// pipeline. A missing snapshot falls back to the next tier; a corrupt or
-// incompatible one is surfaced rather than silently rebuilt.
-func loadEngine(snapDir string, seed int64, v2 bool) (*query.Engine, error) {
+// loadEngine builds the query engine, preferring the seed's v2 snapshot
+// (mapped, zero-copy) when a directory is given, then the pipeline. A
+// missing snapshot falls back to the build; a corrupt or incompatible one
+// is surfaced as snapshot2's typed error rather than silently rebuilt.
+func loadEngine(snapDir string, seed int64) (*query.Engine, error) {
 	if snapDir != "" {
-		if v2 {
-			// if/else rather than switch so the resleak analyzer can follow
-			// the err-nil edges; the error path now also unmaps the view
-			// instead of leaking the mapping for the process lifetime.
-			view, err := snapshot2.OpenSeed(snapDir, seed)
-			if err == nil {
-				fmt.Fprintf(os.Stderr, "mapped snapshot %s\n", snapshot2.Path(snapDir, seed))
-				eng, err := query.NewFromSource(view, view.Database)
-				if err != nil {
-					view.Close()
-					return nil, err
-				}
-				return eng, nil
-			} else if !errors.Is(err, fs.ErrNotExist) {
+		// if/else rather than switch so the resleak analyzer can follow
+		// the err-nil edges; the error path also unmaps the view instead
+		// of leaking the mapping for the process lifetime.
+		view, err := snapshot2.OpenSeed(snapDir, seed)
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "mapped snapshot %s\n", snapshot2.Path(snapDir, seed))
+			eng, err := query.NewFromSource(view, view.Database)
+			if err != nil {
+				view.Close()
 				return nil, err
 			}
-			// Not-exist falls through to the v1 file.
-		}
-		db, err := snapshot.ReadSeed(snapDir, seed)
-		switch {
-		case err == nil:
-			fmt.Fprintf(os.Stderr, "loaded snapshot %s\n", snapshot.Path(snapDir, seed))
-			return query.New(db)
-		case errors.Is(err, fs.ErrNotExist):
-			fmt.Fprintf(os.Stderr, "no snapshot for seed %d in %s; building\n", seed, snapDir)
-		default:
+			return eng, nil
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			return nil, err
 		}
+		fmt.Fprintf(os.Stderr, "no snapshot for seed %d in %s; building\n", seed, snapDir)
 	}
 	study, err := avfda.NewStudy(avfda.Options{Seed: seed})
 	if err != nil {

@@ -3,12 +3,17 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"avfda/internal/core"
 	"avfda/internal/frame"
+	"avfda/internal/ontology"
 	"avfda/internal/query"
+	"avfda/internal/schema"
+	"avfda/internal/snapshot2"
 )
 
 func queryFixture(t *testing.T) *query.Engine {
@@ -235,5 +240,74 @@ func TestJSONOutputs(t *testing.T) {
 	}
 	if groups.Groups[0].Key != "Waymo" || groups.Groups[0].Count != 2 {
 		t.Errorf("top group = %+v", groups.Groups[0])
+	}
+}
+
+// snapshotFixture hand-assembles a three-event study for the snapshot
+// loading tests; building a real study would cost a full pipeline run.
+func snapshotFixture() *core.DB {
+	ev := func(m schema.Manufacturer, tag ontology.Tag) core.Event {
+		return core.Event{
+			Disengagement: schema.Disengagement{
+				Manufacturer: m, Vehicle: "V1", ReportYear: schema.Report2016,
+				Time:     time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC),
+				Modality: schema.ModalityManual,
+			},
+			Tag:      tag,
+			Category: ontology.CategoryOf(tag),
+		}
+	}
+	return &core.DB{Events: []core.Event{
+		ev(schema.Waymo, ontology.TagSoftware),
+		ev(schema.Waymo, ontology.TagSensor),
+		ev(schema.Bosch, ontology.TagSoftware),
+	}}
+}
+
+// TestLoadEngineMapsSnapshot: with a valid v2 snapshot in -snapshot-dir,
+// the engine is served from the mapped file and sees every event.
+func TestLoadEngineMapsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	db := snapshotFixture()
+	if _, err := snapshot2.WriteSeed(dir, 7, db); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := loadEngine(dir, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Len() != len(db.Events) {
+		t.Errorf("engine events = %d, want %d", eng.Len(), len(db.Events))
+	}
+	n, err := eng.Count(query.Filter{Manufacturer: string(schema.Waymo)})
+	if err != nil || n != 2 {
+		t.Errorf("Waymo count = %d, %v; want 2", n, err)
+	}
+}
+
+// TestLoadEngineCorruptSnapshotIsTypedError: a bit-flipped v2 snapshot is
+// a hard error carrying snapshot2's typed checksum error — never a silent
+// pipeline rebuild, which would have returned an engine instead.
+func TestLoadEngineCorruptSnapshotIsTypedError(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := snapshot2.WriteSeed(dir, 7, snapshotFixture()); err != nil {
+		t.Fatal(err)
+	}
+	path := snapshot2.Path(dir, 7)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := loadEngine(dir, 7)
+	var ce *snapshot2.ChecksumError
+	if !errors.As(err, &ce) {
+		t.Fatalf("loadEngine over a corrupt snapshot: err = %v, want *snapshot2.ChecksumError", err)
+	}
+	if eng != nil {
+		t.Error("loadEngine returned an engine alongside the error")
 	}
 }

@@ -7,9 +7,9 @@
 // Usage:
 //
 //	avserve [-addr :8080] [-cache 4] [-workers 0] [-snapshot-dir snapshots/]
-//	        [-snapshot-v2] [-peers http://h1:8080,http://h2:8080]
-//	        [-fetch-timeout 10s] [-request-timeout 60s] [-read-timeout 10s]
-//	        [-write-timeout 90s] [-shutdown-timeout 10s] [-duration 0]
+//	        [-peers http://h1:8080,http://h2:8080] [-fetch-timeout 10s]
+//	        [-request-timeout 60s] [-read-timeout 10s] [-write-timeout 90s]
+//	        [-shutdown-timeout 10s] [-duration 0]
 //
 //	avserve -proxy -backends http://h1:8080,http://h2:8080 [-replicate 2]
 //	        [-addr :8080] [-read-timeout 10s] [-write-timeout 90s]
@@ -29,13 +29,11 @@
 //
 // The first request for a seed builds that study (seconds of CPU); the
 // build is shared by every concurrent request for the seed and cached for
-// later ones. With -snapshot-dir, a cache miss walks the snapshot tiers
-// before the pipeline: map the directory's study-<seed>.avsnap2 columnar
-// snapshot (zero-copy, the default tier), then load the legacy
-// study-<seed>.avsnap (both written by avpipe -snapshot-out), and only
-// build on a miss everywhere; fresh builds are written back as v2 so the
-// next process warm-starts. -snapshot-v2=false pins the directory to the
-// v1 format for staged rollouts. See the route list in internal/serve.
+// later ones. With -snapshot-dir, a cache miss first maps the directory's
+// study-<seed>.avsnap2 columnar snapshot (zero-copy; written by avpipe
+// -snapshot-out or by this server), then asks -peers, and only builds on
+// a miss everywhere; fresh builds are written back as v2 so the next
+// process warm-starts. See the route list in internal/serve.
 package main
 
 import (
@@ -70,7 +68,6 @@ func run(args []string) error {
 	cacheSize := fs.Int("cache", 4, "max resident studies in the LRU cache")
 	workers := fs.Int("workers", 0, "worker pool size for pipeline stages (0 = all cores)")
 	snapDir := fs.String("snapshot-dir", "", "study snapshot directory for warm starts (loaded before building, written after)")
-	snapV2 := fs.Bool("snapshot-v2", true, "serve mmap-able v2 snapshots ahead of the v1 tier and write builds through as v2 (false = legacy v1 only)")
 	requestTimeout := fs.Duration("request-timeout", 60*time.Second, "per-request deadline, study builds included")
 	readTimeout := fs.Duration("read-timeout", 10*time.Second, "HTTP server read timeout")
 	writeTimeout := fs.Duration("write-timeout", 90*time.Second, "HTTP server write timeout (must exceed a cold study build)")
@@ -104,7 +101,6 @@ func run(args []string) error {
 			CacheSize:            *cacheSize,
 			RequestTimeout:       *requestTimeout,
 			SnapshotDir:          *snapDir,
-			DisableSnapshotV2:    !*snapV2,
 			SnapshotPeers:        splitList(*peers),
 			SnapshotFetchTimeout: *fetchTimeout,
 		})

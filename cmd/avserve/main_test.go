@@ -14,7 +14,7 @@ import (
 
 	"avfda/internal/query"
 	"avfda/internal/serve"
-	"avfda/internal/snapshot"
+	"avfda/internal/snapshot2"
 )
 
 // TestServeCalibratedStudy is the end-to-end acceptance check: a server
@@ -150,7 +150,7 @@ func TestColdStartFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.WriteSeed(dir, 1, study.DB); err != nil {
+	if _, err := snapshot2.WriteSeed(dir, 1, study.DB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,14 +189,14 @@ func TestColdStartFromSnapshot(t *testing.T) {
 		t.Errorf("pipeline builder ran %d times on a warm start", n)
 	}
 	stats := server.CacheStats()
-	if stats.Builds != 0 || stats.SnapshotLoads != 1 {
-		t.Errorf("cache stats = %+v, want Builds 0 and SnapshotLoads 1", stats)
+	if stats.Builds != 0 || stats.Snapshot2Loads != 1 {
+		t.Errorf("cache stats = %+v, want Builds 0 and Snapshot2Loads 1", stats)
 	}
 
 	rec = httptest.NewRecorder()
 	server.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
-		"avserve_snapshot_loads_total 1",
+		"avserve_snapshot2_loads_total 1",
 		"avserve_cache_builds_total 0",
 	} {
 		if !strings.Contains(rec.Body.String(), want) {

@@ -9,7 +9,7 @@
 //	          [-merge BENCH_2026-08-05.json]
 //
 // Without -o the JSON goes to stdout. The GOMAXPROCS suffix go test
-// appends to benchmark names (e.g. BenchmarkSnapshotLoad-8) is stripped so
+// appends to benchmark names (e.g. BenchmarkSnapshotV2Load-8) is stripped so
 // artifacts from machines with different core counts stay comparable. A
 // benchmark that appears more than once keeps its last measurement.
 //
@@ -18,8 +18,8 @@
 // BenchmarkSnapshotV2Load emits) land under <name>/<unit>, with "/" in
 // the unit flattened to "_" ("B/op" -> "B_op"). Rows whose raw names
 // track a pinned perf contract additionally get a stable alias (e.g.
-// Snapshot2/load_ns next to Snapshot/load_ns for the v2-vs-v1 cold-load
-// trajectory) so dashboards survive benchmark renames.
+// Snapshot2/load_ns for the snapshot cold-load trajectory) so dashboards
+// survive benchmark renames.
 //
 // -load folds an avload JSON report (cmd/avload -json, the avload/1
 // schema) into the same flat map under ServeLoad/ keys — latency quantiles
@@ -186,10 +186,9 @@ func loadReport(path, prefix string) (map[string]float64, error) {
 var benchName = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?$`)
 
 // derived aliases raw benchmark metrics onto the stable perf-trajectory
-// keys pinned contracts are tracked under: the v1-vs-v2 snapshot cold-load
-// pair and the v2 file size. Both spellings appear in the artifact.
+// keys pinned contracts are tracked under: the snapshot cold load and the
+// snapshot file size. Both spellings appear in the artifact.
 var derived = map[string]string{
-	"BenchmarkSnapshotLoad":         "Snapshot/load_ns",
 	"BenchmarkSnapshotV2Load":       "Snapshot2/load_ns",
 	"BenchmarkSnapshotV2Load/bytes": "Snapshot2/bytes",
 }

@@ -13,7 +13,7 @@ import (
 func TestParse(t *testing.T) {
 	const out = `goos: linux
 goarch: amd64
-pkg: avfda/internal/snapshot
+pkg: avfda/internal/snapshot2
 cpu: some CPU @ 3.00GHz
 BenchmarkSnapshotLoad-8             	     166	   7106071 ns/op
 BenchmarkSnapshotPipelineRebuild-8  	       3	 411447130 ns/op
@@ -21,7 +21,7 @@ BenchmarkSnapshotWrite              	     500	   2000000 ns/op
 BenchmarkSnapshotV2Load-8           	    5000	    140000 ns/op	  840000 bytes
 BenchmarkFractional-16              	    1000	     123.4 ns/op	   2 B/op
 PASS
-ok  	avfda/internal/snapshot	5.1s
+ok  	avfda/internal/snapshot2	5.1s
 `
 	got, err := parse(strings.NewReader(out))
 	if err != nil {
@@ -35,8 +35,8 @@ ok  	avfda/internal/snapshot	5.1s
 		"BenchmarkSnapshotV2Load/bytes":    840000,
 		"BenchmarkFractional":              123.4,
 		"BenchmarkFractional/B_op":         2,
-		// Stable aliases for the pinned v1-vs-v2 cold-load trajectory.
-		"Snapshot/load_ns":  7106071,
+		// Stable aliases for the snapshot cold-load trajectory. The retired
+		// v1 row keeps only its raw name: it has no alias any more.
 		"Snapshot2/load_ns": 140000,
 		"Snapshot2/bytes":   840000,
 	}
@@ -84,7 +84,7 @@ func TestRunFoldsLoadReport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bench := "BenchmarkSnapshotLoad-8 \t 10\t 7106071 ns/op\n"
+	bench := "BenchmarkSnapshotV2Write-8 \t 10\t 7106071 ns/op\n"
 	var out strings.Builder
 	if err := run("", "", []string{path}, nil, strings.NewReader(bench), &out); err != nil {
 		t.Fatal(err)
@@ -94,8 +94,7 @@ func TestRunFoldsLoadReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"BenchmarkSnapshotLoad":           7106071,
-		"Snapshot/load_ns":                7106071,
+		"BenchmarkSnapshotV2Write":        7106071,
 		"ServeLoad/rps":                   250.5,
 		"ServeLoad/requests":              1000,
 		"ServeLoad/cold_requests":         40,

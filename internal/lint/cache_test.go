@@ -175,9 +175,9 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
-// lintRepoRoot walks up to the module root so the speedup test can run
-// the cache over the real repository.
-func lintRepoRoot(t *testing.T) string {
+// lintRepoRoot walks up to the module root so the whole-repo cache test and
+// benchmark can run the cache over the real repository.
+func lintRepoRoot(t testing.TB) string {
 	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {
@@ -195,12 +195,12 @@ func lintRepoRoot(t *testing.T) string {
 	}
 }
 
-// TestCacheRepoSpeedup pins the acceptance threshold the cache exists
-// for: a fully-warm run over the unchanged repository must be at least 5x
-// faster than the cold run that populated it. The margin is generous — in
-// practice warm runs only hash files and read JSON — so a pass is
-// scheduling noise, not luck.
-func TestCacheRepoSpeedup(t *testing.T) {
+// TestCacheRepoWarmReplaysCold pins the cache's correctness over the real
+// repository: the cold run that populates it hits nothing, the warm run
+// over the unchanged tree misses nothing, and the warm diagnostics are
+// exactly the cold ones. How much faster the warm run is belongs to
+// BenchmarkCacheRepo, not to a wall-clock assertion here.
+func TestCacheRepoWarmReplaysCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lints the whole repository twice; skipped in -short mode")
 	}
@@ -208,30 +208,45 @@ func TestCacheRepoSpeedup(t *testing.T) {
 	cache := t.TempDir()
 	analyzers := lint.All()
 
-	coldStart := time.Now()
 	coldDiags, _, coldStats, err := lint.RunCachedTimed(root, cache, 0, analyzers, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := time.Since(coldStart)
 	if coldStats.Hits != 0 {
 		t.Fatalf("cold run had %d hits, want 0", coldStats.Hits)
 	}
-
-	warmStart := time.Now()
 	warmDiags, _, warmStats, err := lint.RunCachedTimed(root, cache, 0, analyzers, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := time.Since(warmStart)
 	if warmStats.Misses != 0 {
 		t.Fatalf("warm run missed %v, want none", warmStats.MissPaths)
 	}
 	if !reflect.DeepEqual(warmDiags, coldDiags) {
 		t.Errorf("warm diagnostics differ from cold:\nwarm: %v\ncold: %v", warmDiags, coldDiags)
 	}
-	if warm*5 > cold {
-		t.Errorf("warm run %v is not ≥5x faster than cold %v", warm, cold)
+}
+
+// BenchmarkCacheRepo measures what the findings cache buys over the real
+// repository: each iteration lints the tree cold into a fresh cache, then
+// warm from it. The cold/warm wall-clock ratio is reported as a metric
+// (the cache was built to keep it at 5x or more); ns/op is the pair.
+func BenchmarkCacheRepo(b *testing.B) {
+	root := lintRepoRoot(b)
+	analyzers := lint.All()
+	var cold, warm time.Duration
+	for i := 0; i < b.N; i++ {
+		cache := b.TempDir()
+		start := time.Now()
+		if _, _, _, err := lint.RunCachedTimed(root, cache, 0, analyzers, "./..."); err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		if _, _, _, err := lint.RunCachedTimed(root, cache, 0, analyzers, "./..."); err != nil {
+			b.Fatal(err)
+		}
+		cold += mid.Sub(start)
+		warm += time.Since(mid)
 	}
-	t.Logf("cold %v, warm %v (%.1fx)", cold, warm, float64(cold)/float64(warm))
+	b.ReportMetric(float64(cold)/float64(warm), "cold/warm")
 }

@@ -37,7 +37,6 @@ var MapIter = &Analyzer{
 	// load harness's deterministic query mixes.
 	Scope: []string{
 		"internal/core",
-		"internal/snapshot",
 		"internal/snapshot2",
 		"internal/report",
 		"internal/frame",

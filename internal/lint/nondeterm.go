@@ -17,7 +17,7 @@ var globalRandFuncs = map[string]bool{
 }
 
 // NonDeterm flags ambient nondeterminism inside pipeline-stage packages
-// (internal/{parse,nlp,core,synth,snapshot}): time.Now() reads and draws
+// (internal/{parse,nlp,core,synth,snapshot2}): time.Now() reads and draws
 // from the global math/rand source. Reproducibility is the paper's core
 // contract — the same corpus and seed must yield the same consolidated
 // failure DB — so stage code takes its randomness from a *rand.Rand derived
@@ -38,7 +38,6 @@ var NonDeterm = &Analyzer{
 		"internal/nlp",
 		"internal/core",
 		"internal/synth",
-		"internal/snapshot",
 		"internal/snapshot2",
 	},
 	Run: runNonDeterm,

@@ -48,8 +48,8 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/calib", "internal/core", "internal/frame",
 			"internal/mission", "internal/ontology", "internal/query",
 			"internal/reliability", "internal/report", "internal/scandoc",
-			"internal/schema", "internal/snapshot", "internal/stats",
-			"internal/stpa", "internal/synth"),
+			"internal/schema", "internal/stats", "internal/stpa",
+			"internal/synth"),
 	),
 	"ctxflow": mergeExempt(
 		lintToolingExempt,
@@ -60,8 +60,8 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/mission", "internal/nlp", "internal/ocr",
 			"internal/ontology", "internal/parse", "internal/query",
 			"internal/reliability", "internal/report", "internal/scandoc",
-			"internal/schema", "internal/snapshot", "internal/snapshot2",
-			"internal/stats", "internal/stpa", "internal/synth"),
+			"internal/schema", "internal/snapshot2", "internal/stats",
+			"internal/stpa", "internal/synth"),
 	),
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"avfda/internal/core"
 	"avfda/internal/query"
-	"avfda/internal/snapshot"
 	"avfda/internal/snapshot2"
 )
 
@@ -18,8 +17,8 @@ import (
 // database plus its query engine. Both are immutable after construction,
 // so a cached study is served to any number of concurrent requests.
 type Study struct {
-	// DB is the in-heap database for built and v1-loaded studies; it is
-	// nil for studies served from a mapped v2 snapshot, whose engine
+	// DB is the in-heap database for freshly built studies; it is nil
+	// for studies served from a mapped v2 snapshot, whose engine
 	// materializes tables lazily. Callers that need the database should go
 	// through Database.
 	DB     *core.DB
@@ -29,8 +28,8 @@ type Study struct {
 	// mapped from a v2 snapshot or written through as one. Deterministic
 	// encoding makes it identical on every node serving the same seed, so
 	// the HTTP layer derives ETag headers from it. Empty when no v2
-	// snapshot exists for the study (v1 loads, snapshotless builds): those
-	// responses simply carry no validator.
+	// snapshot exists for the study (snapshotless builds): those responses
+	// simply carry no validator.
 	ETag string
 }
 
@@ -69,18 +68,8 @@ type CacheStats struct {
 	Snapshot2Writes int64
 	// Snapshot2Rejects counts v2 snapshot files that existed but were
 	// refused (version mismatch, checksum failure, truncation, structural
-	// corruption) and fell back to the v1 tier or a rebuild.
+	// corruption) and fell through to a peer fetch or a rebuild.
 	Snapshot2Rejects int64
-	// SnapshotLoads counts misses satisfied from a legacy v1 snapshot
-	// (deserializing load) after the v2 tier missed.
-	SnapshotLoads int64
-	// SnapshotWrites counts v1 snapshots written through after a
-	// successful pipeline build (only when the v2 tier is disabled).
-	SnapshotWrites int64
-	// SnapshotRejects counts v1 snapshot files that existed but were
-	// refused (version mismatch, checksum failure, truncation) and
-	// triggered a rebuild instead.
-	SnapshotRejects int64
 	// SnapshotFetches counts misses satisfied by pulling the seed's v2
 	// snapshot from a peer (CRC re-verified on receipt) instead of paying
 	// a pipeline rebuild.
@@ -97,14 +86,13 @@ type CacheStats struct {
 }
 
 // Cache is a seed-keyed LRU of built studies with an optional second tier:
-// a directory of persisted study snapshots. A miss walks the tiers from
-// cheapest to dearest — map a v2 columnar snapshot (microseconds, zero
-// deserialization), load a legacy v1 snapshot (milliseconds), run the
-// pipeline (hundreds of milliseconds) — and a successful build is written
-// through (as v2 when the tier is enabled) so the next cold process or
-// post-eviction Get warm-starts. Corrupt or stale-version snapshots are
-// never trusted: they fail the typed checksum/version/format checks in
-// their package, count as rejects for their tier, and are overwritten by
+// a directory of persisted v2 study snapshots. A miss walks the tiers from
+// cheapest to dearest — map the seed's v2 columnar snapshot (microseconds,
+// zero deserialization), pull it from a peer, run the pipeline (hundreds
+// of milliseconds) — and a successful build is written through as v2 so
+// the next cold process or post-eviction Get warm-starts. Corrupt or
+// stale-version snapshots are never trusted: they fail snapshot2's typed
+// checksum/version/format checks, count as rejects, and are overwritten by
 // the rebuild's write-through.
 //
 // Concurrent Gets for an absent seed are coalesced singleflight-style:
@@ -116,7 +104,6 @@ type Cache struct {
 	build   BuildFunc
 	cap     int
 	snapDir string           // "" disables the snapshot tier
-	v2      bool             // serve and write v2 snapshots ahead of the v1 tier
 	fetcher *snapshotFetcher // nil disables the peer pull-through tier
 
 	mu      sync.Mutex
@@ -139,23 +126,10 @@ type flight struct {
 	err   error
 }
 
-// NewCache creates a cache holding at most capacity studies (minimum 1),
-// with the snapshot tier disabled.
-func NewCache(build BuildFunc, capacity int) (*Cache, error) {
-	return NewSnapshotCache(build, capacity, "")
-}
-
-// NewSnapshotCache creates a cache whose misses go through the snapshot
-// directory before the pipeline build, with the v2 (mmap) tier enabled.
-// An empty dir disables snapshots entirely.
+// NewSnapshotCache creates a cache holding at most capacity studies
+// (minimum 1) whose misses go through the v2 snapshot directory before the
+// pipeline build. An empty dir disables snapshots entirely.
 func NewSnapshotCache(build BuildFunc, capacity int, dir string) (*Cache, error) {
-	return NewTieredCache(build, capacity, dir, true)
-}
-
-// NewTieredCache creates a cache with explicit control over the v2 tier:
-// v2 false restricts the snapshot directory to the legacy v1 format (reads
-// and write-through), for operators staging the v2 rollout.
-func NewTieredCache(build BuildFunc, capacity int, dir string, v2 bool) (*Cache, error) {
 	if build == nil {
 		return nil, errors.New("serve: nil build function")
 	}
@@ -166,7 +140,6 @@ func NewTieredCache(build BuildFunc, capacity int, dir string, v2 bool) (*Cache,
 		build:   build,
 		cap:     capacity,
 		snapDir: dir,
-		v2:      v2,
 		order:   list.New(),
 		entries: make(map[int64]*list.Element),
 		flights: make(map[int64]*flight),
@@ -175,16 +148,16 @@ func NewTieredCache(build BuildFunc, capacity int, dir string, v2 bool) (*Cache,
 
 // SetSnapshotPeers enables the peer pull-through tier: a miss that finds
 // no local snapshot asks each peer base URL in order for the seed's v2
-// snapshot before falling back to a pipeline build. It requires the v2
-// snapshot tier (fetched files are landed in snapDir and then mapped).
+// snapshot before falling back to a pipeline build. It requires a
+// snapshot directory (fetched files are landed in snapDir and then mapped).
 // timeout bounds each peer probe; zero picks a sane default. Call before
 // serving traffic; the peer list is fixed afterwards.
 func (c *Cache) SetSnapshotPeers(peers []string, timeout time.Duration) error {
 	if len(peers) == 0 {
 		return nil
 	}
-	if c.snapDir == "" || !c.v2 {
-		return errors.New("serve: snapshot peers require the v2 snapshot tier")
+	if c.snapDir == "" {
+		return errors.New("serve: snapshot peers require a snapshot directory")
 	}
 	c.fetcher = newSnapshotFetcher(peers, timeout)
 	return nil
@@ -241,35 +214,21 @@ func (c *Cache) run(seed int64, fl *flight) {
 }
 
 // acquire produces the study for one coalesced miss: v2 snapshot tier,
-// then v1 snapshot tier, then the pipeline build, with write-through after
-// a successful build.
+// then peer fetch, then the pipeline build, with write-through after a
+// successful build.
 func (c *Cache) acquire(seed int64) (*Study, error) {
 	if c.snapDir != "" {
-		if c.v2 {
-			study, err := c.loadSnapshot2(seed)
-			switch {
-			case err == nil:
-				c.bump(&c.stats.Snapshot2Loads)
-				return study, nil
-			case errors.Is(err, fs.ErrNotExist):
-				// Plain tier miss: no v2 file for this seed yet.
-			default:
-				// Present but unusable: never trust it, fall through to
-				// the v1 tier (a pre-migration file may still be good).
-				c.bump(&c.stats.Snapshot2Rejects)
-			}
-		}
-		study, err := c.loadSnapshot(seed)
+		study, err := c.loadSnapshot2(seed)
 		switch {
 		case err == nil:
-			c.bump(&c.stats.SnapshotLoads)
+			c.bump(&c.stats.Snapshot2Loads)
 			return study, nil
 		case errors.Is(err, fs.ErrNotExist):
 			// Plain tier miss: nothing persisted for this seed yet.
 		default:
 			// Present but unusable (bad checksum, old version, truncated,
-			// or an engine rebuild failure): never trust it, rebuild.
-			c.bump(&c.stats.SnapshotRejects)
+			// structurally corrupt): never trust it, fetch or rebuild.
+			c.bump(&c.stats.Snapshot2Rejects)
 		}
 		if study, ok := c.fetchFromPeer(seed); ok {
 			return study, nil
@@ -283,20 +242,12 @@ func (c *Cache) acquire(seed int64) (*Study, error) {
 	if c.snapDir != "" && study != nil && study.DB != nil {
 		// Write-through replaces whatever was on disk (including a
 		// just-rejected file) via an atomic rename; a write failure only
-		// costs the next cold process a rebuild, so it is not fatal. With
-		// the v2 tier on, the v2 format is the write-through target — v1
-		// files are read for compatibility but no longer produced here.
-		if c.v2 {
-			if crc, err := snapshot2.WriteSeed(c.snapDir, seed, study.DB); err == nil {
-				c.bump(&c.stats.Snapshot2Writes)
-				// The write-through fixes the study's content fingerprint,
-				// so the freshly built study can carry a validator too.
-				study.ETag = etagFromCRC(crc)
-			}
-		} else {
-			if err := snapshot.WriteSeed(c.snapDir, seed, study.DB); err == nil {
-				c.bump(&c.stats.SnapshotWrites)
-			}
+		// costs the next cold process a rebuild, so it is not fatal.
+		if crc, err := snapshot2.WriteSeed(c.snapDir, seed, study.DB); err == nil {
+			c.bump(&c.stats.Snapshot2Writes)
+			// The write-through fixes the study's content fingerprint, so
+			// the freshly built study can carry a validator too.
+			study.ETag = etagFromCRC(crc)
 		}
 	}
 	return study, nil
@@ -329,20 +280,6 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 	}
 	c.bump(&c.stats.SnapshotFetches)
 	return study, true
-}
-
-// loadSnapshot reads the persisted v1 database for seed and rebuilds its
-// query indexes, yielding a servable study.
-func (c *Cache) loadSnapshot(seed int64) (*Study, error) {
-	db, err := snapshot.ReadSeed(c.snapDir, seed)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := query.New(db)
-	if err != nil {
-		return nil, err
-	}
-	return &Study{DB: db, Engine: engine}, nil
 }
 
 // loadSnapshot2 maps the v2 snapshot for seed and serves queries straight

@@ -31,7 +31,7 @@ func countingBuilder(calls *atomic.Int64, delay time.Duration) BuildFunc {
 
 func TestCacheHitSecondGet(t *testing.T) {
 	var calls atomic.Int64
-	c, err := NewCache(countingBuilder(&calls, 0), 2)
+	c, err := NewSnapshotCache(countingBuilder(&calls, 0), 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCacheHitSecondGet(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	var calls atomic.Int64
-	c, err := NewCache(countingBuilder(&calls, 0), 2)
+	c, err := NewSnapshotCache(countingBuilder(&calls, 0), 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // acceptance criteria: concurrent first requests build the study once.
 func TestCacheSingleflight(t *testing.T) {
 	var calls atomic.Int64
-	c, err := NewCache(countingBuilder(&calls, 50*time.Millisecond), 2)
+	c, err := NewSnapshotCache(countingBuilder(&calls, 50*time.Millisecond), 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCacheSingleflight(t *testing.T) {
 // and the finished build serves later requests.
 func TestCacheContextExpiry(t *testing.T) {
 	var calls atomic.Int64
-	c, err := NewCache(countingBuilder(&calls, 80*time.Millisecond), 2)
+	c, err := NewSnapshotCache(countingBuilder(&calls, 80*time.Millisecond), 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestCacheContextExpiry(t *testing.T) {
 
 func TestCacheBuildErrorNotCached(t *testing.T) {
 	var calls atomic.Int64
-	c, err := NewCache(func(seed int64) (*Study, error) {
+	c, err := NewSnapshotCache(func(seed int64) (*Study, error) {
 		calls.Add(1)
 		return nil, &buildErr{call: calls.Load()}
-	}, 2)
+	}, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +181,10 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 }
 
 func TestNewCacheValidation(t *testing.T) {
-	if _, err := NewCache(nil, 1); err == nil {
+	if _, err := NewSnapshotCache(nil, 1, ""); err == nil {
 		t.Error("nil builder: want error")
 	}
-	c, err := NewCache(countingBuilder(new(atomic.Int64), 0), 0)
+	c, err := NewSnapshotCache(countingBuilder(new(atomic.Int64), 0), 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,18 +157,12 @@ func TestPeerFetchSecondPeerWins(t *testing.T) {
 	}
 }
 
-// TestSnapshotPeersRequireV2Tier: the pull-through tier lands v2 bytes,
-// so configuring peers without a v2 snapshot directory is a config error,
-// not a silent no-op.
+// TestSnapshotPeersRequireV2Tier: the pull-through tier lands v2 bytes in
+// the snapshot directory, so configuring peers without one is a config
+// error, not a silent no-op.
 func TestSnapshotPeersRequireV2Tier(t *testing.T) {
 	if _, err := New(Config{Build: testBuilder(t, nil, 0), SnapshotPeers: []string{"http://peer"}}); err == nil {
 		t.Error("peers without a snapshot dir: want error")
-	}
-	if _, err := New(Config{
-		Build: testBuilder(t, nil, 0), SnapshotDir: t.TempDir(),
-		DisableSnapshotV2: true, SnapshotPeers: []string{"http://peer"},
-	}); err == nil {
-		t.Error("peers with the v2 tier disabled: want error")
 	}
 }
 

@@ -134,10 +134,7 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		{"avserve_cache_evictions_total", "Studies evicted to respect capacity.", cache.Evictions},
 		{"avserve_snapshot2_loads_total", "Cache misses served by mapping a v2 columnar snapshot (zero-copy).", cache.Snapshot2Loads},
 		{"avserve_snapshot2_writes_total", "V2 snapshots written through after a successful build.", cache.Snapshot2Writes},
-		{"avserve_snapshot2_rejects_total", "V2 snapshot files refused by validation (checksum, version, or structure); each falls back to the v1 tier or a rebuild, and is not a build failure.", cache.Snapshot2Rejects},
-		{"avserve_snapshot_loads_total", "Cache misses served from the legacy v1 snapshot tier (deserializing load).", cache.SnapshotLoads},
-		{"avserve_snapshot_writes_total", "V1 snapshots written through after a successful build (v2 tier disabled).", cache.SnapshotWrites},
-		{"avserve_snapshot_rejects_total", "V1 snapshot files refused by validation (checksum, version, or truncation); each triggers a pipeline rebuild, and is not a build failure.", cache.SnapshotRejects},
+		{"avserve_snapshot2_rejects_total", "V2 snapshot files refused by validation (checksum, version, or structure); each falls back to a peer fetch or a rebuild, and is not a build failure.", cache.Snapshot2Rejects},
 		{"avserve_snapshot_fetches_total", "Cache misses served by pulling the seed's v2 snapshot from a peer (CRC re-verified on receipt).", cache.SnapshotFetches},
 		{"avserve_snapshot_fetch_misses_total", "Peer snapshot probes answered 404 on every peer (seed not held anywhere; falls back to a rebuild).", cache.SnapshotFetchMisses},
 		{"avserve_snapshot_fetch_errors_total", "Peer snapshot probes that failed (transport error, unexpected status, or a fetched file flunking validation); each falls back to a rebuild.", cache.SnapshotFetchErrors},

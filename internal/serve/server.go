@@ -7,10 +7,10 @@
 // request for a seed builds the study exactly once no matter how many
 // requests race, later requests are answered from memory, and an evicted
 // study is simply rebuilt on next use. With Config.SnapshotDir set the
-// cache gains a second tier: a miss first loads the seed's persisted
-// study snapshot (internal/snapshot) and only falls back to the pipeline
-// when none is usable, writing the built study through for the next cold
-// process. Every request runs under a
+// cache gains a second tier: a miss first maps the seed's persisted v2
+// study snapshot (internal/snapshot2), then asks Config.SnapshotPeers, and
+// only falls back to the pipeline when none is usable, writing the built
+// study through as v2 for the next cold process. Every request runs under a
 // deadline (Config.RequestTimeout); a request that times out while its
 // study is still building returns 504 without cancelling the build, which
 // completes in the background and serves the retry. Request counts,
@@ -64,20 +64,17 @@ type Config struct {
 	// CacheSize bounds the number of resident studies; <= 0 means 4.
 	CacheSize int
 	// SnapshotDir, when non-empty, enables the cache's snapshot tier: a
-	// miss loads the seed's persisted study from this directory before
-	// falling back to Build, and successful builds are written through.
+	// miss maps the seed's v2 columnar snapshot (zero-copy) from this
+	// directory before falling back to Build, and successful builds are
+	// written through as v2 files.
 	SnapshotDir string
-	// DisableSnapshotV2 restricts the snapshot tier to the legacy v1
-	// format. By default a miss maps the seed's v2 columnar snapshot
-	// (zero-copy) before trying v1, and write-through produces v2 files.
-	DisableSnapshotV2 bool
 	// RequestTimeout bounds each request, including any study build it
 	// triggers; <= 0 means 60s.
 	RequestTimeout time.Duration
 	// SnapshotPeers lists base URLs (http://host:port) of peer avserve
 	// backends. A cache miss that finds no local snapshot pulls the
 	// seed's v2 snapshot from a peer (CRC re-verified on receipt) before
-	// paying a pipeline rebuild. Requires the v2 snapshot tier.
+	// paying a pipeline rebuild. Requires SnapshotDir.
 	SnapshotPeers []string
 	// SnapshotFetchTimeout bounds each peer snapshot probe; <= 0 means 10s.
 	SnapshotFetchTimeout time.Duration
@@ -90,7 +87,6 @@ type Server struct {
 	metrics *Metrics
 	timeout time.Duration
 	snapDir string // v2 snapshot directory served to peers; "" disables
-	snapV2  bool
 	mux     *http.ServeMux
 }
 
@@ -116,7 +112,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 60 * time.Second
 	}
-	cache, err := NewTieredCache(cfg.Build, cfg.CacheSize, cfg.SnapshotDir, !cfg.DisableSnapshotV2)
+	cache, err := NewSnapshotCache(cfg.Build, cfg.CacheSize, cfg.SnapshotDir)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +124,6 @@ func New(cfg Config) (*Server, error) {
 		metrics: NewMetrics(),
 		timeout: cfg.RequestTimeout,
 		snapDir: cfg.SnapshotDir,
-		snapV2:  !cfg.DisableSnapshotV2,
 		mux:     http.NewServeMux(),
 	}
 	s.route("GET /healthz", s.handleHealthz)
@@ -484,8 +479,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad seed %q: want an integer", r.PathValue("seed"))
 		return
 	}
-	if s.snapDir == "" || !s.snapV2 {
-		writeError(w, http.StatusNotFound, "snapshot distribution disabled: no v2 snapshot directory")
+	if s.snapDir == "" {
+		writeError(w, http.StatusNotFound, "snapshot distribution disabled: no snapshot directory")
 		return
 	}
 	f, err := os.Open(snapshot2.Path(s.snapDir, seed))

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,6 @@ import (
 	"avfda/internal/ontology"
 	"avfda/internal/query"
 	"avfda/internal/schema"
-	"avfda/internal/snapshot"
 	"avfda/internal/snapshot2"
 )
 
@@ -276,9 +276,9 @@ func TestCacheHitOnSecondRequest(t *testing.T) {
 }
 
 // TestMetricsHelpText pins the counter help lines: the build counter and
-// the two reject counters must describe distinct events (a snapshot reject
+// the reject counter must describe distinct events (a snapshot reject
 // triggers a rebuild but is not a build failure — the descriptions used to
-// conflate them), and every snapshot tier counter (v1 and v2) must render.
+// conflate them), and every snapshot counter must render.
 func TestMetricsHelpText(t *testing.T) {
 	var buf strings.Builder
 	if err := NewMetrics().WriteText(&buf, CacheStats{}); err != nil {
@@ -287,12 +287,9 @@ func TestMetricsHelpText(t *testing.T) {
 	body := buf.String()
 	for _, want := range []string{
 		"# HELP avserve_cache_builds_total Study pipeline builds started (singleflight-coalesced), whether or not they succeed; includes rebuilds triggered by snapshot rejects.",
-		"# HELP avserve_snapshot_rejects_total V1 snapshot files refused by validation (checksum, version, or truncation); each triggers a pipeline rebuild, and is not a build failure.",
-		"# HELP avserve_snapshot2_rejects_total V2 snapshot files refused by validation (checksum, version, or structure); each falls back to the v1 tier or a rebuild, and is not a build failure.",
+		"# HELP avserve_snapshot2_rejects_total V2 snapshot files refused by validation (checksum, version, or structure); each falls back to a peer fetch or a rebuild, and is not a build failure.",
 		"# HELP avserve_snapshot2_loads_total",
 		"# HELP avserve_snapshot2_writes_total",
-		"# HELP avserve_snapshot_loads_total",
-		"# HELP avserve_snapshot_writes_total",
 		"avserve_snapshot2_loads_total 0",
 		"avserve_snapshot2_writes_total 0",
 		"avserve_snapshot2_rejects_total 0",
@@ -515,61 +512,10 @@ func TestAccidentsGolden(t *testing.T) {
 	}
 }
 
-// TestSnapshotTierColdStart is the v1 warm-start acceptance test: a cold
-// server whose snapshot directory already holds the seed's study (in the
-// legacy format only) serves it without a single pipeline build — the v2
-// tier misses cleanly (no reject) and falls back to v1.
-func TestSnapshotTierColdStart(t *testing.T) {
-	dir := t.TempDir()
-	if err := snapshot.WriteSeed(dir, 1, testDB(t)); err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int64
-	s, err := New(Config{Build: testBuilder(t, &calls, 0), CacheSize: 2, SnapshotDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, body := get(t, s, "/v1/studies/1/disengagements?mfr=Waymo")
-	if code != http.StatusOK {
-		t.Fatalf("code = %d (%s)", code, strings.TrimSpace(body))
-	}
-	var page query.EventPage
-	if err := json.Unmarshal([]byte(body), &page); err != nil {
-		t.Fatal(err)
-	}
-	if page.Total != 2 {
-		t.Errorf("snapshot-served page total = %d, want 2", page.Total)
-	}
-	if calls.Load() != 0 {
-		t.Errorf("pipeline builds = %d, want 0 (snapshot tier)", calls.Load())
-	}
-	stats := s.CacheStats()
-	if stats.Builds != 0 || stats.SnapshotLoads != 1 || stats.Snapshot2Loads != 0 || stats.Snapshot2Rejects != 0 {
-		t.Errorf("stats = %+v, want Builds 0, SnapshotLoads 1, no v2 activity", stats)
-	}
-	code, body = get(t, s, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics code = %d", code)
-	}
-	for _, want := range []string{
-		"avserve_snapshot_loads_total 1",
-		"avserve_snapshot_writes_total 0",
-		"avserve_snapshot_rejects_total 0",
-		"avserve_snapshot2_loads_total 0",
-		"avserve_snapshot2_writes_total 0",
-		"avserve_snapshot2_rejects_total 0",
-		"avserve_cache_builds_total 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-}
-
-// TestSnapshot2TierColdStart is the v2 warm-start acceptance test: with a
-// v2 columnar snapshot on disk, a cold server maps it and serves every
+// TestSnapshot2TierColdStart is the warm-start acceptance test: with a v2
+// columnar snapshot on disk, a cold server maps it and serves every
 // endpoint — including the whole-table ones that force lazy database
-// materialization — without a pipeline build or a v1 read.
+// materialization — without a pipeline build.
 func TestSnapshot2TierColdStart(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := snapshot2.WriteSeed(dir, 1, testDB(t)); err != nil {
@@ -606,8 +552,8 @@ func TestSnapshot2TierColdStart(t *testing.T) {
 		t.Errorf("pipeline builds = %d, want 0 (v2 tier)", calls.Load())
 	}
 	stats := s.CacheStats()
-	if stats.Builds != 0 || stats.Snapshot2Loads != 1 || stats.SnapshotLoads != 0 {
-		t.Errorf("stats = %+v, want Builds 0, Snapshot2Loads 1, SnapshotLoads 0", stats)
+	if stats.Builds != 0 || stats.Snapshot2Loads != 1 {
+		t.Errorf("stats = %+v, want Builds 0, Snapshot2Loads 1", stats)
 	}
 	code, body = get(t, s, "/metrics")
 	if code != http.StatusOK {
@@ -615,7 +561,6 @@ func TestSnapshot2TierColdStart(t *testing.T) {
 	}
 	for _, want := range []string{
 		"avserve_snapshot2_loads_total 1",
-		"avserve_snapshot_loads_total 0",
 		"avserve_cache_builds_total 0",
 	} {
 		if !strings.Contains(body, want) {
@@ -662,51 +607,15 @@ func TestSnapshotWriteThrough(t *testing.T) {
 	}
 }
 
-// TestSnapshotWriteThroughLegacy pins the v1 compatibility knob: with the
-// v2 tier disabled, write-through still produces v1 files and the next
-// cold server (also v1-only) loads them.
-func TestSnapshotWriteThroughLegacy(t *testing.T) {
-	dir := t.TempDir()
-	var calls atomic.Int64
-	s, err := New(Config{Build: testBuilder(t, &calls, 0), CacheSize: 2, SnapshotDir: dir, DisableSnapshotV2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := get(t, s, "/v1/studies/1/disengagements"); code != http.StatusOK {
-		t.Fatalf("first request failed")
-	}
-	if stats := s.CacheStats(); stats.Builds != 1 || stats.SnapshotWrites != 1 || stats.Snapshot2Writes != 0 {
-		t.Errorf("legacy server stats = %+v, want Builds 1, SnapshotWrites 1, no v2 writes", stats)
-	}
-	if _, err := os.Stat(snapshot.Path(dir, 1)); err != nil {
-		t.Fatalf("legacy write-through left no v1 snapshot: %v", err)
-	}
-	if _, err := os.Stat(snapshot2.Path(dir, 1)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy server wrote a v2 snapshot: stat err = %v", err)
-	}
-
-	var calls2 atomic.Int64
-	s2, err := New(Config{Build: testBuilder(t, &calls2, 0), CacheSize: 2, SnapshotDir: dir, DisableSnapshotV2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := get(t, s2, "/v1/studies/1/disengagements"); code != http.StatusOK {
-		t.Fatalf("second server request failed")
-	}
-	if stats := s2.CacheStats(); stats.Builds != 0 || stats.SnapshotLoads != 1 {
-		t.Errorf("second legacy server stats = %+v, want Builds 0, SnapshotLoads 1", stats)
-	}
-}
-
-// TestSnapshotCorruptRejected: a bit-flipped v1 snapshot is refused by its
-// checksum, counted as a reject, rebuilt from the pipeline, and superseded
-// on disk by the write-through (now in v2 format).
+// TestSnapshotCorruptRejected: a bit-flipped v2 snapshot is refused by
+// its checksum, counted as a reject (not a build failure), rebuilt from the
+// pipeline, and superseded on disk by the write-through, which re-opens.
 func TestSnapshotCorruptRejected(t *testing.T) {
 	dir := t.TempDir()
-	path := snapshot.Path(dir, 1)
-	if err := snapshot.WriteSeed(dir, 1, testDB(t)); err != nil {
+	if _, err := snapshot2.WriteSeed(dir, 1, testDB(t)); err != nil {
 		t.Fatal(err)
 	}
+	path := snapshot2.Path(dir, 1)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -728,10 +637,23 @@ func TestSnapshotCorruptRejected(t *testing.T) {
 		t.Errorf("pipeline builds = %d, want 1 (corrupt snapshot rebuilt)", calls.Load())
 	}
 	stats := s.CacheStats()
-	if stats.SnapshotRejects != 1 || stats.Builds != 1 || stats.Snapshot2Writes != 1 || stats.SnapshotLoads != 0 {
-		t.Errorf("stats = %+v, want Rejects 1, Builds 1, Snapshot2Writes 1, Loads 0", stats)
+	if stats.Snapshot2Rejects != 1 || stats.Builds != 1 || stats.Snapshot2Writes != 1 || stats.Snapshot2Loads != 0 {
+		t.Errorf("stats = %+v, want Snapshot2Rejects 1, Builds 1, Snapshot2Writes 1, Snapshot2Loads 0", stats)
 	}
-	// The rebuild's write-through persisted a good v2 file: open it back.
+	code, body := get(t, s, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics code = %d", code)
+	}
+	for _, want := range []string{
+		"avserve_snapshot2_rejects_total 1",
+		"avserve_snapshot2_writes_total 1",
+		"avserve_cache_builds_total 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The rebuild's write-through replaced the corrupt file: open it back.
 	v, err := snapshot2.OpenSeed(dir, 1)
 	if err != nil {
 		t.Errorf("post-rebuild v2 snapshot unreadable: %v", err)
@@ -740,16 +662,46 @@ func TestSnapshotCorruptRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshot2CorruptFallsBackToV1 pins the full tier order: a corrupt v2
-// file is rejected by validation, the intact v1 file beneath it still
-// serves the study, and no pipeline build runs.
-func TestSnapshot2CorruptFallsBackToV1(t *testing.T) {
+// TestLeftoverV1SnapshotIgnored: a retired v1 file (study-<seed>.avsnap)
+// sitting beside no v2 file is neither read nor rejected — the miss builds
+// once and writes the study through as v2.
+func TestLeftoverV1SnapshotIgnored(t *testing.T) {
 	dir := t.TempDir()
-	db := testDB(t)
-	if err := snapshot.WriteSeed(dir, 1, db); err != nil {
+	v1 := filepath.Join(dir, "study-1.avsnap")
+	if err := os.WriteFile(v1, []byte("AVFDSNAP\x01\x00leftover v1 payload"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot2.WriteSeed(dir, 1, db); err != nil {
+
+	var calls atomic.Int64
+	s, err := New(Config{Build: testBuilder(t, &calls, 0), CacheSize: 2, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := get(t, s, "/v1/studies/1/disengagements"); code != http.StatusOK {
+		t.Fatalf("request beside a leftover v1 snapshot failed")
+	}
+	stats := s.CacheStats()
+	if stats.Builds != 1 || stats.Snapshot2Writes != 1 || stats.Snapshot2Rejects != 0 || stats.Snapshot2Loads != 0 {
+		t.Errorf("stats = %+v, want Builds 1, Snapshot2Writes 1, no rejects or loads", stats)
+	}
+	if _, err := os.Stat(snapshot2.Path(dir, 1)); err != nil {
+		t.Fatalf("write-through left no v2 snapshot: %v", err)
+	}
+}
+
+// TestSnapshot2CorruptFallsBackToV1 covers a corrupt v2 file lying over a
+// retired v1 file (study-<seed>.avsnap). v1 is no longer a cache tier, so
+// the fallback below a rejected v2 file is the pipeline: the v2 reject is
+// counted, the study is built once and written through as v2, and the v1
+// file is neither read, rejected nor rewritten.
+func TestSnapshot2CorruptFallsBackToV1(t *testing.T) {
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "study-1.avsnap")
+	v1Raw := []byte("AVFDSNAP\x01\x00leftover v1 payload")
+	if err := os.WriteFile(v1, v1Raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot2.WriteSeed(dir, 1, testDB(t)); err != nil {
 		t.Fatal(err)
 	}
 	path := snapshot2.Path(dir, 1)
@@ -770,12 +722,12 @@ func TestSnapshot2CorruptFallsBackToV1(t *testing.T) {
 	if code, _ := get(t, s, "/v1/studies/1/disengagements"); code != http.StatusOK {
 		t.Fatalf("request over corrupt v2 snapshot failed")
 	}
-	if calls.Load() != 0 {
-		t.Errorf("pipeline builds = %d, want 0 (v1 fallback)", calls.Load())
+	if calls.Load() != 1 {
+		t.Errorf("pipeline builds = %d, want 1 (no v1 tier beneath v2)", calls.Load())
 	}
 	stats := s.CacheStats()
-	if stats.Snapshot2Rejects != 1 || stats.SnapshotLoads != 1 || stats.Builds != 0 {
-		t.Errorf("stats = %+v, want Snapshot2Rejects 1, SnapshotLoads 1, Builds 0", stats)
+	if stats.Snapshot2Rejects != 1 || stats.Builds != 1 || stats.Snapshot2Writes != 1 || stats.Snapshot2Loads != 0 {
+		t.Errorf("stats = %+v, want Snapshot2Rejects 1, Builds 1, Snapshot2Writes 1, Snapshot2Loads 0", stats)
 	}
 	code, body := get(t, s, "/metrics")
 	if code != http.StatusOK {
@@ -783,11 +735,19 @@ func TestSnapshot2CorruptFallsBackToV1(t *testing.T) {
 	}
 	for _, want := range []string{
 		"avserve_snapshot2_rejects_total 1",
-		"avserve_snapshot_loads_total 1",
-		"avserve_cache_builds_total 0",
+		"avserve_cache_builds_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if got, err := os.ReadFile(v1); err != nil || string(got) != string(v1Raw) {
+		t.Errorf("leftover v1 file changed: err = %v, bytes = %q", err, got)
+	}
+	v, err := snapshot2.OpenSeed(dir, 1)
+	if err != nil {
+		t.Errorf("post-rebuild v2 snapshot unreadable: %v", err)
+	} else {
+		v.Close()
 	}
 }

@@ -1,13 +1,13 @@
 // Package snapshot2 persists a built study — the consolidated failure
 // database (core.DB) — in a memory-mappable columnar layout (system #23 in
-// DESIGN.md §2), the second-generation sibling of package snapshot.
+// DESIGN.md §2). It is the only on-disk study format.
 //
-// The v1 format deserializes the whole database into heap objects before
-// the query engine can touch a single row: O(study) allocation per cold
-// load. The v2 layout is arranged so the query engine reads the file bytes
-// in place — a View implements the column read surface query.Engine needs
-// (interface query.Source) directly over the mapped file, with lazy string
-// materialization and no per-row decoding. Opening a snapshot costs a
+// A format that deserializes the whole database into heap objects before
+// the query engine can touch a single row costs O(study) allocation per
+// cold load. The v2 layout is arranged so the query engine reads the file
+// bytes in place — a View implements the column read surface query.Engine
+// needs (interface query.Source) directly over the mapped file, with lazy
+// string materialization and no per-row decoding. Opening a snapshot costs a
 // checksum pass and a structural validation of the section directory;
 // resident cost is pages of the mapped file, not heap, which is what makes
 // thousands of concurrently-hot studies per node feasible.
@@ -36,15 +36,14 @@
 // Encoding the same database always yields the same bytes, so
 // write→read→re-write round-trips are byte-identical (property-tested).
 //
-// Compatibility policy matches v1: readers reject every version other than
-// their own, and a v1 reader rejects a v2 file (and vice versa) on the
-// magic. Truncated or bit-flipped files are rejected with typed errors
-// (*FormatError, *VersionError, *ChecksumError) before any byte is
-// trusted; callers fall back to the v1 snapshot or a pipeline rebuild.
-// CRC-32C is an integrity check against accidental corruption (it catches
-// every single-byte flip and every truncation, via the length field), not
-// a cryptographic seal — snapshots are local cache artifacts, the same
-// trust model v1's SHA-256 served.
+// Compatibility policy: readers reject every version other than their own,
+// and a v1 file handed to the reader is rejected on the magic. Truncated or
+// bit-flipped files are rejected with typed errors (*FormatError,
+// *VersionError, *ChecksumError) before any byte is trusted; callers fall
+// back to a pipeline rebuild. CRC-32C is an integrity check against
+// accidental corruption (it catches every single-byte flip and every
+// truncation, via the length field), not a cryptographic seal — snapshots
+// are local cache artifacts.
 package snapshot2
 
 import (
@@ -66,8 +65,8 @@ import (
 const Version uint16 = 2
 
 // magic identifies a v2 snapshot file; eight bytes keep the header scalars
-// that follow naturally aligned, and it differs from v1's magic so each
-// reader rejects the other's files with a clean *FormatError.
+// that follow naturally aligned, and it differs from the retired v1 magic
+// so a leftover v1 file is rejected with a clean *FormatError.
 const magic = "AVSNAP2\x00"
 
 // headerLen is the byte length of the fixed header preceding the payload.
@@ -163,8 +162,8 @@ func (e *ChecksumError) Error() string {
 }
 
 // Path returns the canonical v2 snapshot file name for a study seed inside
-// dir. It sits beside the v1 file (study-<seed>.avsnap) so one snapshot
-// directory serves both tiers.
+// dir. The .avsnap2 extension keeps it distinct from a leftover v1 file
+// (study-<seed>.avsnap), which is never opened.
 func Path(dir string, seed int64) string {
 	return filepath.Join(dir, fmt.Sprintf("study-%d.avsnap2", seed))
 }

@@ -459,7 +459,7 @@ func (v *View) Database() (*core.DB, error) {
 }
 
 // materialize decodes every table. Empty tables stay nil slices, matching
-// what pipeline construction and the v1 decoder produce.
+// what pipeline construction produces.
 func (v *View) materialize() *core.DB {
 	db := &core.DB{}
 	if v.nEvents > 0 {
