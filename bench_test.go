@@ -489,35 +489,36 @@ func BenchmarkParseConcurrent(b *testing.B) {
 }
 
 // BenchmarkClassifyAll measures Stage III classification throughput over
-// the full synthetic cause corpus at 1 and GOMAXPROCS workers.
+// the full synthetic cause corpus. It reports how many causes were tagged
+// and how many distinct cause texts the corpus has, which is what
+// ClassifyAll's cost follows.
 func BenchmarkClassifyAll(b *testing.B) {
 	truth, err := synth.Generate(synth.Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	causes := make([]string, len(truth.Corpus.Disengagements))
+	distinct := make(map[string]struct{})
 	for i, d := range truth.Corpus.Disengagements {
 		causes[i] = d.Cause
+		distinct[d.Cause] = struct{}{}
 	}
 	cls, err := nlp.NewClassifier(nlp.SeedDictionary(), nlp.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var tagged int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tagged = 0
-				for _, r := range cls.ClassifyAllConcurrent(causes, workers) {
-					if r.Score > 0 {
-						tagged++
-					}
-				}
+	var tagged int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tagged = 0
+		for _, r := range cls.ClassifyAll(causes) {
+			if r.Score > 0 {
+				tagged++
 			}
-			b.ReportMetric(float64(tagged), "tagged")
-		})
+		}
 	}
+	b.ReportMetric(float64(tagged), "tagged")
+	b.ReportMetric(float64(len(distinct)), "distinct")
 }
 
 // BenchmarkSurvival regenerates the Kaplan-Meier analysis.

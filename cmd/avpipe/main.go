@@ -180,7 +180,7 @@ func runFromDocuments(dir string, noExpand bool, workers int, csvOut, snapOut st
 	if err != nil {
 		return err
 	}
-	db, err := core.BuildConcurrent(corpus, cls, workers)
+	db, err := core.Build(corpus, cls)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	avserve [-addr :8080] [-cache 4] [-workers 0] [-snapshot-dir snapshots/]
+//	avserve [-addr :8080] [-cache 4] [-snapshot-dir snapshots/]
 //	        [-peers http://h1:8080,http://h2:8080] [-fetch-timeout 10s]
 //	        [-request-timeout 60s] [-read-timeout 10s] [-write-timeout 90s]
 //	        [-shutdown-timeout 10s] [-duration 0]
@@ -27,9 +27,11 @@
 // re-verified on receipt) before falling back to a pipeline build, so a
 // restarted shard warm-starts from the fleet instead of rebuilding.
 //
-// The first request for a seed builds that study (seconds of CPU); the
-// build is shared by every concurrent request for the seed and cached for
-// later ones. With -snapshot-dir, a cache miss first maps the directory's
+// The first request for a seed builds that study on one core (about a
+// tenth of a second), so a cold build leaves the other cores to warm
+// reads; builds of different seeds run side by side. A build is shared by
+// every concurrent request for the seed and cached for later ones. With
+// -snapshot-dir, a cache miss first maps the directory's
 // study-<seed>.avsnap2 columnar snapshot (zero-copy; written by avpipe
 // -snapshot-out or by this server), then asks -peers, and only builds on
 // a miss everywhere; fresh builds are written back as v2 so the next
@@ -66,7 +68,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("avserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheSize := fs.Int("cache", 4, "max resident studies in the LRU cache")
-	workers := fs.Int("workers", 0, "worker pool size for pipeline stages (0 = all cores)")
 	snapDir := fs.String("snapshot-dir", "", "study snapshot directory for warm starts (loaded before building, written after)")
 	requestTimeout := fs.Duration("request-timeout", 60*time.Second, "per-request deadline, study builds included")
 	readTimeout := fs.Duration("read-timeout", 10*time.Second, "HTTP server read timeout")
@@ -97,7 +98,7 @@ func run(args []string) error {
 		handler = p
 	} else {
 		server, err := serve.New(serve.Config{
-			Build:                studyBuilder(*workers),
+			Build:                buildStudy,
 			CacheSize:            *cacheSize,
 			RequestTimeout:       *requestTimeout,
 			SnapshotDir:          *snapDir,
@@ -134,8 +135,7 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "avserve: proxying on %s (backends=%s replicate=%d)\n",
 				*addr, *backends, *replicate)
 		} else {
-			fmt.Fprintf(os.Stderr, "avserve: listening on %s (cache=%d workers=%d)\n",
-				*addr, *cacheSize, *workers)
+			fmt.Fprintf(os.Stderr, "avserve: listening on %s (cache=%d)\n", *addr, *cacheSize)
 		}
 		errc <- httpServer.ListenAndServe()
 	}()
@@ -169,26 +169,25 @@ func splitList(csv string) []string {
 	return out
 }
 
-// studyBuilder runs the full calibrated pipeline for a seed, threading the
-// worker count into the concurrent stages, and wraps the result in a
-// query engine.
-func studyBuilder(workers int) serve.BuildFunc {
-	return func(seed int64) (*serve.Study, error) {
-		cfg := pipeline.DefaultConfig()
-		cfg.Synth = synth.Config{Seed: seed}
-		cfg.OCR.Seed = seed
-		cfg.Workers = workers
-		// Builds are singleflight-shared across requests and outlive any one
-		// caller, so they deliberately run under the process root context,
-		// not a request's (see serve.BuildFunc).
-		res, err := pipeline.Run(context.Background(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		engine, err := query.New(res.DB)
-		if err != nil {
-			return nil, err
-		}
-		return &serve.Study{DB: res.DB, Engine: engine}, nil
+// buildStudy runs the full calibrated pipeline for a seed and wraps the
+// result in a query engine. Each build runs on one core: builds of
+// different seeds still run side by side, and a build that fanned out
+// across every core would take them from the warm reads it competes with.
+func buildStudy(seed int64) (*serve.Study, error) {
+	cfg := pipeline.DefaultConfig()
+	cfg.Synth = synth.Config{Seed: seed}
+	cfg.OCR.Seed = seed
+	cfg.Workers = 1
+	// Builds are singleflight-shared across requests and outlive any one
+	// caller, so they deliberately run under the process root context,
+	// not a request's (see serve.BuildFunc).
+	res, err := pipeline.Run(context.Background(), cfg)
+	if err != nil {
+		return nil, err
 	}
+	engine, err := query.New(res.DB)
+	if err != nil {
+		return nil, err
+	}
+	return &serve.Study{DB: res.DB, Engine: engine}, nil
 }

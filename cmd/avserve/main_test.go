@@ -27,7 +27,7 @@ func TestServeCalibratedStudy(t *testing.T) {
 		t.Skip("full pipeline build in -short mode")
 	}
 	server, err := serve.New(serve.Config{
-		Build:          studyBuilder(0),
+		Build:          buildStudy,
 		CacheSize:      2,
 		RequestTimeout: 2 * time.Minute,
 	})
@@ -110,7 +110,7 @@ func TestIndexedEqualsScanOnCalibratedCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build in -short mode")
 	}
-	study, err := studyBuilder(0)(1)
+	study, err := buildStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestColdStartFromSnapshot(t *testing.T) {
 		t.Skip("full pipeline build in -short mode")
 	}
 	dir := t.TempDir()
-	study, err := studyBuilder(0)(1)
+	study, err := buildStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestColdStartFromSnapshot(t *testing.T) {
 	// A fresh process: same builder wiring as run(), but instrumented so
 	// any pipeline build fails the test loudly.
 	var builds atomic.Int64
-	real := studyBuilder(0)
+	real := buildStudy
 	server, err := serve.New(serve.Config{
 		Build: func(seed int64) (*serve.Study, error) {
 			builds.Add(1)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"avfda/internal/calib"
@@ -72,36 +71,6 @@ func TestBuildClassifiesEvents(t *testing.T) {
 	}
 	if db.Events[0].Category != ontology.CategorySystem {
 		t.Error("software should be a System fault")
-	}
-}
-
-func TestBuildConcurrentMatchesBuild(t *testing.T) {
-	tr, err := synth.Generate(synth.Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := nlp.NewClassifier(nlp.SeedDictionary(), nlp.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Build(&tr.Corpus, cls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 8} {
-		got, err := BuildConcurrent(&tr.Corpus, cls, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: database differs from sequential Build", workers)
-		}
-	}
-	if _, err := BuildConcurrent(nil, cls, 0); err == nil {
-		t.Error("nil corpus: want error")
-	}
-	if _, err := BuildConcurrent(&tr.Corpus, nil, 0); err == nil {
-		t.Error("nil classifier: want error")
 	}
 }
 

@@ -37,14 +37,6 @@ type DB struct {
 // Build classifies every disengagement cause in the corpus and assembles
 // the database.
 func Build(corpus *schema.Corpus, cls *nlp.Classifier) (*DB, error) {
-	return BuildConcurrent(corpus, cls, 1)
-}
-
-// BuildConcurrent classifies the disengagement causes across a bounded
-// worker pool before the ordered consolidation step. The classifier is
-// read-only, so the database is identical to Build's at any worker count;
-// workers <= 0 selects GOMAXPROCS.
-func BuildConcurrent(corpus *schema.Corpus, cls *nlp.Classifier, workers int) (*DB, error) {
 	if corpus == nil {
 		return nil, errors.New("core: nil corpus")
 	}
@@ -55,21 +47,11 @@ func BuildConcurrent(corpus *schema.Corpus, cls *nlp.Classifier, workers int) (*
 	for i, d := range corpus.Disengagements {
 		causes[i] = d.Cause
 	}
-	results := cls.ClassifyAllConcurrent(causes, workers)
-	db := &DB{
-		Fleets:    append([]schema.Fleet(nil), corpus.Fleets...),
-		Mileage:   append([]schema.MonthlyMileage(nil), corpus.Mileage...),
-		Accidents: append([]schema.Accident(nil), corpus.Accidents...),
-		Events:    make([]Event, 0, len(corpus.Disengagements)),
+	tags := make([]ontology.Tag, len(causes))
+	for i, r := range cls.ClassifyAll(causes) {
+		tags[i] = r.Tag
 	}
-	for i, d := range corpus.Disengagements {
-		db.Events = append(db.Events, Event{
-			Disengagement: d,
-			Tag:           results[i].Tag,
-			Category:      results[i].Category,
-		})
-	}
-	return db, nil
+	return BuildWithTags(corpus, tags)
 }
 
 // BuildWithTags assembles a database from pre-assigned tags (ground truth

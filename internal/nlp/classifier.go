@@ -2,9 +2,8 @@ package nlp
 
 import (
 	"errors"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"avfda/internal/ontology"
 )
@@ -24,7 +23,7 @@ const (
 
 // tagPriority orders tags from most to least specific for tie-breaking:
 // narrow hardware/watchdog vocabulary outranks broad environment phrasing.
-var tagPriority = []ontology.Tag{
+var tagPriority = [...]ontology.Tag{
 	ontology.TagHangCrash,
 	ontology.TagNetwork,
 	ontology.TagSensor,
@@ -70,9 +69,11 @@ func DefaultOptions() Options {
 type Classifier struct {
 	tok  *Tokenizer
 	opts Options
-	// Per tag: unigram and bigram keyword sets, normalized through tok.
-	unigrams map[ontology.Tag]map[string]struct{}
-	bigrams  map[ontology.Tag]map[string]struct{}
+	// index maps each dictionary keyword, normalized through tok, to the
+	// tagPriority ranks of the tags it votes for. Unigram keys are single
+	// tokens and bigram keys are two tokens joined by a space, so the two
+	// kinds never collide.
+	index map[string][]int
 }
 
 // Result is one classification outcome.
@@ -100,32 +101,34 @@ func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
 		opts.TieBreak = TieBreakPriority
 	}
 	c := &Classifier{
-		tok:      &Tokenizer{Stem: opts.Stem},
-		opts:     opts,
-		unigrams: make(map[ontology.Tag]map[string]struct{}),
-		bigrams:  make(map[ontology.Tag]map[string]struct{}),
+		tok:   &Tokenizer{Stem: opts.Stem},
+		opts:  opts,
+		index: make(map[string][]int),
 	}
-	for _, tag := range dict.Tags() {
-		uni := make(map[string]struct{})
-		bi := make(map[string]struct{})
+	add := func(kw string, rank int) {
+		if ranks := c.index[kw]; len(ranks) == 0 || ranks[len(ranks)-1] != rank {
+			c.index[kw] = append(ranks, rank)
+		}
+	}
+	// Only tags in tagPriority can win a vote, so only they are indexed.
+	// Walking tags rank by rank keeps each keyword's rank list sorted and
+	// lets add drop a keyword repeated within one tag.
+	for rank, tag := range tagPriority {
 		for _, phrase := range dict.Phrases(tag) {
 			toks := c.tok.Tokens(phrase)
 			for _, t := range toks {
-				uni[t] = struct{}{}
+				add(t, rank)
 			}
-			for i := 0; i+1 < len(toks); i++ {
-				bi[toks[i]+" "+toks[i+1]] = struct{}{}
+			for _, bg := range bigrams(toks) {
+				add(bg, rank)
 			}
 		}
 		// Mined phrases vote only as exact bigrams (see Dictionary).
 		for _, phrase := range dict.BigramOnlyPhrases(tag) {
-			toks := c.tok.Tokens(phrase)
-			for i := 0; i+1 < len(toks); i++ {
-				bi[toks[i]+" "+toks[i+1]] = struct{}{}
+			for _, bg := range bigrams(c.tok.Tokens(phrase)) {
+				add(bg, rank)
 			}
 		}
-		c.unigrams[tag] = uni
-		c.bigrams[tag] = bi
 	}
 	return c, nil
 }
@@ -133,101 +136,88 @@ func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
 // Classify maps one cause text to a fault tag and category. Texts sharing
 // no keyword with any tag return Unknown-T / Unknown-C with score 0.
 func (c *Classifier) Classify(text string) Result {
-	tokens := c.tok.Tokens(text)
-	tokenSet := make(map[string]struct{}, len(tokens))
-	for _, t := range tokens {
-		tokenSet[t] = struct{}{}
+	toks := c.tok.Tokens(text)
+	return c.vote(toks, bigrams(toks))
+}
+
+// vote scores a text, given as its tokens and their adjacent bigrams
+// (pairs), by looking each up in the keyword index, so its cost grows with
+// the text and not with the dictionary. A keyword votes once however often it
+// occurs: a unigram adds 1 and a bigram adds BigramWeight to every tag it
+// belongs to. The highest score wins; equal scores go to the lower
+// tagPriority rank, or to the lower tag number under TieBreakFirstMatch.
+func (c *Classifier) vote(tokens, pairs []string) Result {
+	var scores [len(tagPriority)]int
+	var matched [len(tagPriority)][]string
+	hit := func(kw string, weight int) {
+		ranks := c.index[kw]
+		// A keyword always votes for all its ranks together, so the
+		// first rank's list tells whether it has voted already.
+		if len(ranks) == 0 || slices.Contains(matched[ranks[0]], kw) {
+			return
+		}
+		for _, r := range ranks {
+			scores[r] += weight
+			matched[r] = append(matched[r], kw)
+		}
 	}
-	bigramSet := make(map[string]struct{}, len(tokens))
-	for i := 0; i+1 < len(tokens); i++ {
-		bigramSet[tokens[i]+" "+tokens[i+1]] = struct{}{}
+	for _, t := range tokens {
+		hit(t, 1)
+	}
+	for _, bg := range pairs {
+		hit(bg, c.opts.BigramWeight)
 	}
 
-	best := Result{Tag: ontology.TagUnknownT, Category: ontology.CategoryUnknownC}
-	bestRank := int(^uint(0) >> 1)
-	for _, tag := range tagPriority {
-		uni, ok := c.unigrams[tag]
-		if !ok {
-			continue
-		}
-		var score int
-		var matched []string
-		for kw := range uni {
-			if _, hit := tokenSet[kw]; hit {
-				score++
-				matched = append(matched, kw)
-			}
-		}
-		for kw := range c.bigrams[tag] {
-			if _, hit := bigramSet[kw]; hit {
-				score += c.opts.BigramWeight
-				matched = append(matched, kw)
-			}
-		}
+	best, bestRank := -1, 0
+	for r, score := range scores {
 		if score == 0 {
 			continue
 		}
-		rank := priorityRank(tag)
+		rank := r
 		if c.opts.TieBreak == TieBreakFirstMatch {
-			rank = int(tag)
+			rank = int(tagPriority[r])
 		}
-		if score > best.Score || (score == best.Score && rank < bestRank) {
-			sort.Strings(matched)
-			best = Result{
-				Tag:      tag,
-				Category: ontology.CategoryOf(tag),
-				Score:    score,
-				Matched:  matched,
-			}
-			bestRank = rank
+		if best < 0 || score > scores[best] || (score == scores[best] && rank < bestRank) {
+			best, bestRank = r, rank
 		}
 	}
-	return best
+	if best < 0 {
+		return Result{Tag: ontology.TagUnknownT, Category: ontology.CategoryUnknownC}
+	}
+	tag := tagPriority[best]
+	sort.Strings(matched[best])
+	return Result{
+		Tag:      tag,
+		Category: ontology.CategoryOf(tag),
+		Score:    scores[best],
+		Matched:  matched[best],
+	}
 }
 
-// ClassifyAll maps each text through Classify, fanning the work out across
-// GOMAXPROCS workers. Output order matches input order and is identical to
-// a sequential loop: the classifier is read-only after construction and
-// Classify is a pure function of its input.
+// ClassifyAll maps each text through Classify, in input order. Each
+// distinct text is classified once; its duplicates get copies of that
+// result, each with its own Matched slice.
 func (c *Classifier) ClassifyAll(texts []string) []Result {
-	return c.ClassifyAllConcurrent(texts, 0)
+	out := make([]Result, len(texts))
+	first := make(map[string]int)
+	for i, t := range texts {
+		if j, seen := first[t]; seen {
+			out[i] = out[j]
+			out[i].Matched = slices.Clone(out[j].Matched)
+			continue
+		}
+		first[t] = i
+		out[i] = c.Classify(t)
+	}
+	return out
 }
 
-// ClassifyAllConcurrent maps each text through Classify with a bounded
-// number of workers, sharding the input range into contiguous chunks.
-// Workers <= 0 selects GOMAXPROCS; workers == 1 runs sequentially. Results
-// are identical at any worker count.
+// ClassifyAllConcurrent returns ClassifyAll(texts); workers is ignored.
+//
+// Deprecated: classifying each distinct text once made the fan-out cost
+// more than it saved. Use ClassifyAll.
 func (c *Classifier) ClassifyAllConcurrent(texts []string, workers int) []Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(texts) {
-		workers = len(texts)
-	}
-	out := make([]Result, len(texts))
-	if workers <= 1 {
-		for i, t := range texts {
-			out[i] = c.Classify(t)
-		}
-		return out
-	}
-	chunk := (len(texts) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(texts); lo += chunk {
-		hi := lo + chunk
-		if hi > len(texts) {
-			hi = len(texts)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = c.Classify(texts[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
+	return c.ClassifyAll(texts)
 }
 
 // ExpandOptions configures dictionary expansion passes.
@@ -262,8 +252,30 @@ func (o ExpandOptions) withDefaults() ExpandOptions {
 // concentrated in one tag's texts into that tag's phrase list. It returns
 // the expanded dictionary (the input is not modified) and the number of
 // phrases added.
+//
+// Cause texts repeat heavily, so the corpus is first collapsed to its
+// distinct texts, each tokenized once; a pass classifies each distinct
+// text once and weights its bigram counts by the text's multiplicity, so
+// every count is still per occurrence.
 func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (*Dictionary, int, error) {
 	eo = eo.withDefaults()
+	type distinct struct {
+		tokens, bigrams []string
+		n               int
+	}
+	tok := &Tokenizer{Stem: opts.Stem}
+	var texts []distinct
+	slot := make(map[string]int)
+	for _, text := range corpus {
+		if i, seen := slot[text]; seen {
+			texts[i].n++
+			continue
+		}
+		slot[text] = len(texts)
+		toks := tok.Tokens(text)
+		texts = append(texts, distinct{tokens: toks, bigrams: bigrams(toks), n: 1})
+	}
+
 	out := dict.Clone()
 	added := 0
 	for pass := 0; pass < eo.Passes; pass++ {
@@ -274,10 +286,10 @@ func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (
 		// bigram -> tag -> count over texts assigned to that tag.
 		counts := make(map[string]map[ontology.Tag]int)
 		totals := make(map[string]int)
-		for _, text := range corpus {
-			res := cls.Classify(text)
-			for _, bg := range cls.tok.Bigrams(text) {
-				totals[bg]++
+		for _, d := range texts {
+			res := cls.vote(d.tokens, d.bigrams)
+			for _, bg := range d.bigrams {
+				totals[bg] += d.n
 				if res.Tag == ontology.TagUnknownT {
 					continue
 				}
@@ -286,7 +298,7 @@ func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (
 					m = make(map[ontology.Tag]int)
 					counts[bg] = m
 				}
-				m[res.Tag]++
+				m[res.Tag] += d.n
 			}
 		}
 		// Promote concentrated bigrams not already known, deterministically.
@@ -310,7 +322,7 @@ func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (
 			if float64(bestCount)/float64(totals[bg]) < eo.MinConcentration {
 				continue
 			}
-			if _, known := cls.bigrams[bestTag][bg]; known {
+			if slices.Contains(cls.index[bg], priorityRank(bestTag)) {
 				continue
 			}
 			out.AddBigramOnly(bestTag, bg)

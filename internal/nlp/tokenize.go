@@ -83,7 +83,12 @@ func (t *Tokenizer) TokenSet(text string) map[string]struct{} {
 // Bigrams returns adjacent-token pairs joined by a space, computed over the
 // token sequence (post stopword removal).
 func (t *Tokenizer) Bigrams(text string) []string {
-	toks := t.Tokens(text)
+	return bigrams(t.Tokens(text))
+}
+
+// bigrams joins each adjacent pair of toks with a space, in order and with
+// repeats.
+func bigrams(toks []string) []string {
 	if len(toks) < 2 {
 		return nil
 	}

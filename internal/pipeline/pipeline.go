@@ -15,18 +15,17 @@
 //
 // # Concurrency model
 //
-// Stages II and III fan out across bounded worker pools sized by
-// Config.Workers (<= 0 selects GOMAXPROCS, 1 forces sequential execution):
-// OCR decoding (ocr.DecodeAllConcurrent), parsing (parse.ParseConcurrent,
-// one worker per document), and cause classification
-// (nlp.Classifier.ClassifyAllConcurrent, contiguous shards of the cause
-// list). Every parallel step is deterministic by construction — OCR noise
-// is derived per document, documents parse into private fragments merged
-// in input order, and the classifier is read-only after construction — so
-// pipeline output is byte-identical for any worker count and any seed.
-// Dictionary expansion and the final consolidation remain sequential:
-// expansion is an iterated global fixpoint and consolidation is a cheap
-// ordered assembly.
+// Stage II fans out across bounded worker pools sized by Config.Workers
+// (<= 0 selects GOMAXPROCS, 1 forces sequential execution): OCR decoding
+// (ocr.DecodeAllConcurrent) and parsing (parse.ParseConcurrent, one worker
+// per document). Both are deterministic by construction — OCR noise is
+// derived per document, and documents parse into private fragments merged
+// in input order — so pipeline output is byte-identical for any worker
+// count and any seed. Stages III and IV run sequentially. Stage III costs
+// what the distinct cause texts cost, not what the events cost: dictionary
+// expansion and classification each handle a repeated text once
+// (nlp.Expand, nlp.Classifier.ClassifyAll), which leaves too little work
+// to pay for a fan-out. Consolidation is a cheap ordered assembly.
 package pipeline
 
 import (
@@ -60,8 +59,8 @@ type Config struct {
 	// Expand tunes the expansion when enabled.
 	Expand nlp.ExpandOptions
 	// Workers bounds the worker pools of the concurrent stages (OCR
-	// decoding, parsing, classification). <= 0 selects GOMAXPROCS and 1
-	// forces sequential execution; output is identical at any setting.
+	// decoding and parsing). <= 0 selects GOMAXPROCS and 1 forces
+	// sequential execution; output is identical at any setting.
 	Workers int
 }
 
@@ -316,7 +315,7 @@ func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stage III: %w", err)
 	}
-	classified := cls.ClassifyAllConcurrent(causes, cfg.Workers)
+	classified := cls.ClassifyAll(causes)
 	tags := make([]ontology.Tag, len(classified))
 	for i, r := range classified {
 		tags[i] = r.Tag
