@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	avlint [-disable name,name] [-list] [-json] [-gha] [-timings file]
-//	       [-timings-prefix name] [-cache-dir dir] [-parallel n] [packages]
+//	avlint [-disable name,name] [-list] [-json] [-gha] [-cache-dir dir]
+//	       [-parallel n] [packages]
 //
 // With no package patterns it lints ./... from the current directory. Each
 // diagnostic prints as
@@ -15,14 +15,9 @@
 // -json switches stdout to a machine-readable JSON object with a
 // "findings" array and a "timings_ns" map of cumulative per-analyzer wall
 // time, and -gha to GitHub Actions workflow commands (::error file=...)
-// so CI annotates the offending lines in pull requests. -timings writes
-// the same per-analyzer times plus the total as a flat benchjson-style
-// JSON object ({"Lint/total_ns": ..., "Lint/<analyzer>_ns": ...}) to the
-// named file, so the lint job's cost lands in BENCH_<date>.json next to
-// the benchmark numbers; -timings-prefix replaces the "Lint" key prefix,
-// keeping a cached run's numbers ("LintWarm/...") from colliding with the
-// cold run's. -parallel bounds the loading/analysis worker pools
-// (default: all cores); wall time is reported on stderr either way.
+// so CI annotates the offending lines in pull requests. -parallel bounds
+// the loading/analysis worker pools (default: all cores); wall time is
+// reported on stderr either way.
 //
 // -cache-dir enables the incremental findings cache (lint.RunCachedTimed):
 // packages whose content, analyzer set, and in-module dependency closure
@@ -63,8 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "run as if started in this directory")
 	jsonOut := fs.Bool("json", false, "print findings as a JSON array")
 	gha := fs.Bool("gha", false, "print findings as GitHub Actions ::error annotations")
-	timingsOut := fs.String("timings", "", "write per-analyzer wall times as flat benchjson JSON to this file")
-	timingsPrefix := fs.String("timings-prefix", "Lint", "key prefix for the -timings file (e.g. LintWarm for cached runs)")
 	cacheDir := fs.String("cache-dir", "", "findings cache directory; warm runs re-analyze only changed packages")
 	parallel := fs.Int("parallel", 0, "worker pool size for loading and analysis (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
@@ -121,12 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cwd, _ := os.Getwd()
 	for i := range diags {
 		diags[i].Pos.Filename = relativize(cwd, diags[i].Pos.Filename)
-	}
-	if *timingsOut != "" {
-		if err := writeTimingsFile(*timingsOut, *timingsPrefix, elapsed, timings); err != nil {
-			fmt.Fprintln(stderr, "avlint:", err)
-			return 2
-		}
 	}
 	switch {
 	case *jsonOut:
@@ -200,25 +187,6 @@ func writeJSON(w io.Writer, diags []lint.Diagnostic, timings lint.Timings) error
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(jsonReport{Findings: findings, TimingsNS: ns})
-}
-
-// writeTimingsFile writes the lint cost as a flat benchjson-compatible
-// object — "<prefix>/total_ns" for the whole run (loading included) and
-// "<prefix>/<analyzer>_ns" per analyzer — so `make bench-commit` tooling
-// can merge it into the day's BENCH_<date>.json. The prefix is "Lint" for
-// a cold run and "LintWarm" for the cached pass, so both land in one
-// BENCH file without colliding.
-func writeTimingsFile(path, prefix string, total time.Duration, timings lint.Timings) error {
-	flat := make(map[string]int64, len(timings)+1)
-	flat[prefix+"/total_ns"] = total.Nanoseconds()
-	for name, d := range timings {
-		flat[prefix+"/"+name+"_ns"] = d.Nanoseconds()
-	}
-	buf, err := json.MarshalIndent(flat, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // writeAnnotations renders findings as GitHub Actions workflow commands so

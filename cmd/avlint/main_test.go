@@ -195,38 +195,6 @@ func TestJSONOutputCleanTree(t *testing.T) {
 	}
 }
 
-// TestTimingsFile pins the -timings contract: a flat benchjson-style
-// object with Lint/total_ns and one Lint/<analyzer>_ns key per analyzer,
-// every value positive so merged BENCH files never carry zero costs.
-func TestTimingsFile(t *testing.T) {
-	dirty := filepath.Join(repoRoot(t), "cmd", "avlint", "testdata", "dirty")
-	out := filepath.Join(t.TempDir(), "lint.json")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", dirty, "-timings", out, "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("dirty fixture exited %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat map[string]int64
-	if err := json.Unmarshal(buf, &flat); err != nil {
-		t.Fatalf("-timings file is not flat JSON: %v\n%s", err, buf)
-	}
-	if flat["Lint/total_ns"] <= 0 {
-		t.Errorf("Lint/total_ns = %d, want > 0", flat["Lint/total_ns"])
-	}
-	for _, a := range lint.All() {
-		if flat["Lint/"+a.Name+"_ns"] <= 0 {
-			t.Errorf("Lint/%s_ns = %d, want > 0", a.Name, flat["Lint/"+a.Name+"_ns"])
-		}
-	}
-	if len(flat) != len(lint.All())+1 {
-		t.Errorf("got %d keys, want %d", len(flat), len(lint.All())+1)
-	}
-}
-
 // TestGHAOutput pins the -gha annotation format: one ::error workflow
 // command per finding, with file, line, and the analyzer in the title.
 func TestGHAOutput(t *testing.T) {

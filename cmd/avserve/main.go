@@ -17,7 +17,7 @@
 //
 // With -duration > 0 the server shuts down cleanly after that long even
 // without a signal — the self-terminating mode harnesses like `make
-// load-smoke` use to bound an end-to-end run.
+// proxy-smoke` use to bound an end-to-end run.
 //
 // In -proxy mode the process serves no studies itself: it routes
 // /v1/studies/{seed}/... and /v1/snapshots/{seed} across -backends by
@@ -73,7 +73,7 @@ func run(args []string) error {
 	readTimeout := fs.Duration("read-timeout", 10*time.Second, "HTTP server read timeout")
 	writeTimeout := fs.Duration("write-timeout", 90*time.Second, "HTTP server write timeout (must exceed a cold study build)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
-	duration := fs.Duration("duration", 0, "serve for this long, then shut down cleanly (0 = until signaled); for harnesses like make load-smoke")
+	duration := fs.Duration("duration", 0, "serve for this long, then shut down cleanly (0 = until signaled); for harnesses like make proxy-smoke")
 	proxy := fs.Bool("proxy", false, "run as a seed-sharding proxy over -backends instead of serving studies")
 	backends := fs.String("backends", "", "comma-separated backend base URLs for -proxy mode")
 	replicate := fs.Int("replicate", 2, "backends each seed may be served from in -proxy mode (spill + retry)")

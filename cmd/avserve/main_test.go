@@ -211,7 +211,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunSelfTerminates pins the -duration harness mode `make load-smoke`
+// TestRunSelfTerminates pins the -duration harness mode `make proxy-smoke`
 // relies on: the server binds, serves /healthz, then drains and exits nil
 // on its own — no signal required.
 func TestRunSelfTerminates(t *testing.T) {

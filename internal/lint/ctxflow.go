@@ -24,15 +24,13 @@ var CtxFlow = &Analyzer{
 	Doc: "flags context.Background()/TODO() that discard an in-scope context, " +
 		"and fresh root contexts minted at ctx-accepting call sites",
 	// The packages where a context.Context is the cancellation spine: the
-	// HTTP request path, the pipeline's worker fan-out, and the load
-	// harness's duration-bounded request loops. Dropping the in-scope
-	// context there detaches work from request deadlines and shutdown —
-	// the serving-layer bug class where a cancelled client keeps a build
-	// running.
+	// HTTP request path and the pipeline's worker fan-out. Dropping the
+	// in-scope context there detaches work from request deadlines and
+	// shutdown — the serving-layer bug class where a cancelled client
+	// keeps a build running.
 	Scope: []string{
 		"internal/serve",
 		"internal/pipeline",
-		"internal/loadgen",
 	},
 	Run: runCtxFlow,
 }

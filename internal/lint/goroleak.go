@@ -17,19 +17,18 @@ var GoroLeak = &Analyzer{
 	Doc: "flags untethered `go` statements (no WaitGroup/channel/context " +
 		"link to the parent) in concurrent packages",
 	// The packages whose goroutines must be tethered: the pipeline's
-	// fan-out stages, the serving layer, the load harness's open-loop
-	// arrival generators, and snapshot2's background verification. A
-	// goroutine with no WaitGroup, channel, or context connection to its
-	// parent can neither be awaited nor cancelled — it leaks on error
-	// paths and outlives request deadlines, the failure mode the paper's
-	// systemic-fault taxonomy files under untracked asynchronous work.
+	// fan-out stages, the serving layer, and snapshot2's background
+	// verification. A goroutine with no WaitGroup, channel, or context
+	// connection to its parent can neither be awaited nor cancelled — it
+	// leaks on error paths and outlives request deadlines, the failure
+	// mode the paper's systemic-fault taxonomy files under untracked
+	// asynchronous work.
 	Scope: []string{
 		"internal/pipeline",
 		"internal/parse",
 		"internal/nlp",
 		"internal/ocr",
 		"internal/serve",
-		"internal/loadgen",
 		"internal/snapshot2",
 	},
 	Run: runGoroLeak,

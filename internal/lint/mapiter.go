@@ -33,8 +33,7 @@ var MapIter = &Analyzer{
 	// Everything whose output feeds a byte-identity or stable-wire
 	// invariant: consolidated DB ordering, snapshot encoding, report
 	// rendering, frame materialization, query results, stats summaries,
-	// the serving layer's rendered responses and metrics text, and the
-	// load harness's deterministic query mixes.
+	// and the serving layer's rendered responses and metrics text.
 	Scope: []string{
 		"internal/core",
 		"internal/snapshot2",
@@ -43,7 +42,6 @@ var MapIter = &Analyzer{
 		"internal/query",
 		"internal/stats",
 		"internal/serve",
-		"internal/loadgen",
 	},
 	Run: runMapIter,
 }

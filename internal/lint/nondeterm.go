@@ -30,9 +30,9 @@ var NonDeterm = &Analyzer{
 	// The pipeline-stage packages where all randomness must flow from the
 	// study seed and all timing through injected clocks (the pipeline's
 	// StageTimings): a stray wall-clock read or global-source draw makes
-	// two runs of the same corpus diverge. Timing-centric packages
-	// (serve, loadgen) are exempted in scope.go — wall-clock reads are
-	// their feature, not a hazard.
+	// two runs of the same corpus diverge. The timing-centric serve
+	// package is exempted in scope.go — wall-clock reads are its
+	// feature, not a hazard.
 	Scope: []string{
 		"internal/parse",
 		"internal/nlp",

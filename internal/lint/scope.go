@@ -4,9 +4,10 @@ package lint
 // internal/ packages deliberately left out of that scope and why. The
 // meta-test in scope_test.go enumerates every real package under
 // internal/ and fails when one is neither in the analyzer's Scope nor
-// listed here — scope lists otherwise drift silently as packages are
-// added (internal/serve and internal/loadgen were both missing from
-// mapiter for two generations).
+// listed here, or when either names a package that does not exist —
+// scope lists otherwise drift silently as packages are added
+// (internal/serve was missing from mapiter for two generations) or
+// deleted.
 //
 // An exemption is a recorded decision, not an escape hatch: each entry
 // carries the reason the analyzer's invariant does not apply to that
@@ -24,9 +25,9 @@ var scopeExemptions = map[string]map[string]string{
 	),
 	"nondeterm": mergeExempt(
 		lintToolingExempt,
-		exemptPkgs("timing-centric by design: latency histograms, LRU clocks, "+
-			"and arrival pacing read the wall clock as a feature, not a hazard",
-			"internal/serve", "internal/loadgen"),
+		exemptPkgs("timing-centric by design: latency histograms and LRU "+
+			"clocks read the wall clock as a feature, not a hazard",
+			"internal/serve"),
 		exemptPkgs("the pipeline is the legitimate wall-clock reader: it owns "+
 			"StageTimings and stamps stage boundaries from outside the stages",
 			"internal/pipeline"),

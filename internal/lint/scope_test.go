@@ -61,7 +61,8 @@ func realInternalPackages(t *testing.T) []string {
 // Scope must, for each real package under internal/, either include it or
 // carry a recorded exemption in scopeExemptions with a reason. Adding a
 // new internal package fails this test until someone decides, per scoped
-// analyzer, whether the invariant applies there.
+// analyzer, whether the invariant applies there; deleting one fails it
+// until its Scope entries and exemptions go too.
 func TestScopeListsCoverInternalPackages(t *testing.T) {
 	pkgs := realInternalPackages(t)
 	for _, a := range All() {
@@ -87,11 +88,17 @@ func TestScopeListsCoverInternalPackages(t *testing.T) {
 				t.Errorf("%s: exemption for %s has an empty reason", a.Name, pkg)
 			}
 		}
-		// Stale entries: an exemption for a package that no longer exists
-		// (or was never spelled correctly) is drift in the other direction.
+		// Stale entries: a Scope entry or an exemption for a package that
+		// no longer exists (or was never spelled correctly) is drift in the
+		// other direction.
 		real := map[string]bool{}
 		for _, pkg := range pkgs {
 			real[pkg] = true
+		}
+		for _, pkg := range a.Scope {
+			if !real[pkg] {
+				t.Errorf("%s: Scope lists %s, which is not a real internal package", a.Name, pkg)
+			}
 		}
 		for pkg := range exempt {
 			if !real[pkg] {

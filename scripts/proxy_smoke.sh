@@ -3,27 +3,39 @@
 # (`make proxy-smoke`): one avserve -proxy in front of two backends, the
 # second backend peered to the first for snapshot pull-through.
 #
-# Expects bin/avserve and bin/avload to exist (the make target builds
-# them). Writes proxy-single-report.json (direct single-backend baseline)
-# and proxy-report.json (sharded run through the proxy) for benchjson.
+# Expects bin/avserve to exist (the make target builds it) and writes
+# nothing outside a temp dir. Every default-mix route is requested for
+# each seed, first straight at backend 1 and then through the proxy; any
+# non-2xx answer fails the script. Throughput is not measured here: that
+# is bash bench/run.sh -workload sharded.
 #
 # What it proves, in order:
 #   1. both shards take traffic (per-backend proxy counters nonzero);
-#   2. repeated conditional requests return 304 through the proxy, both
-#      via avload -conditional-every and a direct If-None-Match replay;
+#   2. a conditional If-None-Match replay returns 304 through the proxy;
 #   3. the two backends give byte-identical answers (and ETags) for the
 #      same study — content-addressed snapshots, not luck;
 #   4. a backend restarted with an empty snapshot directory warm-starts
-#      from its peer: zero pipeline builds, >= 1 snapshot fetch;
-#   5. on boxes with cores to spare (>= 3), sharded throughput is at
-#      least 1.5x the single-backend baseline.
+#      from its peer: zero pipeline builds, >= 1 snapshot fetch.
 set -eu
 
 PROXY_ADDR=${PROXY_ADDR:-127.0.0.1:18090}
 B1_ADDR=${B1_ADDR:-127.0.0.1:18091}
 B2_ADDR=${B2_ADDR:-127.0.0.1:18092}
-DURATION=${PROXY_LOAD_DURATION:-10s}
 SEEDS=${PROXY_SEEDS:-1,2}
+
+# The default query mix's routes, {seed} filled in per request.
+ROUTES="disengagements?limit=50
+disengagements?mfr=waymo&limit=50
+disengagements?category=ml%2Fdesign&weather=raining&limit=100
+disengagements?from=2015-01&to=2015-12&limit=100
+disengagements?offset=500&limit=100
+groupby?by=tag
+groupby?by=category&mfr=waymo
+groupby?by=road&modality=automatic
+metrics/reliability
+accidents?limit=50
+tables/i
+tables/vii"
 
 TMP=$(mktemp -d)
 PIDS=""
@@ -49,9 +61,17 @@ metric() {
 		awk -v m="$2" '$1 == m {print $2; found=1} END {if (!found) print 0}'
 }
 
-# rps <report.json> — pull the top-level rps out of an avload/1 report.
-rps() {
-	awk -F'[:,]' '/"rps"/ {gsub(/[" ]/, "", $2); print $2; exit}' "$1"
+# get_routes <addr> — request every route for every seed; any transport
+# failure or non-2xx answer fails the script.
+get_routes() {
+	for seed in $(echo "$SEEDS" | tr , ' '); do
+		while read -r r; do
+			curl -fsS -o /dev/null "http://$1/v1/studies/$seed/$r" ||
+				fail "GET http://$1/v1/studies/$seed/$r"
+		done <<-EOF
+			$ROUTES
+		EOF
+	done
 }
 
 wait_healthy() {
@@ -76,20 +96,13 @@ wait_healthy "$B1_ADDR"
 wait_healthy "$B2_ADDR"
 wait_healthy "$PROXY_ADDR"
 
-# Phase 1: single-backend baseline, straight at backend 1. Also builds the
-# warm seeds there and writes their snapshots through — the material the
-# peer pull-through below distributes.
-echo "proxy-smoke: single-backend baseline against $B1_ADDR"
-bin/avload -url "http://$B1_ADDR" -duration "$DURATION" -c 4 -seeds "$SEEDS" \
-	-warmup 240s -json -fail-on-errors -o proxy-single-report.json \
-	|| fail "single-backend baseline run"
-
-# Phase 2: the same load sharded through the proxy, with every 4th request
-# a conditional replay.
-echo "proxy-smoke: sharded run through $PROXY_ADDR"
-bin/avload -url "http://$PROXY_ADDR" -duration "$DURATION" -c 4 -seeds "$SEEDS" \
-	-conditional-every 4 -warmup 240s -json -fail-on-errors -o proxy-report.json \
-	|| fail "sharded proxy run"
+# Straight at backend 1 first: it builds the seeds and writes their
+# snapshots through — the material the peer pull-through below
+# distributes. Then the same requests sharded through the proxy.
+echo "proxy-smoke: requests straight at $B1_ADDR"
+get_routes "$B1_ADDR"
+echo "proxy-smoke: requests through $PROXY_ADDR"
+get_routes "$PROXY_ADDR"
 
 # 1. Both shards took traffic.
 for b in "http://$B1_ADDR" "http://$B2_ADDR"; do
@@ -97,8 +110,7 @@ for b in "http://$B1_ADDR" "http://$B2_ADDR"; do
 	[ "$n" -gt 0 ] || fail "proxy shard counter for $b is $n, want > 0"
 done
 
-# 2. Conditional requests returned 304s — in the load run and by hand.
-grep -q '"notModified"' proxy-report.json || fail "avload saw no 304s through the proxy"
+# 2. A conditional replay returns 304 through the proxy.
 q1="http://$PROXY_ADDR/v1/studies/1/groupby?by=category"
 tag=$(curl -fsS -D- -o /dev/null -H 'Accept-Encoding: identity' "$q1" |
 	awk -F': ' 'tolower($1) == "etag" {print $2}' | tr -d '\r')
@@ -135,16 +147,4 @@ fetches=$(metric "$B2_ADDR" avserve_snapshot_fetches_total)
 [ "$builds" = 0 ] || fail "restarted backend ran $builds pipeline builds, want 0 (peer warm-start)"
 [ "$fetches" -ge 1 ] || fail "restarted backend fetched $fetches snapshots, want >= 1"
 
-# 5. Throughput scaling, where the box can show it.
-single_rps=$(rps proxy-single-report.json)
-sharded_rps=$(rps proxy-report.json)
-cores=$( (nproc || sysctl -n hw.ncpu) 2>/dev/null | head -1 )
-: "${cores:=1}"
-if [ "$cores" -ge 3 ]; then
-	awk -v a="$sharded_rps" -v b="$single_rps" 'BEGIN {exit !(a >= 1.5 * b)}' \
-		|| fail "sharded rps $sharded_rps < 1.5x single-backend $single_rps"
-else
-	echo "proxy-smoke: $cores core(s): skipping the 1.5x scaling gate (sharded $sharded_rps rps vs single $single_rps)"
-fi
-
-echo "proxy-smoke: OK — single $single_rps rps, sharded $sharded_rps rps, both shards hot, 304s observed, peer warm-start with 0 builds"
+echo "proxy-smoke: OK — both shards hot, 304 through the proxy, identical backends, peer warm-start with 0 builds"
