@@ -31,6 +31,10 @@ type Study struct {
 	// snapshot exists for the study (snapshotless builds): those responses
 	// simply carry no validator.
 	ETag string
+
+	// memo maps a parameterless route's key to its rendered *memoBody
+	// (memo.go).
+	memo sync.Map
 }
 
 // Database returns the study's failure database, materializing it from
@@ -197,6 +201,7 @@ func (c *Cache) run(seed int64, fl *flight) {
 	study, err := c.acquire(seed)
 	fl.study, fl.err = study, err
 
+	var evicted []*Study
 	c.mu.Lock()
 	delete(c.flights, seed)
 	if err == nil {
@@ -205,12 +210,22 @@ func (c *Cache) run(seed int64, fl *flight) {
 		for c.order.Len() > c.cap {
 			oldest := c.order.Back()
 			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).seed)
+			entry := oldest.Value.(*cacheEntry)
+			delete(c.entries, entry.seed)
+			evicted = append(evicted, entry.study)
 			c.stats.Evictions++
 		}
 	}
 	c.mu.Unlock()
 	close(fl.done)
+	// Requests still holding an evicted study finish with it, but its
+	// memoized bodies go now rather than whenever the last one does.
+	for _, old := range evicted {
+		old.memo.Range(func(key, _ any) bool {
+			old.memo.Delete(key)
+			return true
+		})
+	}
 }
 
 // acquire produces the study for one coalesced miss: v2 snapshot tier,
@@ -289,7 +304,7 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 //
 // Release path: OpenSeed retains no file descriptor (the fd is closed as
 // soon as the mapping exists), so an evicted study pins only its mapping.
-// The mapping is torn down by the view's finalizer once the last request
+// The mapping is torn down by a finalizer once the last request
 // referencing the engine drops it — eviction under churn is bounded by
 // cache capacity plus in-flight requests, never by how many seeds have
 // ever been served. TestEvictionChurnMappedViews pins this.

@@ -23,6 +23,13 @@ import (
 // be gzipped is decided up front from Accept-Encoding — every study
 // endpoint emits compressible JSON or text — so the suffix is known
 // before the 304 check runs.
+//
+// The gzip bytes also depend on the compressor level (gzip.go), which the
+// tag does not name: a backend at another level sends other bytes under
+// the same "-gzip" tag, and both decode to the identical identity body.
+// If-None-Match uses weak comparison, which asks only for that equivalent
+// content, and no study route serves ranges, the one use of strong
+// comparison; so a fleet mid-upgrade still revalidates correctly.
 
 // etagFromCRC renders a snapshot checksum as the study's entity-tag
 // payload: fixed-width lower-case hex, no quotes.

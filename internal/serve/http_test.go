@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"compress/gzip"
 	"context"
 	"io"
 	"net/http"
@@ -160,50 +159,62 @@ func TestETagMatches(t *testing.T) {
 	}
 }
 
-// TestGzipNegotiation: a client that accepts gzip gets a compressed body
-// that decodes byte-identically to the identity representation, under a
-// "-gzip"-suffixed variant of the same validator; clients that don't stay
-// untouched.
+// TestGzipNegotiation: on a streamed route and on both memoized ones, a
+// client that accepts gzip gets a compressed body that decodes
+// byte-identically to the identity representation, under a
+// "-gzip"-suffixed variant of the same validator; a client that asks for
+// identity or refuses gzip with q=0 gets the identity body and tag. Each
+// representation revalidates against its own tag with an empty 304.
 func TestGzipNegotiation(t *testing.T) {
 	s := newSnapshotServer(t, nil)
-	identity := getFull(t, s, "/v1/studies/1/disengagements", nil)
-	if identity.Code != http.StatusOK || identity.Header().Get("Content-Encoding") != "" {
-		t.Fatalf("identity response: code %d, encoding %q", identity.Code, identity.Header().Get("Content-Encoding"))
-	}
+	for _, route := range []string{"disengagements", "metrics/reliability", "tables/vii"} {
+		url := "/v1/studies/1/" + route
+		identity := getFull(t, s, url, nil)
+		if identity.Code != http.StatusOK || identity.Header().Get("Content-Encoding") != "" {
+			t.Fatalf("%s identity response: code %d, encoding %q", url, identity.Code, identity.Header().Get("Content-Encoding"))
+		}
+		identityTag := identity.Header().Get("ETag")
+		zippedTag := identityTag[:len(identityTag)-1] + `-gzip"`
 
-	zipped := getFull(t, s, "/v1/studies/1/disengagements", map[string]string{"Accept-Encoding": "gzip"})
-	if zipped.Code != http.StatusOK {
-		t.Fatalf("gzip code = %d", zipped.Code)
-	}
-	if enc := zipped.Header().Get("Content-Encoding"); enc != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", enc)
-	}
-	zr, err := gzip.NewReader(zipped.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(decoded) != identity.Body.String() {
-		t.Error("gzip body does not decode to the identity body")
-	}
+		for _, tc := range []struct {
+			accept string
+			gzip   bool
+		}{
+			{"", false},
+			{"identity", false},
+			{"gzip;q=0", false},
+			{"gzip", true},
+			{"gzip;q=0.5", true},
+		} {
+			rec := getFull(t, s, url, map[string]string{"Accept-Encoding": tc.accept})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s accept %q: code = %d", url, tc.accept, rec.Code)
+			}
+			body, wantEnc, wantTag := rec.Body.Bytes(), "", identityTag
+			if tc.gzip {
+				body, wantEnc, wantTag = gunzip(t, body), "gzip", zippedTag
+			}
+			if enc := rec.Header().Get("Content-Encoding"); enc != wantEnc {
+				t.Errorf("%s accept %q: Content-Encoding = %q, want %q", url, tc.accept, enc, wantEnc)
+			}
+			if string(body) != identity.Body.String() {
+				t.Errorf("%s accept %q: body does not decode to the identity body", url, tc.accept)
+			}
+			if tag := rec.Header().Get("ETag"); tag != wantTag {
+				t.Errorf("%s accept %q: ETag = %q, want %q", url, tc.accept, tag, wantTag)
+			}
 
-	identityTag, zippedTag := identity.Header().Get("ETag"), zipped.Header().Get("ETag")
-	want := identityTag[:len(identityTag)-1] + `-gzip"`
-	if zippedTag != want {
-		t.Errorf("gzip ETag = %q, want %q", zippedTag, want)
-	}
-
-	// The gzip representation revalidates against its own tag.
-	replay := getFull(t, s, "/v1/studies/1/disengagements",
-		map[string]string{"Accept-Encoding": "gzip", "If-None-Match": zippedTag})
-	if replay.Code != http.StatusNotModified {
-		t.Errorf("gzip conditional replay code = %d, want 304", replay.Code)
-	}
-	if enc := replay.Header().Get("Content-Encoding"); enc != "" {
-		t.Errorf("304 carried Content-Encoding %q", enc)
+			replay := getFull(t, s, url, map[string]string{"Accept-Encoding": tc.accept, "If-None-Match": wantTag})
+			if replay.Code != http.StatusNotModified {
+				t.Errorf("%s accept %q: conditional replay code = %d, want 304", url, tc.accept, replay.Code)
+			}
+			if replay.Body.Len() != 0 {
+				t.Errorf("%s accept %q: 304 carried a body: %q", url, tc.accept, replay.Body.String())
+			}
+			if enc := replay.Header().Get("Content-Encoding"); enc != "" {
+				t.Errorf("%s accept %q: 304 carried Content-Encoding %q", url, tc.accept, enc)
+			}
+		}
 	}
 }
 

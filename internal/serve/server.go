@@ -35,10 +35,13 @@
 // an ETag derived from the v2 snapshot's CRC-32C (identical on every node
 // serving the seed, see etag.go) and a Cache-Control window, so repeated
 // conditional requests short-circuit to 304 before any query work. Bodies
-// are gzipped when the client negotiates it.
+// are gzipped at BestSpeed when the client negotiates it. The reliability
+// and table answers, which take no parameters, are rendered and gzipped
+// once per resident study and then served from memory (memo.go).
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -213,9 +216,15 @@ type apiError struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	_ = encodeJSON(w, v)
+}
+
+// encodeJSON writes v as every JSON body is written: HTML characters
+// unescaped, one trailing newline.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	return enc.Encode(v)
 }
 
 // writeError emits a JSON error response. Any study validator stamped
@@ -415,18 +424,25 @@ type ReliabilityResponse struct {
 	Manufacturers []query.ReliabilityMetric `json:"manufacturers"`
 }
 
-// handleReliability reports per-manufacturer DPM/DPA/APM metrics.
+// handleReliability reports per-manufacturer DPM/DPA/APM metrics,
+// computed once per resident study (see memo.go).
 func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	study, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	rows, err := study.Engine.Reliability()
+	err := serveMemo(w, r, study, "reliability", func() (string, []byte, error) {
+		rows, err := study.Engine.Reliability()
+		if err != nil {
+			return "", nil, err
+		}
+		var body bytes.Buffer
+		err = encodeJSON(&body, ReliabilityResponse{Manufacturers: rows})
+		return "application/json", body.Bytes(), err
+	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reliability: %v", err)
-		return
 	}
-	writeJSON(w, http.StatusOK, ReliabilityResponse{Manufacturers: rows})
 }
 
 // tableRenderers maps a lower-cased table id to its renderer. Table II
@@ -441,7 +457,8 @@ var tableRenderers = map[string]func(*core.DB) (string, error){
 	"viii": report.TableVIII,
 }
 
-// handleTable renders one paper table as plain text.
+// handleTable renders one paper table as plain text, once per resident
+// study (see memo.go).
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	id := strings.ToLower(r.PathValue("id"))
 	render, ok := tableRenderers[id]
@@ -454,18 +471,17 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if !okStudy {
 		return
 	}
-	db, err := study.Database()
+	err := serveMemo(w, r, study, "tables/"+id, func() (string, []byte, error) {
+		db, err := study.Database()
+		if err != nil {
+			return "", nil, err
+		}
+		text, err := render(db)
+		return "text/plain; charset=utf-8", []byte(text), err
+	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "render table %s: %v", id, err)
-		return
 	}
-	text, err := render(db)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "render table %s: %v", id, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, text)
 }
 
 // handleSnapshot streams the seed's raw v2 snapshot file — the peer

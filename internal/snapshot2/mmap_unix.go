@@ -13,7 +13,7 @@ import (
 // over the mapping. A missing file surfaces as fs.ErrNotExist (a plain
 // cache-tier miss, not corruption); anything structurally wrong yields the
 // package's typed errors. The mapping is released by Close or, failing
-// that, by a finalizer when the View is collected — cache eviction can
+// that, by a finalizer once the View is unreachable — cache eviction can
 // simply drop the View even while late readers hold materialized results,
 // because nothing handed out aliases the mapped bytes.
 //
@@ -52,7 +52,23 @@ func Open(path string) (*View, error) {
 		syscall.Munmap(data)
 		return nil, verr
 	}
-	v.closer = func() error { return syscall.Munmap(data) }
-	runtime.SetFinalizer(v, (*View).Close)
+	m := &mapping{data: data}
+	runtime.SetFinalizer(m, (*mapping).unmap)
+	v.closer = m.unmap
 	return v, nil
+}
+
+// mapping owns one mapped region, and the finalizer sits on it rather than
+// on the View. The View is the mapping's only referrer, so the two become
+// unreachable together; a finalizer on the View would keep the View and its
+// caches (the materialized database, decoded strings and postings) alive
+// through one more collection, while this small object is all that waits
+// for the unmap.
+type mapping struct{ data []byte }
+
+// unmap releases the region, from View.Close or the finalizer; each runs
+// at most once and Close clears the finalizer.
+func (m *mapping) unmap() error {
+	runtime.SetFinalizer(m, nil)
+	return syscall.Munmap(m.data)
 }

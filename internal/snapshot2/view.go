@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -542,6 +541,5 @@ func (v *View) Close() error {
 	if v.closer == nil || !v.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	runtime.SetFinalizer(v, nil)
 	return v.closer()
 }
