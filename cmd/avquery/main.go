@@ -17,7 +17,8 @@
 // and the month range are listed through the same query.Engine.Accidents
 // path the avserve API uses. -csv emits the matching rows as CSV on
 // stdout; -json emits the listing or the group counts as JSON instead of
-// text. Malformed -from/-to values are rejected with a parse error.
+// text. Malformed -from/-to values and a -limit below 1 are rejected
+// before the study is built.
 //
 // With -snapshot-dir, the study is mapped from the directory's
 // study-<seed>.avsnap2 columnar snapshot (written by avpipe -snapshot-out
@@ -69,8 +70,12 @@ func run() error {
 		Manufacturer: *mfr, Tag: *tag, Category: *category, Road: *road,
 		Weather: *weather, Modality: *modality, From: *from, To: *to,
 	}
-	// Reject malformed month bounds before paying for the study build.
+	// Reject malformed month bounds and limits before paying for the
+	// study build.
 	if err := f.Validate(); err != nil {
+		return err
+	}
+	if err := checkLimit(*limit); err != nil {
 		return err
 	}
 
@@ -114,6 +119,16 @@ func run() error {
 		}
 		return printRows(os.Stdout, eng, f, *limit)
 	}
+}
+
+// checkLimit rejects a -limit below 1, as avserve rejects ?limit=0: a
+// listing cap of zero or less would list every row and then report them
+// all again as "more".
+func checkLimit(limit int) error {
+	if limit < 1 {
+		return fmt.Errorf("bad -limit %d: want a positive integer", limit)
+	}
+	return nil
 }
 
 // loadEngine builds the query engine, preferring the seed's v2 snapshot

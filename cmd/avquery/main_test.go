@@ -110,6 +110,33 @@ func TestFilterEmptyMatchesAll(t *testing.T) {
 	}
 }
 
+// TestCheckLimit pins the -limit check that runs before the study build:
+// a cap below 1 used to list every row and then report them again as
+// "... and N more".
+func TestCheckLimit(t *testing.T) {
+	for _, tc := range []struct {
+		limit int
+		want  string // "" means accepted
+	}{
+		{1, ""},
+		{20, ""},
+		{0, "bad -limit 0: want a positive integer"},
+		{-5, "bad -limit -5: want a positive integer"},
+	} {
+		err := checkLimit(tc.limit)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("checkLimit(%d) = %v, want nil", tc.limit, err)
+			}
+			continue
+		}
+		//lint:allow errsubstr this test pins the message avquery prints for a rejected -limit
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("checkLimit(%d) = %v, want %q", tc.limit, err, tc.want)
+		}
+	}
+}
+
 // TestGoldenListOutput pins the text listing format: the refactor onto
 // internal/query must not change what existing flag combinations print.
 func TestGoldenListOutput(t *testing.T) {

@@ -13,8 +13,13 @@
 // safe for concurrent use. Construction precomputes inverted indexes
 // (manufacturer/tag/category value → row ids) so equality-filtered queries
 // walk only the smallest matching posting list instead of scanning every
-// row; SelectScan is the full-scan reference implementation the tests hold
-// the indexed path equal to.
+// row. Each query plans its Filter once: the month bounds are parsed, the
+// posting list is chosen, and only the predicates the filter sets are
+// tested per row, so an unset predicate costs nothing. Events, Count, and
+// GroupCount stream matches through that plan without building a row-id
+// slice; Events materializes only the rows inside its page, and a filter
+// with nothing set reads its page directly. SelectScan is the full-scan
+// reference implementation the tests hold every answer equal to.
 package query
 
 import (
@@ -384,25 +389,90 @@ func eqFold(got, want string) bool {
 	return want == "" || strings.EqualFold(got, want)
 }
 
-// matches verifies every predicate of f against row i. from/toExcl are the
-// pre-parsed month bounds.
-func (e *Engine) matches(i int, f Filter, from, toExcl time.Time) bool {
-	if !eqFold(e.src.Manufacturer(i), f.Manufacturer) ||
-		!eqFold(e.src.Tag(i), f.Tag) ||
-		!eqFold(e.src.Category(i), f.Category) ||
-		!eqFold(e.src.Road(i), f.Road) ||
-		!eqFold(e.src.Weather(i), f.Weather) ||
-		!eqFold(e.src.Modality(i), f.Modality) {
-		return false
+// plan is a Filter resolved once against an engine: the parsed month
+// bounds, the smallest posting list, and only the equality predicates the
+// filter sets, each bound to its Source accessor. An unset predicate costs
+// nothing per row, and an unbounded month window never reads Time.
+type plan struct {
+	from, toExcl time.Time
+	timed        bool  // either month bound is set
+	cands        []int // nil: every row is a candidate
+	preds        []pred
+}
+
+// pred is one set equality predicate: column accessor and wanted value.
+type pred struct {
+	col  func(Source, int) string
+	want string
+}
+
+// plan resolves f against the engine. Malformed month bounds produce a
+// *MonthError.
+func (e *Engine) plan(f Filter) (plan, error) {
+	from, toExcl, err := f.monthRange()
+	if err != nil {
+		return plan{}, err
+	}
+	p := plan{from: from, toExcl: toExcl, timed: !from.IsZero() || !toExcl.IsZero(), cands: e.candidates(f)}
+	for _, c := range [...]pred{
+		{Source.Manufacturer, f.Manufacturer},
+		{Source.Tag, f.Tag},
+		{Source.Category, f.Category},
+		{Source.Road, f.Road},
+		{Source.Weather, f.Weather},
+		{Source.Modality, f.Modality},
+	} {
+		if c.want != "" {
+			p.preds = append(p.preds, c)
+		}
+	}
+	return p, nil
+}
+
+// all reports whether the plan matches every row: nothing is set (an
+// indexed predicate is always among preds, so cands is nil too).
+func (p *plan) all() bool { return len(p.preds) == 0 && !p.timed }
+
+// match verifies the plan's set predicates and month window against row i.
+func (e *Engine) match(p *plan, i int) bool {
+	for _, c := range p.preds {
+		if !strings.EqualFold(c.col(e.src, i), c.want) {
+			return false
+		}
+	}
+	if !p.timed {
+		return true
 	}
 	ts := e.src.Time(i)
-	if !from.IsZero() && ts.Before(from) {
-		return false
+	return (p.from.IsZero() || !ts.Before(p.from)) && (p.toExcl.IsZero() || ts.Before(p.toExcl))
+}
+
+// each calls fn with every row the plan matches, in ascending order.
+func (e *Engine) each(p *plan, fn func(i int)) {
+	if p.cands != nil {
+		for _, i := range p.cands {
+			if e.match(p, i) {
+				fn(i)
+			}
+		}
+		return
 	}
-	if !toExcl.IsZero() && !ts.Before(toExcl) {
-		return false
+	for i := 0; i < e.n; i++ {
+		if e.match(p, i) {
+			fn(i)
+		}
 	}
-	return true
+}
+
+// ids collects the plan's matching rows.
+func (e *Engine) ids(p *plan) []int {
+	n := e.n
+	if p.cands != nil {
+		n = len(p.cands)
+	}
+	out := make([]int, 0, n)
+	e.each(p, func(i int) { out = append(out, i) })
+	return out
 }
 
 // Select returns the ascending row ids matching the filter. When an indexed
@@ -410,21 +480,11 @@ func (e *Engine) matches(i int, f Filter, from, toExcl time.Time) bool {
 // matching posting list is walked; remaining predicates are verified per
 // candidate. Results are identical to SelectScan by construction.
 func (e *Engine) Select(f Filter) ([]int, error) {
-	from, toExcl, err := f.monthRange()
+	p, err := e.plan(f)
 	if err != nil {
 		return nil, err
 	}
-	candidates := e.candidates(f)
-	if candidates == nil {
-		return e.scan(f, from, toExcl), nil
-	}
-	out := make([]int, 0, len(candidates))
-	for _, i := range candidates {
-		if e.matches(i, f, from, toExcl) {
-			out = append(out, i)
-		}
-	}
-	return out, nil
+	return e.ids(&p), nil
 }
 
 // candidates returns the smallest posting list among the filter's indexed
@@ -454,35 +514,45 @@ func (e *Engine) candidates(f Filter) []int {
 	return best
 }
 
-// scan is the sequential match loop over every row.
-func (e *Engine) scan(f Filter, from, toExcl time.Time) []int {
-	out := make([]int, 0, e.n)
-	for i := 0; i < e.n; i++ {
-		if e.matches(i, f, from, toExcl) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectScan returns the matching row ids by scanning every row, ignoring
-// the inverted indexes. It is the reference implementation that Select is
-// tested against; production callers should use Select.
+// SelectScan returns the matching row ids by scanning every row and
+// verifying every predicate, ignoring the inverted indexes and the plan.
+// It is the reference implementation that Select, Events, Count, and
+// GroupCount are tested against; production callers should use Select.
 func (e *Engine) SelectScan(f Filter) ([]int, error) {
 	from, toExcl, err := f.monthRange()
 	if err != nil {
 		return nil, err
 	}
-	return e.scan(f, from, toExcl), nil
+	out := make([]int, 0, e.n)
+	for i := 0; i < e.n; i++ {
+		if !eqFold(e.src.Manufacturer(i), f.Manufacturer) ||
+			!eqFold(e.src.Tag(i), f.Tag) ||
+			!eqFold(e.src.Category(i), f.Category) ||
+			!eqFold(e.src.Road(i), f.Road) ||
+			!eqFold(e.src.Weather(i), f.Weather) ||
+			!eqFold(e.src.Modality(i), f.Modality) {
+			continue
+		}
+		ts := e.src.Time(i)
+		if (from.IsZero() || !ts.Before(from)) && (toExcl.IsZero() || ts.Before(toExcl)) {
+			out = append(out, i)
+		}
+	}
+	return out, nil
 }
 
 // Count returns the number of events matching the filter.
 func (e *Engine) Count(f Filter) (int, error) {
-	ids, err := e.Select(f)
+	p, err := e.plan(f)
 	if err != nil {
 		return 0, err
 	}
-	return len(ids), nil
+	if p.all() {
+		return e.n, nil
+	}
+	n := 0
+	e.each(&p, func(int) { n++ })
+	return n, nil
 }
 
 // event materializes row i.
@@ -502,29 +572,47 @@ func (e *Engine) event(i int) Event {
 	}
 }
 
+// window returns the [start, end) slice of total matches that page p
+// covers, with p.Offset already clamped to >= 0. It never computes
+// Offset+Limit, so an Offset of math.MaxInt cannot overflow.
+func window(total int, p Page) (start, end int) {
+	start, end = min(p.Offset, total), total
+	if p.Limit > 0 && p.Limit < end-start {
+		end = start + p.Limit
+	}
+	return start, end
+}
+
 // Events returns one page of matching events plus the match total. An
-// offset at or past the total yields an empty (non-nil) page.
-func (e *Engine) Events(f Filter, p Page) (EventPage, error) {
-	ids, err := e.Select(f)
+// offset at or past the total yields an empty (non-nil) page. Matches
+// stream through the plan: only the rows inside the page are
+// materialized, and a filter with nothing set reads its page directly.
+func (e *Engine) Events(f Filter, pg Page) (EventPage, error) {
+	p, err := e.plan(f)
 	if err != nil {
 		return EventPage{}, err
 	}
-	if p.Offset < 0 {
-		p.Offset = 0
+	pg.Offset = max(pg.Offset, 0)
+	page := EventPage{Offset: pg.Offset, Limit: pg.Limit}
+	if p.all() {
+		start, end := window(e.n, pg)
+		page.Total = e.n
+		page.Events = make([]Event, 0, end-start)
+		for i := start; i < end; i++ {
+			page.Events = append(page.Events, e.event(i))
+		}
+		return page, nil
 	}
-	page := EventPage{Total: len(ids), Offset: p.Offset, Limit: p.Limit}
-	start := p.Offset
-	if start > len(ids) {
-		start = len(ids)
+	page.Events = []Event{}
+	if room := e.n - pg.Offset; pg.Limit > 0 && room > 0 {
+		page.Events = make([]Event, 0, min(pg.Limit, room))
 	}
-	end := len(ids)
-	if p.Limit > 0 && start+p.Limit < end {
-		end = start + p.Limit
-	}
-	page.Events = make([]Event, 0, end-start)
-	for _, i := range ids[start:end] {
-		page.Events = append(page.Events, e.event(i))
-	}
+	e.each(&p, func(i int) {
+		if k := page.Total - pg.Offset; k >= 0 && (pg.Limit <= 0 || k < pg.Limit) {
+			page.Events = append(page.Events, e.event(i))
+		}
+		page.Total++
+	})
 	return page, nil
 }
 
@@ -569,18 +657,9 @@ func (e *Engine) Accidents(f Filter, p Page) (AccidentPage, error) {
 		}
 		matched = append(matched, a)
 	}
-	if p.Offset < 0 {
-		p.Offset = 0
-	}
+	p.Offset = max(p.Offset, 0)
+	start, end := window(len(matched), p)
 	page := AccidentPage{Total: len(matched), Offset: p.Offset, Limit: p.Limit}
-	start := p.Offset
-	if start > len(matched) {
-		start = len(matched)
-	}
-	end := len(matched)
-	if p.Limit > 0 && start+p.Limit < end {
-		end = start + p.Limit
-	}
 	page.Accidents = matched[start:end]
 	return page, nil
 }
@@ -627,7 +706,7 @@ func IsGroupColumn(by string) bool { return groupColumns[by] }
 // "YYYY-MM"; any other column present in the underlying frame (e.g.
 // "cause") is grouped through the dataframe layer.
 func (e *Engine) GroupCount(f Filter, by string) ([]GroupCount, error) {
-	ids, err := e.Select(f)
+	p, err := e.plan(f)
 	if err != nil {
 		return nil, err
 	}
@@ -648,12 +727,10 @@ func (e *Engine) GroupCount(f Filter, by string) ([]GroupCount, error) {
 	case "month":
 		key = func(i int) string { return e.src.Time(i).Format("2006-01") }
 	default:
-		return e.groupCountFrame(ids, by)
+		return e.groupCountFrame(e.ids(&p), by)
 	}
 	counts := make(map[string]int)
-	for _, i := range ids {
-		counts[key(i)]++
-	}
+	e.each(&p, func(i int) { counts[key(i)]++ })
 	return sortedGroups(counts), nil
 }
 

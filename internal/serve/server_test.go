@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -445,6 +447,27 @@ func TestPaginationLimitBounds(t *testing.T) {
 	}
 	if page.Limit != MaxListLimit {
 		t.Errorf("limit=1001 clamped limit = %d, want %d", page.Limit, MaxListLimit)
+	}
+
+	// The largest offset pageFromQuery accepts must not overflow the page
+	// window: 200, the true total, and no rows.
+	for _, tc := range []struct {
+		prefix, rows string
+		total        int
+	}{
+		{"/v1/studies/1/disengagements?", "events", 3},
+		{"/v1/studies/1/disengagements?mfr=Waymo&", "events", 2},
+		{"/v1/studies/1/accidents?", "accidents", 2},
+	} {
+		path := fmt.Sprintf("%soffset=%d&limit=1000", tc.prefix, math.MaxInt)
+		code, body := get(t, s, path)
+		var res map[string]json.RawMessage
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &res) != nil {
+			t.Fatalf("GET %s = %d (%s), want 200 with a JSON page", path, code, strings.TrimSpace(body))
+		}
+		if string(res["total"]) != strconv.Itoa(tc.total) || string(res[tc.rows]) != "[]" {
+			t.Errorf("GET %s = total %s, %s %s; want total %d, %s []", path, res["total"], tc.rows, res[tc.rows], tc.total, tc.rows)
+		}
 	}
 }
 
