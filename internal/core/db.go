@@ -7,8 +7,6 @@ package core
 
 import (
 	"errors"
-	"sort"
-	"time"
 
 	"avfda/internal/nlp"
 	"avfda/internal/ontology"
@@ -143,58 +141,4 @@ func (db *DB) EventsBy() map[schema.Manufacturer]int {
 type carKey struct {
 	mfr schema.Manufacturer
 	car schema.VehicleID
-}
-
-// carStats accumulates one vehicle's exposure and failures.
-type carStats struct {
-	miles  float64
-	events int
-}
-
-// perCar aggregates miles and events per identifiable vehicle, optionally
-// restricted by a time predicate on months/events.
-func (db *DB) perCar(keepMonth func(time.Time) bool) map[carKey]*carStats {
-	out := make(map[carKey]*carStats)
-	get := func(k carKey) *carStats {
-		s := out[k]
-		if s == nil {
-			s = &carStats{}
-			out[k] = s
-		}
-		return s
-	}
-	for _, m := range db.Mileage {
-		if m.Vehicle == "" {
-			continue
-		}
-		if keepMonth != nil && !keepMonth(m.Month) {
-			continue
-		}
-		get(carKey{m.Manufacturer, m.Vehicle}).miles += m.Miles
-	}
-	for _, e := range db.Events {
-		if e.Vehicle == "" {
-			continue
-		}
-		if keepMonth != nil && !keepMonth(e.Time) {
-			continue
-		}
-		get(carKey{e.Manufacturer, e.Vehicle}).events++
-	}
-	return out
-}
-
-// sortedCarKeys returns the map's keys in deterministic order.
-func sortedCarKeys(m map[carKey]*carStats) []carKey {
-	keys := make([]carKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].mfr != keys[j].mfr {
-			return keys[i].mfr < keys[j].mfr
-		}
-		return keys[i].car < keys[j].car
-	})
-	return keys
 }

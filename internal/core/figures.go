@@ -21,15 +21,7 @@ type DPMDistribution struct {
 // DPMPerCar reproduces Fig. 4: the distribution of disengagements-per-mile
 // across each manufacturer's cars.
 func (db *DB) DPMPerCar() []DPMDistribution {
-	cars := db.perCar(nil)
-	byMfr := make(map[schema.Manufacturer][]float64)
-	for _, k := range sortedCarKeys(cars) {
-		s := cars[k]
-		if s.miles <= 0 {
-			continue
-		}
-		byMfr[k.mfr] = append(byMfr[k.mfr], float64(s.events)/s.miles)
-	}
+	byMfr := db.Exposure().dpmByMaker()
 	var out []DPMDistribution
 	for _, m := range db.AnalysisManufacturers() {
 		vals := byMfr[m]
@@ -167,15 +159,7 @@ func (db *DB) DPMByYear() []YearDistribution {
 	var out []YearDistribution
 	for _, year := range []int{2014, 2015, 2016} {
 		y := year
-		cars := db.perCar(func(t time.Time) bool { return t.Year() == y })
-		byMfr := make(map[schema.Manufacturer][]float64)
-		for _, k := range sortedCarKeys(cars) {
-			s := cars[k]
-			if s.miles <= 0 {
-				continue
-			}
-			byMfr[k.mfr] = append(byMfr[k.mfr], float64(s.events)/s.miles)
-		}
+		byMfr := db.exposure(func(t time.Time) bool { return t.Year() == y }).dpmByMaker()
 		for _, m := range db.AnalysisManufacturers() {
 			vals := byMfr[m]
 			if len(vals) == 0 {
@@ -570,19 +554,17 @@ type MBDDistribution struct {
 // vehicle, per manufacturer. Vehicles with zero events are reported as
 // censored rather than folded into the distribution.
 func (db *DB) MilesBetweenDisengagements() []MBDDistribution {
-	cars := db.perCar(nil)
 	byMfr := make(map[schema.Manufacturer][]float64)
 	censored := make(map[schema.Manufacturer]int)
-	for _, k := range sortedCarKeys(cars) {
-		s := cars[k]
-		if s.miles <= 0 {
+	for _, c := range db.Exposure().Cars {
+		if c.Miles <= 0 {
 			continue
 		}
-		if s.events == 0 {
-			censored[k.mfr]++
+		if c.Events == 0 {
+			censored[c.Manufacturer]++
 			continue
 		}
-		byMfr[k.mfr] = append(byMfr[k.mfr], s.miles/float64(s.events))
+		byMfr[c.Manufacturer] = append(byMfr[c.Manufacturer], c.Miles/float64(c.Events))
 	}
 	var out []MBDDistribution
 	for _, m := range db.AnalysisManufacturers() {

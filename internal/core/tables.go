@@ -206,28 +206,23 @@ type AccidentRow struct {
 }
 
 // AccidentSummary reproduces Table VI.
-func (db *DB) AccidentSummary() []AccidentRow {
-	accBy := make(map[schema.Manufacturer]int)
-	total := 0
-	for _, a := range db.Accidents {
-		accBy[a.Manufacturer]++
-		total++
-	}
-	evBy := db.EventsBy()
+func (db *DB) AccidentSummary() []AccidentRow { return db.Exposure().AccidentSummary() }
+
+// AccidentSummary reproduces Table VI from the exposure summary.
+func (x *Exposure) AccidentSummary() []AccidentRow {
 	var out []AccidentRow
-	for _, m := range schema.AllManufacturers() {
-		n := accBy[m]
-		if n == 0 {
+	for _, m := range x.Makers {
+		if m.Accidents == 0 {
 			continue
 		}
 		row := AccidentRow{
-			Manufacturer: m,
-			Accidents:    n,
-			FractionPct:  100 * float64(n) / float64(total),
+			Manufacturer: m.Manufacturer,
+			Accidents:    m.Accidents,
+			FractionPct:  100 * float64(m.Accidents) / float64(x.Accidents),
 			DPA:          -1,
 		}
-		if evBy[m] > 0 {
-			dpa, err := reliability.DPA(evBy[m], n)
+		if m.Events > 0 {
+			dpa, err := reliability.DPA(m.Events, m.Accidents)
 			if err == nil {
 				row.DPA = dpa
 			}
@@ -255,18 +250,24 @@ type ReliabilityRow struct {
 // ReliabilityVsHuman reproduces Table VII: median per-car DPM, APM via
 // DPM/DPA, and the ratio to the human-driver accident rate.
 func (db *DB) ReliabilityVsHuman() ([]ReliabilityRow, error) {
-	medians := db.medianDPMPerCar()
-	accRows := db.AccidentSummary()
+	return db.Exposure().ReliabilityVsHuman()
+}
+
+// ReliabilityVsHuman reproduces Table VII from the exposure summary.
+func (x *Exposure) ReliabilityVsHuman() ([]ReliabilityRow, error) {
+	medians := x.medianDPMPerCar()
 	dpaBy := make(map[schema.Manufacturer]float64)
-	accBy := make(map[schema.Manufacturer]int)
-	for _, r := range accRows {
+	for _, r := range x.AccidentSummary() {
 		dpaBy[r.Manufacturer] = r.DPA
-		accBy[r.Manufacturer] = r.Accidents
+	}
+	makers := make(map[schema.Manufacturer]MakerExposure, len(x.Makers))
+	for _, m := range x.Makers {
+		makers[m.Manufacturer] = m
 	}
 	var out []ReliabilityRow
-	for _, m := range db.AnalysisManufacturers() {
+	for _, m := range schema.AnalysisManufacturers() {
 		med, ok := medians[m]
-		if !ok {
+		if !ok || makers[m].Events == 0 {
 			continue
 		}
 		row := ReliabilityRow{
@@ -287,7 +288,7 @@ func (db *DB) ReliabilityVsHuman() ([]ReliabilityRow, error) {
 				return nil, err
 			}
 			row.RelToHuman = rel
-			conf, err := reliability.EstimateConfidence(accBy[m], 2)
+			conf, err := reliability.EstimateConfidence(makers[m].Accidents, 2)
 			if err != nil {
 				return nil, err
 			}
@@ -299,16 +300,8 @@ func (db *DB) ReliabilityVsHuman() ([]ReliabilityRow, error) {
 }
 
 // medianDPMPerCar computes each manufacturer's median per-car DPM.
-func (db *DB) medianDPMPerCar() map[schema.Manufacturer]float64 {
-	cars := db.perCar(nil)
-	byMfr := make(map[schema.Manufacturer][]float64)
-	for _, k := range sortedCarKeys(cars) {
-		s := cars[k]
-		if s.miles <= 0 {
-			continue
-		}
-		byMfr[k.mfr] = append(byMfr[k.mfr], float64(s.events)/s.miles)
-	}
+func (x *Exposure) medianDPMPerCar() map[schema.Manufacturer]float64 {
+	byMfr := x.dpmByMaker()
 	out := make(map[schema.Manufacturer]float64, len(byMfr))
 	for m, dpms := range byMfr {
 		med, err := stats.Median(dpms)

@@ -73,8 +73,9 @@ func Clean() Config {
 	return c
 }
 
-// confusions maps characters to their visually confusable decodings.
-var confusions = map[rune][]rune{
+// confusions maps characters to their visually confusable decodings,
+// indexed by character code: every confusable character is ASCII.
+var confusions = [128][]rune{
 	'0': {'O'}, 'O': {'0'},
 	'1': {'l', 'I'}, 'l': {'1'}, 'I': {'1', 'l'},
 	'5': {'S'}, 'S': {'5'},
@@ -255,7 +256,8 @@ func (e *Engine) decodePage(p scandoc.Page, rng *rand.Rand) ([]string, float64, 
 				errsChars++
 				continue
 			}
-			if alts, ok := confusions[r]; ok && rng.Float64() < subRate {
+			if r < 128 && confusions[r] != nil && rng.Float64() < subRate {
+				alts := confusions[r]
 				sb.WriteRune(alts[rng.Intn(len(alts))])
 				st.subs++
 				errsChars++

@@ -286,3 +286,28 @@ func TestEmptyDocument(t *testing.T) {
 		t.Errorf("empty doc decode: %+v", res)
 	}
 }
+
+// TestConfusionTableMatchesMap pins the ASCII-indexed confusion table to
+// the character map it replaced.
+func TestConfusionTableMatchesMap(t *testing.T) {
+	want := map[rune][]rune{
+		'0': {'O'}, 'O': {'0'},
+		'1': {'l', 'I'}, 'l': {'1'}, 'I': {'1', 'l'},
+		'5': {'S'}, 'S': {'5'},
+		'8': {'B'}, 'B': {'8'},
+		'2': {'Z'}, 'Z': {'2'},
+		'6': {'G'}, 'G': {'6'},
+		'g': {'q'}, 'q': {'g'},
+		'e': {'c'}, 'c': {'e'},
+		'n': {'h'}, 'h': {'n'},
+		'u': {'v'}, 'v': {'u'},
+		'a': {'o'},
+		't': {'f'}, 'f': {'t'},
+	}
+	for r := range confusions {
+		alts, ok := want[rune(r)]
+		if !ok && confusions[r] != nil || ok && string(confusions[r]) != string(alts) {
+			t.Errorf("confusions[%q] = %q, want %q", rune(r), string(confusions[r]), string(alts))
+		}
+	}
+}

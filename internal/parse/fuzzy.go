@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"bytes"
 	"strings"
 
 	"avfda/internal/schema"
@@ -65,36 +66,69 @@ func cleanNumeric(s string) string {
 	}, s)
 }
 
-// isSectionMarker reports whether a body line carries the given section
-// phrase. OCR substitutions on capitals are undone by mapping the digit
-// lookalikes back to letters (0→O, 1→I, 5→S, 8→B, 2→Z, 6→G), then an exact
-// substring match runs on the line head — O(n) per line, robust to the
-// substitutions the noise model produces, and still correct when a line
-// merge glued the marker to the following data row.
-func isSectionMarker(line, phrase string) bool {
-	head := line
-	if len(head) > 64 {
-		head = head[:64]
-	}
-	norm := strings.Map(func(r rune) rune {
-		switch r {
-		case '0':
-			return 'O'
-		case '1':
-			return 'I'
-		case '5':
-			return 'S'
-		case '8':
-			return 'B'
-		case '2':
-			return 'Z'
-		case '6':
-			return 'G'
-		default:
-			return r
+// Kinds of a disengagement report's body line, as classifyLine reports
+// them.
+const (
+	lineRow          = iota // anything else: a data row or noise
+	lineMilesMarker         // the "MILES BY VEHICLE" section marker
+	lineEventsMarker        // the "DISENGAGEMENT EVENTS" section marker
+	lineColumnHeader        // a "VEHICLE |" or "DATE TIME |" column header row
+)
+
+// classifyLine folds a trimmed body line once and reports its kind. A
+// line whose upper case starts with a column header's prefix is a column
+// header, unless it carries a section marker. Markers are found in the
+// line head: OCR substitutions on capitals are undone by mapping the digit
+// lookalikes back to letters (0→O, 1→I, 5→S, 8→B, 2→Z, 6→G) in the
+// upper-cased first 64 bytes, then an exact substring match runs, O(n) per
+// line, robust to the substitutions the noise model produces, and still
+// correct when a line merge glued the marker to the following data row.
+//
+// Every phrase is ASCII, and ı (U+0131) and ſ (U+017F) are the only
+// non-ASCII runes whose upper case is ASCII, so on a line without them an
+// ASCII-only fold of the bytes matches exactly where strings.ToUpper
+// would; a line with them takes the strings.ToUpper path.
+func classifyLine(line string) int {
+	var buf [64]byte
+	head := append(buf[:0], line[:min(len(line), len(buf))]...)
+	var column bool
+	if strings.ContainsAny(line, "ıſ") {
+		head = append(buf[:0], strings.ToUpper(string(head))...)
+		up := strings.ToUpper(line)
+		column = strings.HasPrefix(up, "VEHICLE |") || strings.HasPrefix(up, "DATE TIME |")
+	} else {
+		for i, c := range head {
+			if 'a' <= c && c <= 'z' {
+				head[i] = c - ('a' - 'A')
+			}
 		}
-	}, strings.ToUpper(head))
-	return strings.Contains(norm, phrase)
+		column = bytes.HasPrefix(head, []byte("VEHICLE |")) || bytes.HasPrefix(head, []byte("DATE TIME |"))
+	}
+	for i, c := range head {
+		switch c {
+		case '0':
+			head[i] = 'O'
+		case '1':
+			head[i] = 'I'
+		case '5':
+			head[i] = 'S'
+		case '8':
+			head[i] = 'B'
+		case '2':
+			head[i] = 'Z'
+		case '6':
+			head[i] = 'G'
+		}
+	}
+	switch {
+	case bytes.Contains(head, []byte("MILES BY VEHICLE")):
+		return lineMilesMarker
+	case bytes.Contains(head, []byte("DISENGAGEMENT EVENTS")):
+		return lineEventsMarker
+	case column:
+		return lineColumnHeader
+	}
+	return lineRow
 }
 
 // vehicleRegistry canonicalizes OCR-damaged vehicle identifiers within one

@@ -159,18 +159,18 @@ func parseDisengagementDoc(in Input, corpus *schema.Corpus, rep *Report) {
 	section := 0
 	for i := bodyStart; i < len(in.Lines); i++ {
 		line := strings.TrimSpace(in.Lines[i])
-		switch {
-		case line == "":
+		if line == "" {
 			continue
-		case isSectionMarker(line, "MILES BY VEHICLE"):
+		}
+		switch classifyLine(line) {
+		case lineMilesMarker:
 			section = 1
 			continue
-		case isSectionMarker(line, "DISENGAGEMENT EVENTS"):
+		case lineEventsMarker:
 			section = 2
 			continue
-		case strings.HasPrefix(strings.ToUpper(line), "VEHICLE |"),
-			strings.HasPrefix(strings.ToUpper(line), "DATE TIME |"):
-			continue // column header rows
+		case lineColumnHeader:
+			continue
 		}
 		switch section {
 		case 1:
@@ -210,8 +210,7 @@ func parseHeader(in Input, rep *Report) (header, int, bool) {
 	end := len(in.Lines)
 	for i := 1; i < len(in.Lines); i++ {
 		line := strings.TrimSpace(in.Lines[i])
-		if line == "" || isSectionMarker(line, "MILES BY VEHICLE") ||
-			isSectionMarker(line, "DISENGAGEMENT EVENTS") {
+		if k := classifyLine(line); line == "" || k == lineMilesMarker || k == lineEventsMarker {
 			end = i
 			break
 		}

@@ -35,22 +35,17 @@ type ReliabilityMetric struct {
 }
 
 // Reliability computes the per-manufacturer reliability metrics for every
-// manufacturer present in the database, in the paper's canonical order.
-func Reliability(db *core.DB) ([]ReliabilityMetric, error) {
-	if db == nil {
-		return nil, errors.New("query: nil database")
-	}
-	miles := db.MilesBy()
-	events := db.EventsBy()
-	accidents := make(map[schema.Manufacturer]int)
-	for _, a := range db.Accidents {
-		accidents[a.Manufacturer]++
+// manufacturer present in the study, in the paper's canonical order, from
+// the study's exposure summary.
+func Reliability(x *core.Exposure) ([]ReliabilityMetric, error) {
+	if x == nil {
+		return nil, errors.New("query: nil exposure")
 	}
 	dpaBy := make(map[schema.Manufacturer]float64)
-	for _, r := range db.AccidentSummary() {
+	for _, r := range x.AccidentSummary() {
 		dpaBy[r.Manufacturer] = r.DPA
 	}
-	rel, err := db.ReliabilityVsHuman()
+	rel, err := x.ReliabilityVsHuman()
 	if err != nil {
 		return nil, err
 	}
@@ -59,12 +54,12 @@ func Reliability(db *core.DB) ([]ReliabilityMetric, error) {
 		relBy[r.Manufacturer] = r
 	}
 	var out []ReliabilityMetric
-	for _, m := range db.Manufacturers() {
+	for _, m := range x.Makers {
 		row := ReliabilityMetric{
-			Manufacturer: string(m),
-			Miles:        miles[m],
-			Events:       events[m],
-			Accidents:    accidents[m],
+			Manufacturer: string(m.Manufacturer),
+			Miles:        m.Miles,
+			Events:       m.Events,
+			Accidents:    m.Accidents,
 			DPM:          -1,
 			MedianDPM:    -1,
 			DPA:          -1,
@@ -74,10 +69,10 @@ func Reliability(db *core.DB) ([]ReliabilityMetric, error) {
 		if row.Miles > 0 {
 			row.DPM = float64(row.Events) / row.Miles
 		}
-		if dpa, ok := dpaBy[m]; ok {
+		if dpa, ok := dpaBy[m.Manufacturer]; ok {
 			row.DPA = dpa
 		}
-		if r, ok := relBy[m]; ok {
+		if r, ok := relBy[m.Manufacturer]; ok {
 			row.MedianDPM = r.MedianDPM
 			row.MedianAPM = r.MedianAPM
 			row.RelToHuman = r.RelToHuman
@@ -87,16 +82,14 @@ func Reliability(db *core.DB) ([]ReliabilityMetric, error) {
 	return out, nil
 }
 
-// Reliability reports the engine's per-manufacturer reliability metrics.
-// It requires a database-backed engine (New, or NewFromSource with a
-// database hook — snapshot views materialize their tables on first use).
+// Reliability reports the engine's per-manufacturer reliability metrics
+// from its source's exposure summary: a mapped snapshot view sums its
+// columns and decodes no table. Only an engine built from a bare frame has
+// no summary to give, and fails.
 func (e *Engine) Reliability() ([]ReliabilityMetric, error) {
-	if e.db == nil && e.lazyDB == nil {
-		return nil, errors.New("query: engine has no database (built from a bare frame)")
-	}
-	db, err := e.Database()
+	x, err := e.src.Exposure()
 	if err != nil {
 		return nil, err
 	}
-	return Reliability(db)
+	return Reliability(x)
 }

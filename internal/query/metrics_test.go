@@ -41,7 +41,7 @@ func metricsDB() *core.DB {
 
 func TestReliabilityMetrics(t *testing.T) {
 	db := metricsDB()
-	rows, err := Reliability(db)
+	rows, err := Reliability(db.Exposure())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,15 +161,16 @@ type GroupCount struct {
 
 // Source is the read surface the engine queries: per-row column accessors
 // in the exact string forms core.DB.EventsFrame renders (display names for
-// enums, "YYYY-YYYY" report years) plus the three inverted-index lookups,
-// keyed by lower-cased value with ascending row ids. Implementations must
-// be immutable and safe for concurrent use; returned posting lists are
-// shared and read-only.
+// enums, "YYYY-YYYY" report years), the three inverted-index lookups,
+// keyed by lower-cased value with ascending row ids, and the study's
+// exposure summary and accident reports. Implementations must be immutable
+// and safe for concurrent use; returned posting lists and accident slices
+// are shared and read-only.
 //
 // The in-heap implementation wraps the column slices an engine has always
 // carried; snapshot2.View implements the same surface directly over a
-// memory-mapped study file, which is how an engine serves queries with no
-// deserialization at all.
+// memory-mapped study file, which is how an engine serves queries,
+// accident listings and reliability metrics with no deserialization at all.
 type Source interface {
 	// NumRows returns the event count; row indexes run [0, NumRows()).
 	NumRows() int
@@ -192,6 +193,12 @@ type Source interface {
 	ManufacturerIDs(key string) []int
 	TagIDs(key string) []int
 	CategoryIDs(key string) []int
+
+	// Exposure summarizes the study's miles, disengagements and accidents
+	// per manufacturer and per vehicle (Tables VI-VII).
+	Exposure() (*core.Exposure, error)
+	// Accidents returns the study's accident reports in table order.
+	Accidents() ([]schema.Accident, error)
 }
 
 // Engine answers queries over one study's failure database. Build it once
@@ -214,8 +221,11 @@ type Engine struct {
 }
 
 // sliceSource is the in-heap Source: the engine's historical column slices
-// and eagerly built inverted indexes.
+// and eagerly built inverted indexes, plus the database behind them (nil
+// for an engine built from a bare frame).
 type sliceSource struct {
+	db *core.DB
+
 	mfr      []string
 	tag      []string
 	category []string
@@ -250,6 +260,24 @@ func (s *sliceSource) ManufacturerIDs(key string) []int { return s.byMfr[key] }
 func (s *sliceSource) TagIDs(key string) []int          { return s.byTag[key] }
 func (s *sliceSource) CategoryIDs(key string) []int     { return s.byCategory[key] }
 
+// errNoDatabase is what a bare-frame engine answers for the analyses that
+// need the study's other tables.
+var errNoDatabase = errors.New("query: engine has no database (built from a bare frame)")
+
+func (s *sliceSource) Exposure() (*core.Exposure, error) {
+	if s.db == nil {
+		return nil, errNoDatabase
+	}
+	return s.db.Exposure(), nil
+}
+
+func (s *sliceSource) Accidents() ([]schema.Accident, error) {
+	if s.db == nil {
+		return nil, errNoDatabase
+	}
+	return s.db.Accidents, nil
+}
+
 // New builds an engine over the database's events (via EventsFrame).
 func New(db *core.DB) (*Engine, error) {
 	if db == nil {
@@ -259,24 +287,26 @@ func New(db *core.DB) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	e, err := NewFromFrame(f)
-	if err != nil {
-		return nil, err
-	}
-	e.db = db
-	return e, nil
+	return newFrameEngine(f, db), nil
 }
 
 // NewFromFrame builds an engine over an events dataframe (the EventsFrame
 // column layout). Missing columns are treated as all-zero, so partial
-// frames — tests, external CSV loads — still query; database-backed
-// analyses (Reliability) require New.
+// frames — tests, external CSV loads — still query; the analyses that need
+// the study's other tables (Reliability, Accidents) require New.
 func NewFromFrame(f *frame.Frame) (*Engine, error) {
 	if f == nil {
 		return nil, errors.New("query: nil frame")
 	}
+	return newFrameEngine(f, nil), nil
+}
+
+// newFrameEngine builds the in-heap engine over f and, for New, the
+// database f was rendered from.
+func newFrameEngine(f *frame.Frame, db *core.DB) *Engine {
 	n := f.NumRows()
 	s := &sliceSource{
+		db:       db,
 		mfr:      stringColOrEmpty(f, "manufacturer", n),
 		tag:      stringColOrEmpty(f, "tag", n),
 		category: stringColOrEmpty(f, "category", n),
@@ -292,16 +322,18 @@ func NewFromFrame(f *frame.Frame) (*Engine, error) {
 	s.byMfr = buildIndex(s.mfr)
 	s.byTag = buildIndex(s.tag)
 	s.byCategory = buildIndex(s.category)
-	return &Engine{src: s, n: n, f: f}, nil
+	return &Engine{src: s, n: n, db: db, f: f}
 }
 
 // NewFromSource builds an engine directly over a Source — typically a
 // snapshot2.View serving a memory-mapped study with zero deserialization.
-// lazyDB, when non-nil, materializes the full failure database on first
-// need (accident listings, reliability metrics, dataframe export); it is
+// Listings, counts, accident pages and reliability metrics read the source
+// alone. lazyDB, when non-nil, materializes the full failure database on
+// first need (Database, for whole paper tables, and the dataframe
+// fallbacks: CSV export and group-by over non-indexed columns); it is
 // invoked at most once and must return a database consistent with the
-// source's rows. With a nil lazyDB those analyses fail the same way a
-// bare-frame engine's do.
+// source's rows. With a nil lazyDB those fail the same way a bare-frame
+// engine's do.
 func NewFromSource(src Source, lazyDB func() (*core.DB, error)) (*Engine, error) {
 	if src == nil {
 		return nil, errors.New("query: nil source")
@@ -360,7 +392,7 @@ func (e *Engine) Database() (*core.DB, error) {
 		return e.db, nil
 	}
 	if e.lazyDB == nil {
-		return nil, errors.New("query: engine has no database (built from a bare frame)")
+		return nil, errNoDatabase
 	}
 	e.dbOnce.Do(func() { e.mdb, e.mdbErr = e.lazyDB() })
 	return e.mdb, e.mdbErr
@@ -630,22 +662,20 @@ type AccidentPage struct {
 // context, so only the Manufacturer, From, and To predicates apply; the
 // other filter fields are ignored. Pagination follows Events: negative
 // offsets clamp to 0, Limit <= 0 means unlimited, and an offset at or past
-// the total yields an empty (non-nil) page. Requires a database-backed
-// engine (New, or NewFromSource with a database hook).
+// the total yields an empty (non-nil) page. The reports come from the
+// engine's source, so a mapped snapshot view decodes its accident columns
+// and nothing else; an engine built from a bare frame has none and fails.
 func (e *Engine) Accidents(f Filter, p Page) (AccidentPage, error) {
-	if e.db == nil && e.lazyDB == nil {
-		return AccidentPage{}, errors.New("query: accidents need a database-backed engine (built with New)")
-	}
-	db, err := e.Database()
-	if err != nil {
-		return AccidentPage{}, err
-	}
 	from, toExcl, err := f.monthRange()
 	if err != nil {
 		return AccidentPage{}, err
 	}
-	matched := make([]schema.Accident, 0, len(db.Accidents))
-	for _, a := range db.Accidents {
+	rows, err := e.src.Accidents()
+	if err != nil {
+		return AccidentPage{}, err
+	}
+	matched := make([]schema.Accident, 0, len(rows))
+	for _, a := range rows {
 		if !eqFold(string(a.Manufacturer), f.Manufacturer) {
 			continue
 		}

@@ -18,9 +18,9 @@ import (
 // so a cached study is served to any number of concurrent requests.
 type Study struct {
 	// DB is the in-heap database for freshly built studies; it is nil
-	// for studies served from a mapped v2 snapshot, whose engine
-	// materializes tables lazily. Callers that need the database should go
-	// through Database.
+	// for studies served from a mapped v2 snapshot, whose engine answers
+	// from the columns and materializes tables only for Database. Callers
+	// that need the database should go through Database.
 	DB     *core.DB
 	Engine *query.Engine
 	// ETag is the study's content fingerprint — the CRC-32C of its v2
@@ -35,11 +35,44 @@ type Study struct {
 	// memo maps a parameterless route's key to its rendered *memoBody
 	// (memo.go).
 	memo sync.Map
+
+	// view is the mapped snapshot a study loaded from v2 reads; nil for a
+	// heap study. The cache closes it once the study is evicted and its
+	// last user is gone. users and evicted are guarded by Cache.mu.
+	view    *snapshot2.View
+	users   users
+	evicted bool
+}
+
+// users counts who may still read a study's mapping: requests holding it
+// (taken by Cache.hold, dropped by Cache.release) and whether a Cache.Get
+// caller has it. A Get caller never says when it is done, so a study it
+// was handed is pinned: the cache never closes its mapping, and the
+// mapping's finalizer releases it once the study is unreachable.
+type users struct {
+	holds  int
+	pinned bool
+}
+
+// add records one more user: a pin for Get, a hold otherwise.
+func (u *users) add(pin bool) {
+	if pin {
+		u.pinned = true
+	} else {
+		u.holds++
+	}
+}
+
+// closable reports whether nothing can read the study's mapping any more:
+// it is evicted (so no new user can find it), unpinned and unheld.
+func (s *Study) closable() bool {
+	return s.view != nil && s.evicted && !s.users.pinned && s.users.holds == 0
 }
 
 // Database returns the study's failure database, materializing it from
 // the engine's backing snapshot when the study was loaded as a mapped v2
-// view (whole-table consumers — the report tables — pay that cost once).
+// view (whole-table consumers — the report tables — pay that cost once,
+// counted as StudyMaterializations).
 func (s *Study) Database() (*core.DB, error) {
 	if s.DB != nil {
 		return s.DB, nil
@@ -85,6 +118,12 @@ type CacheStats struct {
 	// non-200/404 status, or a fetched file that flunked CRC/structure
 	// validation on receipt).
 	SnapshotFetchErrors int64
+	// StudyMaterializations counts whole-database decodes of mapped
+	// studies: only the paper tables and the dataframe fallbacks need one.
+	StudyMaterializations int64
+	// SnapshotReleases counts mappings of evicted studies closed when
+	// their last request released them.
+	SnapshotReleases int64
 	// Resident is the number of studies currently cached.
 	Resident int
 }
@@ -124,10 +163,14 @@ type cacheEntry struct {
 }
 
 // flight is one in-progress build; study/err are set before done closes.
+// users counts its waiters until the result is published (under Cache.mu),
+// when they pass to the study.
 type flight struct {
-	done  chan struct{}
-	study *Study
-	err   error
+	done      chan struct{}
+	study     *Study
+	err       error
+	users     users
+	published bool
 }
 
 // NewSnapshotCache creates a cache holding at most capacity studies
@@ -169,13 +212,27 @@ func (c *Cache) SetSnapshotPeers(peers []string, timeout time.Duration) error {
 
 // Get returns the study for seed, building it on first use. It blocks
 // until the study is ready or ctx expires; on expiry the error is the
-// context's and the background build continues.
+// context's and the background build continues. The study is pinned (see
+// users): it stays readable however long the caller keeps it.
 func (c *Cache) Get(ctx context.Context, seed int64) (*Study, error) {
+	return c.get(ctx, seed, true)
+}
+
+// hold is Get for a caller that says when it is done: the study is held
+// until release, and an evicted mapped study is closed by its last
+// release instead of waiting for a finalizer.
+func (c *Cache) hold(ctx context.Context, seed int64) (*Study, error) {
+	return c.get(ctx, seed, false)
+}
+
+// get is Get (pin) or hold.
+func (c *Cache) get(ctx context.Context, seed int64, pin bool) (*Study, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[seed]; ok {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
 		study := el.Value.(*cacheEntry).study
+		study.users.add(pin)
 		c.mu.Unlock()
 		return study, nil
 	}
@@ -186,13 +243,40 @@ func (c *Cache) Get(ctx context.Context, seed int64) (*Study, error) {
 		c.flights[seed] = fl
 		go c.run(seed, fl)
 	}
+	fl.users.add(pin)
 	c.mu.Unlock()
 
 	select {
 	case <-fl.done:
 		return fl.study, fl.err
 	case <-ctx.Done():
+		if !pin {
+			c.mu.Lock()
+			published := fl.published
+			if !published {
+				fl.users.holds--
+			}
+			c.mu.Unlock()
+			if published && fl.err == nil {
+				c.release(fl.study)
+			}
+		}
 		return nil, ctx.Err()
+	}
+}
+
+// release drops one hold taken by hold. The last release of an evicted
+// mapped study closes its mapping.
+func (c *Cache) release(study *Study) {
+	c.mu.Lock()
+	study.users.holds--
+	closing := study.closable()
+	if closing {
+		c.stats.SnapshotReleases++
+	}
+	c.mu.Unlock()
+	if closing {
+		study.view.Close()
 	}
 }
 
@@ -201,10 +285,13 @@ func (c *Cache) run(seed int64, fl *flight) {
 	study, err := c.acquire(seed)
 	fl.study, fl.err = study, err
 
-	var evicted []*Study
+	var evicted, closing []*Study
 	c.mu.Lock()
 	delete(c.flights, seed)
+	fl.published = true
 	if err == nil {
+		study.users.holds += fl.users.holds
+		study.users.pinned = study.users.pinned || fl.users.pinned
 		el := c.order.PushFront(&cacheEntry{seed: seed, study: study})
 		c.entries[seed] = el
 		for c.order.Len() > c.cap {
@@ -214,18 +301,28 @@ func (c *Cache) run(seed int64, fl *flight) {
 			delete(c.entries, entry.seed)
 			evicted = append(evicted, entry.study)
 			c.stats.Evictions++
+			entry.study.evicted = true
+			if entry.study.closable() {
+				closing = append(closing, entry.study)
+				c.stats.SnapshotReleases++
+			}
 		}
 	}
 	c.mu.Unlock()
-	close(fl.done)
 	// Requests still holding an evicted study finish with it, but its
-	// memoized bodies go now rather than whenever the last one does.
+	// memoized bodies go now rather than whenever the last one does, and
+	// a mapping nobody holds is closed before the waiters wake, so no
+	// request that caused an eviction returns with the unmap pending.
 	for _, old := range evicted {
 		old.memo.Range(func(key, _ any) bool {
 			old.memo.Delete(key)
 			return true
 		})
 	}
+	for _, old := range closing {
+		old.view.Close()
+	}
+	close(fl.done)
 }
 
 // acquire produces the study for one coalesced miss: v2 snapshot tier,
@@ -302,23 +399,33 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 // endpoint actually needs whole tables. The view is validated end-to-end
 // at open, so a success here is as trustworthy as a fresh build.
 //
+// Listings, accident pages and reliability metrics read the columns; only
+// Study.Database (the paper tables) and the dataframe fallbacks decode the
+// whole database, counted as StudyMaterializations.
+//
 // Release path: OpenSeed retains no file descriptor (the fd is closed as
 // soon as the mapping exists), so an evicted study pins only its mapping.
-// The mapping is torn down by a finalizer once the last request
-// referencing the engine drops it — eviction under churn is bounded by
-// cache capacity plus in-flight requests, never by how many seeds have
-// ever been served. TestEvictionChurnMappedViews pins this.
+// Server requests hold the study while they run, and the release that
+// leaves an evicted study unheld closes the mapping (SnapshotReleases), so
+// live mappings are bounded by cache capacity plus in-flight requests,
+// without waiting for a collection. A study handed out by Get is pinned
+// and left to the mapping's finalizer, which stays as the backstop.
+// TestEvictionChurnMappedViews and TestServerChurnReleasesMappings pin
+// both paths.
 func (c *Cache) loadSnapshot2(seed int64) (*Study, error) {
 	v, err := snapshot2.OpenSeed(c.snapDir, seed)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := query.NewFromSource(v, v.Database)
+	engine, err := query.NewFromSource(v, func() (*core.DB, error) {
+		c.bump(&c.stats.StudyMaterializations)
+		return v.Database()
+	})
 	if err != nil {
 		v.Close()
 		return nil, err
 	}
-	return &Study{Engine: engine, ETag: etagFromCRC(v.Checksum())}, nil
+	return &Study{Engine: engine, ETag: etagFromCRC(v.Checksum()), view: v}, nil
 }
 
 // bump increments one stats counter under the cache lock.

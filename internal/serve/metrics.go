@@ -9,8 +9,9 @@ import (
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. The spread
-// covers sub-millisecond cache hits through multi-second first builds.
-var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10}
+// covers warm hits (a few hundred microseconds) through multi-second first
+// builds.
+var latencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10}
 
 // Metrics accumulates request counters and latency histograms and renders
 // them in Prometheus text exposition format using only the standard
@@ -138,6 +139,8 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		{"avserve_snapshot_fetches_total", "Cache misses served by pulling the seed's v2 snapshot from a peer (CRC re-verified on receipt).", cache.SnapshotFetches},
 		{"avserve_snapshot_fetch_misses_total", "Peer snapshot probes answered 404 on every peer (seed not held anywhere; falls back to a rebuild).", cache.SnapshotFetchMisses},
 		{"avserve_snapshot_fetch_errors_total", "Peer snapshot probes that failed (transport error, unexpected status, or a fetched file flunking validation); each falls back to a rebuild.", cache.SnapshotFetchErrors},
+		{"avserve_study_materializations_total", "Whole-database decodes of mapped studies (paper tables and dataframe fallbacks; listings, accidents and reliability read the columns).", cache.StudyMaterializations},
+		{"avserve_snapshot_releases_total", "Mappings of evicted studies closed when their last request released them.", cache.SnapshotReleases},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
 	}

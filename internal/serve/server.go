@@ -160,6 +160,15 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		defer cancel()
+		// The study a handler resolves is held until the response is
+		// written, 304s included, and released here.
+		held := &heldStudy{}
+		defer func() {
+			if held.study != nil {
+				s.cache.release(held.study)
+			}
+		}()
+		ctx = context.WithValue(ctx, heldStudyKey{}, held)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		// Responses differ by negotiated encoding, so every cache between
 		// here and the client must key on it.
@@ -174,6 +183,13 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		s.metrics.Observe(label, rec.code, time.Since(start).Seconds())
 	})
 }
+
+// heldStudyKey is the request-context key of the route wrapper's
+// *heldStudy slot.
+type heldStudyKey struct{}
+
+// heldStudy is where study records the study it holds for the request.
+type heldStudy struct{ study *Study }
 
 // statusRecorder captures the response code for metrics. It forwards the
 // optional streaming interfaces — hiding them would silently buffer whole
@@ -240,16 +256,18 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // study resolves the {seed} path segment and returns the cached (or
 // freshly built) study, after running the conditional-request check. A
-// false return means the response — error or 304 — is written.
+// false return means the response — error or 304 — is written. The study
+// is held until the route wrapper returns.
 func (s *Server) study(w http.ResponseWriter, r *http.Request) (*Study, bool) {
 	seed, err := strconv.ParseInt(r.PathValue("seed"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad seed %q: want an integer", r.PathValue("seed"))
 		return nil, false
 	}
-	study, err := s.cache.Get(r.Context(), seed)
+	study, err := s.cache.hold(r.Context(), seed)
 	switch {
 	case err == nil:
+		r.Context().Value(heldStudyKey{}).(*heldStudy).study = study
 	case errors.Is(err, context.DeadlineExceeded):
 		// The request deadline expired while the build kept running in the
 		// background; the retry the hint asks for hits the warm cache.

@@ -280,10 +280,14 @@ func TestCacheHitOnSecondRequest(t *testing.T) {
 // TestMetricsHelpText pins the counter help lines: the build counter and
 // the reject counter must describe distinct events (a snapshot reject
 // triggers a rebuild but is not a build failure — the descriptions used to
-// conflate them), and every snapshot counter must render.
+// conflate them), and every snapshot counter must render. It also pins the
+// latency buckets, whose first three bounds resolve warm requests.
 func TestMetricsHelpText(t *testing.T) {
 	var buf strings.Builder
-	if err := NewMetrics().WriteText(&buf, CacheStats{}); err != nil {
+	m := NewMetrics()
+	m.Observe("/r", 200, 0.0002)
+	m.Observe("/r", 200, 0.0004)
+	if err := m.WriteText(&buf, CacheStats{StudyMaterializations: 3, SnapshotReleases: 5}); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.String()
@@ -295,6 +299,14 @@ func TestMetricsHelpText(t *testing.T) {
 		"avserve_snapshot2_loads_total 0",
 		"avserve_snapshot2_writes_total 0",
 		"avserve_snapshot2_rejects_total 0",
+		"# HELP avserve_study_materializations_total Whole-database decodes of mapped studies (paper tables and dataframe fallbacks; listings, accidents and reliability read the columns).",
+		"avserve_study_materializations_total 3",
+		"# HELP avserve_snapshot_releases_total Mappings of evicted studies closed when their last request released them.",
+		"avserve_snapshot_releases_total 5",
+		`avserve_request_duration_seconds_bucket{route="/r",le="0.0001"} 0`,
+		`avserve_request_duration_seconds_bucket{route="/r",le="0.00025"} 1`,
+		`avserve_request_duration_seconds_bucket{route="/r",le="0.0005"} 2`,
+		`avserve_request_duration_seconds_bucket{route="/r",le="0.001"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics rendering missing %q", want)

@@ -2,6 +2,7 @@ package snapshot2
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -9,7 +10,9 @@ import (
 	"sort"
 	"testing"
 
+	"avfda/internal/pipeline"
 	"avfda/internal/query"
+	"avfda/internal/synth"
 )
 
 // jsonBytes renders v the way the avserve API would, so "results are
@@ -21,6 +24,102 @@ func jsonBytes(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// equivalenceQuery is one randomized query of the equivalence set: a
+// filter, a page, and a group-by column.
+type equivalenceQuery struct {
+	f    query.Filter
+	page query.Page
+	by   string
+}
+
+// equivalenceQueries draws the 250 queries the equivalence tests sweep.
+func equivalenceQueries() []equivalenceQuery {
+	rng := rand.New(rand.NewSource(99))
+	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
+	groupBys := append(query.GroupColumns(), "cause", "vehicle", "reportYear")
+	out := make([]equivalenceQuery, 250)
+	for i := range out {
+		out[i].f = query.Filter{
+			Manufacturer: pick("", "Waymo", "bosch", "Delphi", "Nissan"),
+			Tag:          pick("", "Planner", "software", "Recognition System"),
+			Category:     pick("", "ML/Design", "system"),
+			Road:         pick("", "highway", "city street"),
+			Weather:      pick("", "raining", "sunny"),
+			Modality:     pick("", "manual", "automatic"),
+			From:         pick("", "2015-01", "2015-06"),
+			To:           pick("", "2015-12", "2016-06"),
+		}
+		out[i].page = query.Page{Offset: rng.Intn(20), Limit: 1 + rng.Intn(50)}
+		out[i].by = groupBys[rng.Intn(len(groupBys))]
+	}
+	return out
+}
+
+// TestCalibratedStudiesAnswerFromColumns builds calibrated studies and
+// holds a View's exposure summary equal to the heap database's, bit for
+// bit, and its engine's reliability metrics and accident pages (over the
+// filters and pages of the equivalence set) byte-identical to a heap
+// engine's. The mapped engine has no database hook at all, so these
+// answers provably come from the columns.
+func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
+	for _, seed := range []int64{1, 2, 41, 165, 190, 500} {
+		cfg := pipeline.DefaultConfig()
+		cfg.Synth = synth.Config{Seed: seed}
+		cfg.OCR.Seed = seed
+		res, err := pipeline.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		data, err := Encode(res.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewView(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := v.Exposure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res.DB.Exposure(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: View exposure differs from the database's", seed)
+		}
+		heap, err := query.New(res.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := query.NewFromSource(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRel, err := heap.Reliability()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRel, err := mapped.Reliability()
+		if err != nil {
+			t.Fatalf("seed %d: mapped reliability: %v", seed, err)
+		}
+		if !bytes.Equal(jsonBytes(t, wantRel), jsonBytes(t, gotRel)) {
+			t.Fatalf("seed %d: reliability metrics diverge", seed)
+		}
+		for _, q := range append(equivalenceQueries(), equivalenceQuery{}, equivalenceQuery{page: query.Page{Offset: 40, Limit: 1000}}) {
+			want, err := heap.Accidents(q.f, q.page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mapped.Accidents(q.f, q.page)
+			if err != nil {
+				t.Fatalf("seed %d: mapped accidents: %v", seed, err)
+			}
+			if !bytes.Equal(jsonBytes(t, want), jsonBytes(t, got)) {
+				t.Fatalf("seed %d filter %+v page %+v: accident pages diverge", seed, q.f, q.page)
+			}
+		}
+	}
 }
 
 // TestSnapshotV2QueryEquivalence is the contract that lets avserve swap a
@@ -52,21 +151,8 @@ func TestSnapshotV2QueryEquivalence(t *testing.T) {
 		t.Fatalf("Len: fresh %d, mapped %d", fresh.Len(), mapped.Len())
 	}
 
-	rng := rand.New(rand.NewSource(99))
-	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
-	groupBys := append(query.GroupColumns(), "cause", "vehicle", "reportYear")
-	for i := 0; i < 250; i++ {
-		f := query.Filter{
-			Manufacturer: pick("", "Waymo", "bosch", "Delphi", "Nissan"),
-			Tag:          pick("", "Planner", "software", "Recognition System"),
-			Category:     pick("", "ML/Design", "system"),
-			Road:         pick("", "highway", "city street"),
-			Weather:      pick("", "raining", "sunny"),
-			Modality:     pick("", "manual", "automatic"),
-			From:         pick("", "2015-01", "2015-06"),
-			To:           pick("", "2015-12", "2016-06"),
-		}
-		page := query.Page{Offset: rng.Intn(20), Limit: 1 + rng.Intn(50)}
+	for i, q := range equivalenceQueries() {
+		f, page := q.f, q.page
 
 		wantN, err := fresh.Count(f)
 		if err != nil {
@@ -104,7 +190,7 @@ func TestSnapshotV2QueryEquivalence(t *testing.T) {
 			t.Fatalf("filter %+v: accident pages diverge", f)
 		}
 
-		by := groupBys[rng.Intn(len(groupBys))]
+		by := q.by
 		wantGr, err := fresh.GroupCount(f, by)
 		if err != nil {
 			t.Fatal(err)

@@ -13,9 +13,10 @@ import (
 // over the mapping. A missing file surfaces as fs.ErrNotExist (a plain
 // cache-tier miss, not corruption); anything structurally wrong yields the
 // package's typed errors. The mapping is released by Close or, failing
-// that, by a finalizer once the View is unreachable — cache eviction can
-// simply drop the View even while late readers hold materialized results,
-// because nothing handed out aliases the mapped bytes.
+// that, by a finalizer once the View is unreachable. Late readers may keep
+// materialized results after either, because nothing handed out aliases
+// the mapped bytes; avserve's cache closes an evicted View when its last
+// request lets go, and the finalizer covers views nobody closes.
 //
 // The length and checksum are validated against the mapped bytes before
 // the View is returned, so a file truncated at write time is rejected here

@@ -446,12 +446,60 @@ func lookup(idx map[string]*postingList, key string) []int {
 	return p.rows()
 }
 
+// Exposure summarizes the study's exposure (Tables VI-VII) straight from
+// the fleet, mileage, event and accident columns, keyed by string ids: no
+// table is decoded and only the manufacturer and vehicle names are read.
+// Each table is fed in row order, so every sum is bit-identical to the
+// materialized database's. The error is always nil for a validated View.
+func (v *View) Exposure() (*core.Exposure, error) {
+	t := core.NewExposureTally(v.str)
+	for i := 0; i < v.nFleets; i++ {
+		t.Fleet(v.u32(secFlMfr, i))
+	}
+	for i := 0; i < v.nMileage; i++ {
+		t.Mileage(v.u32(secMlMfr, i), v.u32(secMlVehicle, i), v.f64(secMlMiles, i))
+	}
+	for i := 0; i < v.nEvents; i++ {
+		t.Event(v.u32(secEvMfr, i), v.u32(secEvVehicle, i))
+	}
+	for i := 0; i < v.nAccidents; i++ {
+		t.Accident(v.u32(secAcMfr, i))
+	}
+	return t.Exposure(), nil
+}
+
+// Accidents decodes the accident table alone, heap-allocated and
+// independent of the mapping (nil when the study has none). The error is
+// always nil for a validated View.
+func (v *View) Accidents() ([]schema.Accident, error) {
+	if v.nAccidents == 0 {
+		return nil, nil
+	}
+	out := make([]schema.Accident, v.nAccidents)
+	for i := range out {
+		flags := v.sec(secAcFlags)[i]
+		out[i] = schema.Accident{
+			Manufacturer:     schema.Manufacturer(v.str(v.u32(secAcMfr, i))),
+			Vehicle:          schema.VehicleID(v.str(v.u32(secAcVehicle, i))),
+			ReportYear:       schema.ReportYear(v.i64(secAcYear, i)),
+			Time:             v.timeAt(secAcTimeSec, secAcTimeNsec, i),
+			Location:         v.str(v.u32(secAcLocation, i)),
+			Narrative:        v.str(v.u32(secAcNarrative, i)),
+			AVSpeedMPH:       v.f64(secAcAVSpeed, i),
+			OtherSpeedMPH:    v.f64(secAcOtherSpeed, i),
+			InAutonomousMode: flags&flagAutonomous != 0,
+			Redacted:         flags&flagRedacted != 0,
+		}
+	}
+	return out, nil
+}
+
 // Database materializes the full failure database from the columns —
 // heap-allocated, independent of the mapping — built once and cached. The
-// engine calls this lazily for the analyses that genuinely need whole
-// tables (accident listings, reliability metrics, dataframe export);
-// filter/group-by traffic never pays for it. The error is always nil for
-// a validated View; the signature matches the engine's lazy-database hook.
+// engine calls this lazily only for what genuinely needs whole tables (the
+// paper tables and the dataframe fallbacks); listings, accident pages and
+// reliability metrics never pay for it. The error is always nil for a
+// validated View; the signature matches the engine's lazy-database hook.
 func (v *View) Database() (*core.DB, error) {
 	v.dbOnce.Do(func() { v.db = v.materialize() })
 	return v.db, nil
@@ -503,24 +551,7 @@ func (v *View) materialize() *core.DB {
 			}
 		}
 	}
-	if v.nAccidents > 0 {
-		db.Accidents = make([]schema.Accident, v.nAccidents)
-		for i := range db.Accidents {
-			flags := v.sec(secAcFlags)[i]
-			db.Accidents[i] = schema.Accident{
-				Manufacturer:     schema.Manufacturer(v.str(v.u32(secAcMfr, i))),
-				Vehicle:          schema.VehicleID(v.str(v.u32(secAcVehicle, i))),
-				ReportYear:       schema.ReportYear(v.i64(secAcYear, i)),
-				Time:             v.timeAt(secAcTimeSec, secAcTimeNsec, i),
-				Location:         v.str(v.u32(secAcLocation, i)),
-				Narrative:        v.str(v.u32(secAcNarrative, i)),
-				AVSpeedMPH:       v.f64(secAcAVSpeed, i),
-				OtherSpeedMPH:    v.f64(secAcOtherSpeed, i),
-				InAutonomousMode: flags&flagAutonomous != 0,
-				Redacted:         flags&flagRedacted != 0,
-			}
-		}
-	}
+	db.Accidents, _ = v.Accidents() // never fails on a validated View
 	return db
 }
 
