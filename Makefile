@@ -22,15 +22,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The analyzer suite over the whole repository, the same two passes as
+# The analyzer suite over the whole repository, the same single pass as
 # CI's lint job (which adds -gha only to render findings as annotations).
 # See DESIGN.md systems #21, #25, and #26 for what each analyzer
-# enforces. The first pass is uncached and is the blocking gate; the
-# second goes through the .lintcache findings cache, so it keeps the
-# incremental path developers pay exercised.
+# enforces.
 lint:
 	$(GO) run ./cmd/avlint ./...
-	$(GO) run ./cmd/avlint -cache-dir .lintcache ./...
 
 # Short fuzz smoke over the snapshot reader: arbitrary bytes must yield a
 # typed error or a valid view, never a panic or a fault on a mapped page.

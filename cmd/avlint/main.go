@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	avlint [-disable name,name] [-list] [-json] [-gha] [-cache-dir dir]
+//	avlint [-C dir] [-disable name,name] [-list] [-json] [-gha]
 //	       [-parallel n] [packages]
 //
 // With no package patterns it lints ./... from the current directory. Each
@@ -13,16 +13,10 @@
 //	path/file.go:line:col: [analyzer] message
 //
 // -json switches stdout to a machine-readable JSON object with a
-// "findings" array and a "timings_ns" map of cumulative per-analyzer wall
-// time, and -gha to GitHub Actions workflow commands (::error file=...)
-// so CI annotates the offending lines in pull requests. -parallel bounds
-// the loading/analysis worker pools (default: all cores); wall time is
-// reported on stderr either way.
-//
-// -cache-dir enables the incremental findings cache (lint.RunCachedTimed):
-// packages whose content, analyzer set, and in-module dependency closure
-// are unchanged are served from the cache byte-identically, and only the
-// rest are re-analyzed. The stderr summary reports the hit/miss split.
+// "findings" array, and -gha to GitHub Actions workflow commands
+// (::error file=...) so CI annotates the offending lines in pull requests.
+// -parallel bounds the loading/analysis worker pools (default: all cores);
+// wall time is reported on stderr either way.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when loading or analysis itself failed — a package that
@@ -56,9 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "print the analyzers and exit")
 	dir := fs.String("C", ".", "run as if started in this directory")
-	jsonOut := fs.Bool("json", false, "print findings as a JSON array")
+	jsonOut := fs.Bool("json", false, "print findings as a JSON object")
 	gha := fs.Bool("gha", false, "print findings as GitHub Actions ::error annotations")
-	cacheDir := fs.String("cache-dir", "", "findings cache directory; warm runs re-analyze only changed packages")
 	parallel := fs.Int("parallel", 0, "worker pool size for loading and analysis (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -81,33 +74,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	var (
-		diags     []lint.Diagnostic
-		timings   lint.Timings
-		npkgs     int
-		cacheNote string
-	)
-	if *cacheDir != "" {
-		var stats lint.CacheStats
-		diags, timings, stats, err = lint.RunCachedTimed(*dir, *cacheDir, *parallel, analyzers, patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, "avlint:", err)
-			return 2
-		}
-		npkgs = stats.Hits + stats.Misses
-		cacheNote = fmt.Sprintf(", cache %d hit(s) %d miss(es)", stats.Hits, stats.Misses)
-	} else {
-		pkgs, err := lint.LoadModuleParallel(*dir, *parallel, patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, "avlint:", err)
-			return 2
-		}
-		diags, timings, err = lint.RunTimed(pkgs, analyzers, *parallel)
-		if err != nil {
-			fmt.Fprintln(stderr, "avlint:", err)
-			return 2
-		}
-		npkgs = len(pkgs)
+	pkgs, err := lint.LoadModuleParallel(*dir, *parallel, patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, "avlint:", err)
+		return 2
+	}
+	diags, err := lint.RunParallel(pkgs, analyzers, *parallel)
+	if err != nil {
+		fmt.Fprintln(stderr, "avlint:", err)
+		return 2
 	}
 	elapsed := time.Since(start)
 
@@ -117,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	switch {
 	case *jsonOut:
-		if err := writeJSON(stdout, diags, timings); err != nil {
+		if err := writeJSON(stdout, diags); err != nil {
 			fmt.Fprintln(stderr, "avlint:", err)
 			return 2
 		}
@@ -128,8 +103,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
 		}
 	}
-	fmt.Fprintf(stderr, "avlint: %d package(s), %d analyzer(s) in %s%s\n",
-		npkgs, len(analyzers), elapsed.Round(time.Millisecond), cacheNote)
+	fmt.Fprintf(stderr, "avlint: %d package(s), %d analyzer(s) in %s\n",
+		len(pkgs), len(analyzers), elapsed.Round(time.Millisecond))
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "avlint: %d violation(s)\n", len(diags))
 		return 1
@@ -158,18 +133,14 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonReport is the -json stdout payload: the findings plus each
-// analyzer's cumulative wall time in nanoseconds. "findings" is always
-// present (empty array when clean), so consumers can unmarshal
-// unconditionally.
+// jsonReport is the -json stdout payload. "findings" is always present
+// (empty array when clean), so consumers can unmarshal unconditionally.
 type jsonReport struct {
-	Findings  []jsonFinding    `json:"findings"`
-	TimingsNS map[string]int64 `json:"timings_ns"`
+	Findings []jsonFinding `json:"findings"`
 }
 
-// writeJSON renders the findings and per-analyzer timings as one JSON
-// object.
-func writeJSON(w io.Writer, diags []lint.Diagnostic, timings lint.Timings) error {
+// writeJSON renders the findings as one JSON object.
+func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
 	findings := make([]jsonFinding, 0, len(diags))
 	for _, d := range diags {
 		findings = append(findings, jsonFinding{
@@ -180,13 +151,9 @@ func writeJSON(w io.Writer, diags []lint.Diagnostic, timings lint.Timings) error
 			Message:  d.Message,
 		})
 	}
-	ns := make(map[string]int64, len(timings))
-	for name, d := range timings {
-		ns[name] = d.Nanoseconds()
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(jsonReport{Findings: findings, TimingsNS: ns})
+	return enc.Encode(jsonReport{Findings: findings})
 }
 
 // writeAnnotations renders findings as GitHub Actions workflow commands so

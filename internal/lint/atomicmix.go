@@ -20,9 +20,12 @@ package lint
 // as is access through an alias created by `&x.f`.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"sort"
 
 	"avfda/internal/lint/cfg"
 )
@@ -34,8 +37,7 @@ var AtomicMix = &Analyzer{
 	Doc: "flags struct fields and package variables updated via sync/atomic (or typed " +
 		"atomics like atomic.Int64) that are also read or read-modify-written as plain " +
 		"values without the guarding mutex held",
-	Version: 1,
-	Run:     runAtomicMix,
+	Run: runAtomicMix,
 }
 
 // atomicWitness records where a variable was seen used atomically, for the
@@ -300,4 +302,53 @@ func isAtomicNamed(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
+}
+
+// inModuleClosure returns the sorted import paths of every source-checked
+// in-module package reachable from the pass's package, excluding itself.
+func inModuleClosure(pass *Pass) []string {
+	seen := map[string]bool{pass.Pkg.Path(): true}
+	var out []string
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			if seen[imp.Path()] {
+				continue
+			}
+			seen[imp.Path()] = true
+			if len(pass.Funcs.FuncsIn(imp.Path())) > 0 {
+				out = append(out, imp.Path())
+			}
+			walk(imp)
+		}
+	}
+	walk(pass.Pkg)
+	sort.Strings(out)
+	return out
+}
+
+// typeDisplay renders a type name for diagnostics: pkg.Name for named
+// types (after pointer indirection), the type string otherwise.
+func typeDisplay(t types.Type) string {
+	if t == nil {
+		return "?"
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		obj := n.Obj()
+		if obj.Pkg() != nil {
+			return obj.Pkg().Name() + "." + obj.Name()
+		}
+		return obj.Name()
+	}
+	return t.String()
+}
+
+// posShort renders a position as base-filename:line, for cross-file
+// references inside one diagnostic message.
+func posShort(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -1,8 +1,8 @@
 package lint
 
-// Call-graph plumbing for the interprocedural (generation-3) analyzers:
-// static callee resolution, receiver-first operand indexing, and the
-// summary scheduler that walks the module-local call graph bottom-up.
+// Call-graph plumbing for the interprocedural (generation-3) analyzer,
+// resleak: static callee resolution, receiver-first operand indexing, and
+// the summary scheduler that walks the module-local call graph bottom-up.
 //
 // The call graph is implicit: summarize(fn) recursively summarizes fn's
 // callees before fn itself, memoizing per function, which visits the
@@ -176,39 +176,21 @@ func wholeIdentObj(info *types.Info, e ast.Expr) types.Object {
 	return nil
 }
 
-// summaries caches the three per-function summary kinds for one package's
-// analyzers. Analyzers of a package run sequentially on one goroutine, so
-// the caches are unsynchronized; the FuncIndex behind them is shared and
-// locked.
+// summaries caches resleak's per-function release summaries for one pass.
+// A pass runs on one goroutine, so the cache is unsynchronized; the
+// FuncIndex behind it is shared and locked.
 type summaries struct {
 	ix *FuncIndex
 
 	rel     map[*types.Func]*relSummary
 	relBusy map[*types.Func]bool
-	tnt     map[*types.Func]*taintSummary
-	tntBusy map[*types.Func]bool
-	brw     map[*types.Func]*borrowSummary
-	brwBusy map[*types.Func]bool
-	lck     map[*types.Func]*lockSummary
-	lckBusy map[*types.Func]bool
-
-	// lockNames records a stable display name per lock object, captured at
-	// the first (deterministic, source-ordered) resolution of each lock.
-	lockNames map[*types.Var]string
 }
 
 func newSummaries(ix *FuncIndex) *summaries {
 	return &summaries{
-		ix:        ix,
-		rel:       map[*types.Func]*relSummary{},
-		relBusy:   map[*types.Func]bool{},
-		tnt:       map[*types.Func]*taintSummary{},
-		tntBusy:   map[*types.Func]bool{},
-		brw:       map[*types.Func]*borrowSummary{},
-		brwBusy:   map[*types.Func]bool{},
-		lck:       map[*types.Func]*lockSummary{},
-		lckBusy:   map[*types.Func]bool{},
-		lockNames: map[*types.Var]string{},
+		ix:      ix,
+		rel:     map[*types.Func]*relSummary{},
+		relBusy: map[*types.Func]bool{},
 	}
 }
 
@@ -234,79 +216,6 @@ func (s *summaries) release(fn *types.Func) *relSummary {
 	sum := computeRelSummary(s, fn, src)
 	delete(s.relBusy, fn)
 	s.rel[fn] = sum
-	return sum
-}
-
-// taint returns fn's taint summary under the same contract as release.
-func (s *summaries) taint(fn *types.Func) *taintSummary {
-	if s == nil || fn == nil {
-		return nil
-	}
-	fn = fn.Origin()
-	if sum, ok := s.tnt[fn]; ok {
-		return sum
-	}
-	if s.tntBusy[fn] {
-		return nil
-	}
-	src, ok := s.ix.Source(fn)
-	if !ok {
-		return nil
-	}
-	s.tntBusy[fn] = true
-	sum := computeTaintSummary(s, fn, src)
-	delete(s.tntBusy, fn)
-	s.tnt[fn] = sum
-	return sum
-}
-
-// borrow returns fn's view-borrow summary under the same contract as
-// release.
-func (s *summaries) borrow(fn *types.Func) *borrowSummary {
-	if s == nil || fn == nil {
-		return nil
-	}
-	fn = fn.Origin()
-	if sum, ok := s.brw[fn]; ok {
-		return sum
-	}
-	if s.brwBusy[fn] {
-		return nil
-	}
-	src, ok := s.ix.Source(fn)
-	if !ok {
-		return nil
-	}
-	s.brwBusy[fn] = true
-	sum := computeBorrowSummary(s, fn, src)
-	delete(s.brwBusy, fn)
-	s.brw[fn] = sum
-	return sum
-}
-
-// lock returns fn's lock-acquisition summary under the same contract as
-// release: nil for unknown callees (no source, or an SCC mate
-// mid-computation), which lockorder treats as "acquires nothing" — the
-// false-negative direction, never a spurious deadlock report.
-func (s *summaries) lock(fn *types.Func) *lockSummary {
-	if s == nil || fn == nil {
-		return nil
-	}
-	fn = fn.Origin()
-	if sum, ok := s.lck[fn]; ok {
-		return sum
-	}
-	if s.lckBusy[fn] {
-		return nil
-	}
-	src, ok := s.ix.Source(fn)
-	if !ok {
-		return nil
-	}
-	s.lckBusy[fn] = true
-	sum := computeLockSummary(s, fn, src)
-	delete(s.lckBusy, fn)
-	s.lck[fn] = sum
 	return sum
 }
 

@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // An Analyzer describes one invariant check. It is stateless: Run is invoked
@@ -53,11 +52,6 @@ type Analyzer struct {
 	// a non-empty scope without a recorded exemption, so scope lists can
 	// no longer silently drift as packages are added.
 	Scope []string
-	// Version participates in the findings-cache key (cache.go): bump it
-	// whenever the analyzer's diagnostics can change for unchanged input —
-	// a new check, a reworded message, a fixed false positive — so stale
-	// cached findings are invalidated instead of replayed.
-	Version int
 	// Run inspects one package and reports violations through the pass.
 	Run func(*Pass) error
 }
@@ -85,7 +79,6 @@ type Pass struct {
 	// then fall back to their conservative unknown-callee behavior.
 	Funcs *FuncIndex
 
-	pkg   *Package
 	diags *[]Diagnostic
 }
 
@@ -130,21 +123,6 @@ func (p *Pass) InScope() bool {
 	return p.PathHasSuffix(p.Analyzer.Scope...)
 }
 
-// summaries returns the package's interprocedural summary cache, creating it
-// on first use. Analyzers of one package run sequentially on one goroutine
-// (runPackage), so the lazy init needs no lock; distinct packages each carry
-// their own cache, trading a little duplicate summarization of shared
-// callees for zero cross-package synchronization.
-func (p *Pass) summaries() *summaries {
-	if p.pkg == nil {
-		return nil
-	}
-	if p.pkg.sums == nil {
-		p.pkg.sums = newSummaries(p.Funcs)
-	}
-	return p.pkg.sums
-}
-
 // A Diagnostic is one reported violation, with its position already
 // resolved.
 type Diagnostic struct {
@@ -160,12 +138,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Timings accumulates, per analyzer name, the total wall time its Run spent
-// across every package. Under parallel scheduling the per-analyzer sums can
-// exceed elapsed wall clock (packages overlap); they are still the right
-// trajectory metric because each analyzer's share is scheduling-independent.
-type Timings map[string]time.Duration
-
 // Run applies every analyzer to every package and returns the surviving
 // diagnostics sorted by file, line, column, and analyzer name — a
 // deterministic order regardless of analyzer scheduling. Packages are
@@ -175,19 +147,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // RunParallel is Run with an explicit worker count; workers <= 0 selects
-// GOMAXPROCS.
+// GOMAXPROCS. Scheduling cannot affect the result: per-package results are
+// collected by index (the first failing package in input order wins as the
+// returned error) and the final sort fixes the diagnostic order.
 func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(pkgs, analyzers, workers)
-	return diags, err
-}
-
-// RunTimed is RunParallel returning per-analyzer cumulative wall times
-// alongside the diagnostics. Scheduling cannot affect the diagnostics:
-// per-package results are collected by index (the first failing package in
-// input order wins as the returned error) and the final sort fixes the
-// diagnostic order. Timings are summed over packages, so only their
-// magnitude — not the result — varies with machine load.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, Timings, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -200,7 +163,6 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic
 
 	type pkgResult struct {
 		diags []Diagnostic
-		times Timings
 		err   error
 	}
 	results := make([]pkgResult, len(pkgs))
@@ -211,8 +173,8 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				diags, times, err := runPackage(pkgs[i], analyzers)
-				results[i] = pkgResult{diags, times, err}
+				diags, err := runPackage(pkgs[i], analyzers)
+				results[i] = pkgResult{diags, err}
 			}
 		}()
 	}
@@ -223,25 +185,12 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic
 	wg.Wait()
 
 	var diags []Diagnostic
-	times := Timings{}
 	for _, r := range results {
 		if r.err != nil {
-			return nil, nil, r.err
+			return nil, r.err
 		}
 		diags = append(diags, r.diags...)
-		for name, d := range r.times {
-			times[name] += d
-		}
 	}
-	sortDiagnostics(diags)
-	return diags, times, nil
-}
-
-// sortDiagnostics fixes the canonical diagnostic order — file, line,
-// column, analyzer name — shared by RunTimed and the findings cache, so a
-// run assembled from cached and fresh packages orders identically to a
-// cold one.
-func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -255,14 +204,14 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags, nil
 }
 
 // runPackage applies the analyzers to one package and filters the
 // diagnostics through its //lint:allow directives.
-func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, Timings, error) {
+func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allows := collectAllows(pkg)
 	var pkgDiags []Diagnostic
-	times := Timings{}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -272,14 +221,10 @@ func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, Timings, err
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
 			Funcs:    pkg.Funcs,
-			pkg:      pkg,
 			diags:    &pkgDiags,
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		times[a.Name] += time.Since(start)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
 	}
 	var out []Diagnostic
@@ -288,7 +233,7 @@ func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, Timings, err
 			out = append(out, d)
 		}
 	}
-	return out, times, nil
+	return out, nil
 }
 
 // allowKey identifies one (file, line, analyzer) suppression.
@@ -332,16 +277,14 @@ func (s allowSet) allowed(d Diagnostic) bool {
 
 // All returns the full analyzer suite in stable order: the generation-1
 // AST-level analyzers, the generation-2 flow-sensitive ones built on
-// internal/lint/cfg, the generation-3 interprocedural ones built on the
-// module-local call graph and function summaries, and the generation-4
-// module-scope concurrency ones (lock-ordering cycles, atomic/plain mixed
-// access).
+// internal/lint/cfg, the generation-3 interprocedural resource-leak check
+// built on the module-local call graph and function summaries, and the
+// generation-4 module-scope atomic/plain mixed-access check.
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter, ErrSubstr, NonDeterm, ExhaustiveCategory,
 		LockCheck, GoroLeak, CtxFlow, HTTPResp,
-		Resleak, TaintFlow, ViewLife,
-		LockOrder, AtomicMix,
+		Resleak, AtomicMix,
 	}
 }
 

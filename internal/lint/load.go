@@ -49,10 +49,6 @@ type Package struct {
 	// interprocedural (generation-3) analyzers. Shared by all packages of
 	// one Load call.
 	Funcs *FuncIndex
-
-	// sums lazily caches this package's interprocedural summaries. The
-	// analyzers of one package run sequentially (runPackage), so no lock.
-	sums *summaries
 }
 
 // FuncSource is one function declaration with the typing context it was
@@ -76,7 +72,7 @@ type FuncIndex struct {
 	mu    sync.RWMutex
 	funcs map[*types.Func]FuncSource
 	// paths lists each package's indexed functions in declaration order,
-	// so module-scope analyzers (lockorder, atomicmix) can iterate every
+	// so the module-scope analyzer (atomicmix) can iterate every
 	// source-checked function of a dependency deterministically.
 	paths map[string][]*types.Func
 }
@@ -132,8 +128,7 @@ func (ix *FuncIndex) record(path string, files []*ast.File, info *types.Info) {
 	}
 }
 
-// listedPkg is the subset of `go list -json` output the loader and the
-// findings cache consume.
+// listedPkg is the subset of `go list -json` output the loader consumes.
 type listedPkg struct {
 	ImportPath   string
 	Dir          string
@@ -141,9 +136,6 @@ type listedPkg struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	XTestImports []string
 	Standard     bool
 }
 

@@ -11,7 +11,7 @@ import (
 
 // LockCheck walks every function body's control-flow graph tracking which
 // sync.Mutex / sync.RWMutex receivers are held at each program point, and
-// reports two violation classes:
+// reports three violation classes:
 //
 //   - a lock acquired on some path but not released (directly or by a
 //     deferred unlock) before the function exits — the partial-unlock bug
@@ -20,17 +20,23 @@ import (
 //     time.Sleep, WaitGroup.Wait, a call whose signature accepts a
 //     context.Context, or I/O through an interface-typed writer — executed
 //     while any lock is held, the singleflight-cache bug class: the lock
-//     outlives its critical section and serializes slow I/O.
+//     outlives its critical section and serializes slow I/O;
+//   - a lock acquired while another (or the same) one is held. Nested
+//     locks are how lock-order deadlocks start, and the module takes one
+//     lock at a time, so the rule is kept absolute rather than ordered.
 //
-// The accepted idioms: release before blocking (snapshot shared state under
-// the lock, do the slow work outside), and `defer mu.Unlock()` immediately
-// after the acquire. Sends/receives inside a `select` with a `default`
-// clause are non-blocking and not flagged. Goroutine bodies launched with
-// `go` run on their own stack and are analyzed as their own frames.
+// The accepted idioms: release before blocking or locking again (snapshot
+// shared state under the lock, do the slow work outside), and `defer
+// mu.Unlock()` immediately after the acquire. Sends/receives inside a
+// `select` with a `default` clause are non-blocking and not flagged.
+// Goroutine bodies launched with `go` run on their own stack and are
+// analyzed as their own frames. The check is intraprocedural: a lock taken
+// inside a callee while the caller holds another is not seen.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
-	Doc: "flags Mutex/RWMutex locks not released on every path and blocking calls " +
-		"(channel ops, ctx-accepting callees, interface-writer I/O) made while a lock is held",
+	Doc: "flags Mutex/RWMutex locks not released on every path, locks taken while another " +
+		"is held, and blocking calls (channel ops, ctx-accepting callees, interface-writer " +
+		"I/O) made while a lock is held",
 	Run: runLockCheck,
 }
 
@@ -82,9 +88,9 @@ func checkLocks(pass *Pass, name string, body *ast.BlockStmt) {
 	}
 	in := cfg.Forward(g, flow)
 
-	// Replay each reachable block to place blocking-while-held diagnostics,
-	// applying the transfer after the check so the acquiring statement is
-	// not flagged against itself.
+	// Replay each reachable block to place blocking-while-held and
+	// nested-acquire diagnostics, applying the transfer after the check so
+	// the acquiring statement is not flagged against itself.
 	reported := map[token.Pos]bool{}
 	for _, blk := range g.Blocks {
 		s, ok := in[blk]
@@ -97,12 +103,25 @@ func checkLocks(pass *Pass, name string, body *ast.BlockStmt) {
 			// are handled by the transfer function.
 			_, isDefer := n.(*ast.DeferStmt)
 			if len(s) > 0 && !isDefer {
+				k := earliestLock(s)
+				held, line := k.expr+lockVerb(k.kind), pass.Fset.Position(k.pos).Line
 				if desc, pos := blockingDesc(pass, n, nonBlocking); desc != "" && !reported[pos] {
 					reported[pos] = true
-					k := earliestLock(s)
 					pass.Reportf(pos, "%s while %s is held (acquired at line %d); release the lock before blocking",
-						desc, k.expr+lockVerb(k.kind), pass.Fset.Position(k.pos).Line)
+						desc, held, line)
 				}
+				scanShallow(n, func(m ast.Node) bool {
+					call, ok := m.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if expr, kind, acquire, ok := lockOp(pass, call); ok && acquire && !reported[call.Pos()] {
+						reported[call.Pos()] = true
+						pass.Reportf(call.Pos(), "%s while %s is held (acquired at line %d); nested locks can deadlock, release %s first",
+							expr+lockVerb(kind), held, line, k.expr)
+					}
+					return true
+				})
 			}
 			s = lockTransfer(pass, n, s)
 		}

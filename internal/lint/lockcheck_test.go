@@ -16,3 +16,12 @@ import (
 func TestLockCheck(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), lint.LockCheck, "lock/a")
 }
+
+// TestLockCheckNestedAcquire drives lockcheck's nested-acquire rule: a
+// mutex taken while another is held (directly, on the same mutex, or read
+// under write) is flagged;
+// release-then-acquire and locking inside a spawned goroutine are
+// accepted, and a lock taken inside a callee is the documented miss.
+func TestLockCheckNestedAcquire(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), lint.LockCheck, "lock/nested")
+}

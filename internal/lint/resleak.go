@@ -312,7 +312,7 @@ func runResleak(pass *Pass) error {
 	if !pass.InScope() {
 		return nil
 	}
-	e := &resEngine{info: pass.Info, sums: pass.summaries()}
+	e := &resEngine{info: pass.Info, sums: newSummaries(pass.Funcs)}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue

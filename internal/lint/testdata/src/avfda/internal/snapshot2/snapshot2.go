@@ -1,18 +1,12 @@
-// Stub of avfda/internal/snapshot2 for resleak and viewlife fixtures: the
-// analyzers match Open/OpenSeed, View, and its aliasing accessors by
-// package path and names, and the fixture root shadows the real module,
-// so this skeletal version keeps fixtures small.
+// Stub of avfda/internal/snapshot2 for resleak fixtures: the analyzer
+// matches Open/OpenSeed and View.Close by package path and names, and the
+// fixture root shadows the real module, so this skeletal version keeps
+// fixtures small.
 package snapshot2
 
-// View is a mapped snapshot. The stub mirrors the shapes the analyzers
-// care about: slice-typed fields and accessors alias the mapped payload;
-// string accessors copy.
+// View is a mapped snapshot.
 type View struct {
 	data []byte
-	// Scratch stands in for the view's own internal structures: storing a
-	// borrow here is fine, the bytes and the view die together.
-	Scratch [][]byte
-	idx     map[string][]int
 }
 
 // Open maps a snapshot file.
@@ -24,15 +18,5 @@ func OpenSeed(dir string, seed int64) (*View, error) { return &View{}, nil }
 // Close unmaps the view.
 func (v *View) Close() error { return nil }
 
-// NumRows is a scalar accessor: nothing aliases.
-func (v *View) NumRows() int { return 0 }
-
-// Payload hands out mapped bytes (aliasing accessor).
-func (v *View) Payload() []byte { return v.data }
-
-// ManufacturerIDs hands out a posting list over the mapped payload
-// (aliasing accessor).
-func (v *View) ManufacturerIDs(key string) []int { return v.idx[key] }
-
-// Manufacturer materializes a string (copies; not a borrow).
-func (v *View) Manufacturer(i int) string { return string(v.data[:i]) }
+// NumRows is a scalar accessor.
+func (v *View) NumRows() int { return len(v.data) }

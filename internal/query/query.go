@@ -726,9 +726,9 @@ var groupColumns = map[string]bool{
 }
 
 // IsGroupColumn reports whether by is a column GroupCount can group by.
-// Handlers validate request parameters with it before paying for a study
-// build: a garbage ?by= must fail in microseconds, not after a full
-// pipeline run (the taintflow analyzer enforces this ordering).
+// The server checks ?by= with it while parsing the request, before the
+// study is resolved: a garbage ?by= must fail in microseconds, not after
+// a full pipeline run.
 func IsGroupColumn(by string) bool { return groupColumns[by] }
 
 // GroupCount counts matching events per value of the named column, most

@@ -267,6 +267,50 @@ func TestBadParamsSkipStudyBuild(t *testing.T) {
 	}
 }
 
+// TestBadMonthSkipsStudyBuild: a malformed month bound is a 400 with the
+// engine's month-error body, decided before the study is resolved, so it
+// costs no pipeline build for any of three seeds never built before.
+func TestBadMonthSkipsStudyBuild(t *testing.T) {
+	var calls atomic.Int64
+	s := newTestServer(t, &calls, 0, 0)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/studies/1/disengagements?from=bogus", `{"error":"bad -from value \"bogus\": want YYYY-MM"}` + "\n"},
+		{"/v1/studies/2/accidents?to=2015-99", `{"error":"bad -to value \"2015-99\": want YYYY-MM"}` + "\n"},
+		{"/v1/studies/3/groupby?by=tag&from=nope", `{"error":"bad -from value \"nope\": want YYYY-MM"}` + "\n"},
+	} {
+		code, body := get(t, s, tc.path)
+		if code != http.StatusBadRequest || body != tc.body {
+			t.Errorf("GET %s = %d %q, want 400 %q", tc.path, code, body, tc.body)
+		}
+	}
+	if calls.Load() != 0 {
+		t.Errorf("pipeline builds = %d, want 0 (months must validate before the study resolves)", calls.Load())
+	}
+	if stats := s.CacheStats(); stats.Builds != 0 || stats.Misses != 0 {
+		t.Errorf("stats = %+v, want an untouched cold cache", stats)
+	}
+}
+
+// TestWriteErrorWithdrawsValidator: an error written after the study's
+// validators were stamped carries neither the ETag nor Cache-Control.
+func TestWriteErrorWithdrawsValidator(t *testing.T) {
+	rec := httptest.NewRecorder()
+	rec.Header().Set("ETag", `"0123abcd"`)
+	rec.Header().Set("Cache-Control", cacheControl)
+	writeError(rec, http.StatusInternalServerError, "render table %s: %v", "vii", "boom")
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("code = %d, want 500", rec.Code)
+	}
+	for _, h := range []string{"ETag", "Cache-Control"} {
+		if v, ok := rec.Header()[h]; ok {
+			t.Errorf("error response carried %s %q", h, v)
+		}
+	}
+	if want := `{"error":"render table vii: boom"}` + "\n"; rec.Body.String() != want {
+		t.Errorf("body = %q, want %q", rec.Body.String(), want)
+	}
+}
+
 // TestClientDisconnectReturns499: a canceled request is not a timeout —
 // it gets 499 (not 504), its own metrics label, and the build still lands
 // for the next caller.

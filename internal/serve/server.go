@@ -49,6 +49,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -131,11 +132,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)
-	s.route("GET /v1/studies/{seed}/disengagements", s.handleDisengagements)
-	s.route("GET /v1/studies/{seed}/accidents", s.handleAccidents)
-	s.route("GET /v1/studies/{seed}/groupby", s.handleGroupBy)
-	s.route("GET /v1/studies/{seed}/metrics/reliability", s.handleReliability)
-	s.route("GET /v1/studies/{seed}/tables/{id}", s.handleTable)
+	s.route("GET /v1/studies/{seed}/disengagements", studyRoute(s, parseList, handleDisengagements))
+	s.route("GET /v1/studies/{seed}/accidents", studyRoute(s, parseList, handleAccidents))
+	s.route("GET /v1/studies/{seed}/groupby", studyRoute(s, parseGroupBy, handleGroupBy))
+	s.route("GET /v1/studies/{seed}/metrics/reliability", studyRoute(s, noParams, handleReliability))
+	s.route("GET /v1/studies/{seed}/tables/{id}", studyRoute(s, parseTable, handleTable))
 	s.route("GET /v1/snapshots/{seed}", s.handleSnapshot)
 	return s, nil
 }
@@ -290,10 +291,94 @@ func (s *Server) study(w http.ResponseWriter, r *http.Request) (*Study, bool) {
 	return study, true
 }
 
-// filterFromQuery maps the request's query parameters onto a query.Filter.
-func filterFromQuery(r *http.Request) query.Filter {
-	q := r.URL.Query()
-	return query.Filter{
+// studyRoute adapts a study handler to the mux. parse turns the request
+// into the route's typed request, writing the 400 or 404 itself when a
+// parameter is malformed; only a parsed request reaches s.study, so a bad
+// parameter costs a parse, never a study build. The handler receives the
+// study and the parsed request together, which is what makes the order
+// hold: there is no other way for it to get either.
+func studyRoute[T any](s *Server, parse func(http.ResponseWriter, *http.Request, url.Values) (T, bool),
+	handle func(http.ResponseWriter, *http.Request, *Study, T)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, ok := parse(w, r, r.URL.Query())
+		if !ok {
+			return
+		}
+		if study, ok := s.study(w, r); ok {
+			handle(w, r, study, req)
+		}
+	}
+}
+
+// noParams is the parse step of a route that takes no parameters.
+func noParams(http.ResponseWriter, *http.Request, url.Values) (struct{}, bool) {
+	return struct{}{}, true
+}
+
+// listRequest is a listing route's parsed parameters.
+type listRequest struct {
+	filter query.Filter
+	page   query.Page
+}
+
+// parseList reads a listing's page and filter: the page first, then the
+// filter's month bounds.
+func parseList(w http.ResponseWriter, _ *http.Request, q url.Values) (listRequest, bool) {
+	page, ok := pageFromQuery(w, q)
+	if !ok {
+		return listRequest{}, false
+	}
+	f, ok := filterFromQuery(w, q)
+	return listRequest{filter: f, page: page}, ok
+}
+
+// groupRequest is the group-by route's parsed parameters.
+type groupRequest struct {
+	filter query.Filter
+	by     string
+}
+
+// parseGroupBy reads the ?by= column, which must name a column
+// GroupCount accepts, and then the filter.
+func parseGroupBy(w http.ResponseWriter, _ *http.Request, q url.Values) (groupRequest, bool) {
+	by := q.Get("by")
+	if by == "" {
+		writeError(w, http.StatusBadRequest,
+			"missing by parameter: want one of %s", strings.Join(query.GroupColumns(), ", "))
+		return groupRequest{}, false
+	}
+	if !query.IsGroupColumn(by) {
+		writeError(w, http.StatusBadRequest,
+			"unknown group-by column %q: want one of %s", by, strings.Join(query.GroupColumns(), ", "))
+		return groupRequest{}, false
+	}
+	f, ok := filterFromQuery(w, q)
+	return groupRequest{filter: f, by: by}, ok
+}
+
+// tableRequest is the table route's parsed parameters.
+type tableRequest struct {
+	id     string
+	render func(*core.DB) (string, error)
+}
+
+// parseTable resolves the {id} path segment to its renderer; an unknown
+// id is a 404.
+func parseTable(w http.ResponseWriter, r *http.Request, _ url.Values) (tableRequest, bool) {
+	id := strings.ToLower(r.PathValue("id"))
+	render, ok := tableRenderers[id]
+	if !ok {
+		writeError(w, http.StatusNotFound,
+			"unknown table %q: want one of i, iii, iv, v, vi, vii, viii", r.PathValue("id"))
+	}
+	return tableRequest{id: id, render: render}, ok
+}
+
+// filterFromQuery maps the query parameters onto a query.Filter whose
+// month bounds are checked. A false return means the 400 is written; its
+// body is the *query.MonthError text, as the engine reports it.
+func filterFromQuery(w http.ResponseWriter, q url.Values) (query.Filter, bool) {
+	f := query.Filter{
 		Manufacturer: q.Get("mfr"),
 		Tag:          q.Get("tag"),
 		Category:     q.Get("category"),
@@ -303,6 +388,11 @@ func filterFromQuery(r *http.Request) query.Filter {
 		From:         q.Get("from"),
 		To:           q.Get("to"),
 	}
+	if err := f.Validate(); err != nil {
+		writeQueryError(w, err)
+		return query.Filter{}, false
+	}
+	return f, true
 }
 
 // pageFromQuery parses offset/limit with defaults and caps. An explicit
@@ -310,9 +400,8 @@ func filterFromQuery(r *http.Request) query.Filter {
 // silently promoted to MaxListLimit, handing the client asking for the
 // smallest page the largest one — and only an over-max limit is clamped.
 // A false return means the error response is written.
-func pageFromQuery(w http.ResponseWriter, r *http.Request) (query.Page, bool) {
+func pageFromQuery(w http.ResponseWriter, q url.Values) (query.Page, bool) {
 	p := query.Page{Limit: DefaultListLimit}
-	q := r.URL.Query()
 	for _, arg := range []struct {
 		name string
 		dst  *int
@@ -351,19 +440,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDisengagements lists filtered, paginated disengagement events.
-// Cheap parameter validation runs before the study is resolved: a
-// malformed limit must cost a 400, not a multi-hundred-millisecond
-// pipeline build on a cold cache.
-func (s *Server) handleDisengagements(w http.ResponseWriter, r *http.Request) {
-	page, ok := pageFromQuery(w, r)
-	if !ok {
-		return
-	}
-	study, ok := s.study(w, r)
-	if !ok {
-		return
-	}
-	res, err := study.Engine.Events(filterFromQuery(r), page)
+func handleDisengagements(w http.ResponseWriter, _ *http.Request, study *Study, req listRequest) {
+	res, err := study.Engine.Events(req.filter, req.page)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -375,23 +453,12 @@ func (s *Server) handleDisengagements(w http.ResponseWriter, r *http.Request) {
 // query engine (the avquery CLI serves the identical structure).
 type AccidentPage = query.AccidentPage
 
-// handleAccidents lists accident reports, filtered by mfr and month range.
-// The filtering lives in query.Engine.Accidents — one tested path shared
-// with the CLI — instead of being reimplemented inline here.
-func (s *Server) handleAccidents(w http.ResponseWriter, r *http.Request) {
-	// Like handleDisengagements: validate the cheap paging parameters
-	// before paying for (and caching) a study build.
-	page, ok := pageFromQuery(w, r)
-	if !ok {
-		return
-	}
-	study, ok := s.study(w, r)
-	if !ok {
-		return
-	}
-	q := r.URL.Query()
-	f := query.Filter{Manufacturer: q.Get("mfr"), From: q.Get("from"), To: q.Get("to")}
-	res, err := study.Engine.Accidents(f, page)
+// handleAccidents lists accident reports, filtered by mfr and month range
+// (query.Engine.Accidents reads only those predicates of the filter). The
+// filtering lives in the engine — one tested path shared with the CLI —
+// instead of being reimplemented inline here.
+func handleAccidents(w http.ResponseWriter, _ *http.Request, study *Study, req listRequest) {
+	res, err := study.Engine.Accidents(req.filter, req.page)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -407,30 +474,13 @@ type GroupByResponse struct {
 }
 
 // handleGroupBy counts filtered events per value of the ?by= column.
-func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	// Same ordering discipline as the listing handlers: a missing by
-	// parameter is knowable without building the study.
-	by := r.URL.Query().Get("by")
-	if by == "" {
-		writeError(w, http.StatusBadRequest,
-			"missing by parameter: want one of %s", strings.Join(query.GroupColumns(), ", "))
-		return
-	}
-	if !query.IsGroupColumn(by) {
-		writeError(w, http.StatusBadRequest,
-			"unknown group-by column %q: want one of %s", by, strings.Join(query.GroupColumns(), ", "))
-		return
-	}
-	study, ok := s.study(w, r)
-	if !ok {
-		return
-	}
-	groups, err := study.Engine.GroupCount(filterFromQuery(r), by)
+func handleGroupBy(w http.ResponseWriter, _ *http.Request, study *Study, req groupRequest) {
+	groups, err := study.Engine.GroupCount(req.filter, req.by)
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
-	res := GroupByResponse{By: by, Groups: groups}
+	res := GroupByResponse{By: req.by, Groups: groups}
 	for _, g := range groups {
 		res.Total += g.Count
 	}
@@ -444,11 +494,7 @@ type ReliabilityResponse struct {
 
 // handleReliability reports per-manufacturer DPM/DPA/APM metrics,
 // computed once per resident study (see memo.go).
-func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
-	study, ok := s.study(w, r)
-	if !ok {
-		return
-	}
+func handleReliability(w http.ResponseWriter, r *http.Request, study *Study, _ struct{}) {
 	err := serveMemo(w, r, study, "reliability", func() (string, []byte, error) {
 		rows, err := study.Engine.Reliability()
 		if err != nil {
@@ -477,28 +523,17 @@ var tableRenderers = map[string]func(*core.DB) (string, error){
 
 // handleTable renders one paper table as plain text, once per resident
 // study (see memo.go).
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	id := strings.ToLower(r.PathValue("id"))
-	render, ok := tableRenderers[id]
-	if !ok {
-		writeError(w, http.StatusNotFound,
-			"unknown table %q: want one of i, iii, iv, v, vi, vii, viii", r.PathValue("id"))
-		return
-	}
-	study, okStudy := s.study(w, r)
-	if !okStudy {
-		return
-	}
-	err := serveMemo(w, r, study, "tables/"+id, func() (string, []byte, error) {
+func handleTable(w http.ResponseWriter, r *http.Request, study *Study, req tableRequest) {
+	err := serveMemo(w, r, study, "tables/"+req.id, func() (string, []byte, error) {
 		db, err := study.Database()
 		if err != nil {
 			return "", nil, err
 		}
-		text, err := render(db)
+		text, err := req.render(db)
 		return "text/plain; charset=utf-8", []byte(text), err
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "render table %s: %v", id, err)
+		writeError(w, http.StatusInternalServerError, "render table %s: %v", req.id, err)
 	}
 }
 

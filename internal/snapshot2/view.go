@@ -28,8 +28,9 @@ import (
 //
 // A View is safe for concurrent use. Close (or garbage collection, for
 // views opened by Open) releases the mapping; the caller must not use
-// column accessors after Close, but strings already materialized and any
-// Database() result remain valid — they never alias the mapped bytes.
+// column accessors after Close, but everything an exported method has
+// returned remains valid — no result aliases the mapped bytes
+// (TestViewResultsDoNotAliasSnapshot checks every exported method).
 type View struct {
 	data   []byte
 	crc    uint32
