@@ -6,7 +6,7 @@ SMOKE_BENCHES := PipelineEndToEnd|ParseConcurrent|ClassifyAll|Snapshot|ServeRout
 SERVE_ADDR ?= 127.0.0.1:18080
 FUZZ_TIME ?= 10s
 
-.PHONY: build vet test race lint fuzz bench bench-check fmt serve load-smoke proxy-smoke ci
+.PHONY: build vet test race lint fuzz bench bench-check fmt serve load-smoke proxy-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,12 @@ load-smoke:
 proxy-smoke:
 	$(GO) build -o bin/avserve ./cmd/avserve
 	sh scripts/proxy_smoke.sh
+
+# Non-test Go lines outside bench/ and testdata/ at HEAD, and the change
+# from REV when given (make loc REV=main): the one definition of the line
+# delta each change reports.
+loc:
+	@sh scripts/goloc.sh $(REV)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -17,8 +17,10 @@
 // and the month range are listed through the same query.Engine.Accidents
 // path the avserve API uses. -csv emits the matching rows as CSV on
 // stdout; -json emits the listing or the group counts as JSON instead of
-// text. Malformed -from/-to values and a -limit below 1 are rejected
-// before the study is built.
+// text. Malformed -from/-to values, a -limit below 1, and -accidents
+// combined with a flag accident reports cannot honour (-tag, -category,
+// -road, -weather, -modality, -by, -csv) are rejected before the study is
+// built.
 //
 // With -snapshot-dir, the study is mapped from the directory's
 // study-<seed>.avsnap2 columnar snapshot (written by avpipe -snapshot-out
@@ -37,6 +39,7 @@ import (
 	"os"
 
 	"avfda"
+	"avfda/internal/core"
 	"avfda/internal/query"
 	"avfda/internal/snapshot2"
 )
@@ -70,16 +73,16 @@ func run() error {
 		Manufacturer: *mfr, Tag: *tag, Category: *category, Road: *road,
 		Weather: *weather, Modality: *modality, From: *from, To: *to,
 	}
-	// Reject malformed month bounds and limits before paying for the
-	// study build.
-	if err := f.Validate(); err != nil {
+	// Reject malformed month bounds, limits and accident filters before
+	// paying for the study build.
+	if err := checkFilter(f, *accidents, *by, *csv); err != nil {
 		return err
 	}
 	if err := checkLimit(*limit); err != nil {
 		return err
 	}
 
-	eng, err := loadEngine(*snapDir, *seed)
+	eng, database, err := loadEngine(*snapDir, *seed)
 	if err != nil {
 		return err
 	}
@@ -103,11 +106,7 @@ func run() error {
 
 	switch {
 	case *csv:
-		fr, err := eng.Frame(f)
-		if err != nil {
-			return err
-		}
-		return fr.WriteCSV(os.Stdout)
+		return writeCSV(os.Stdout, eng, database, f)
 	case *by != "":
 		if *jsonOut {
 			return writeGroupsJSON(os.Stdout, eng, f, *by)
@@ -119,6 +118,22 @@ func run() error {
 		}
 		return printRows(os.Stdout, eng, f, *limit)
 	}
+}
+
+// checkFilter validates the filter for the listing asked for. An accident
+// listing takes only -mfr, -from and -to (query.Filter.ValidateAccidents
+// decides), and neither -by nor -csv, which act on disengagements.
+func checkFilter(f query.Filter, accidents bool, by string, csv bool) error {
+	if !accidents {
+		return f.Validate()
+	}
+	if by != "" {
+		return errors.New("-by does not apply to -accidents")
+	}
+	if csv {
+		return errors.New("-csv does not apply to -accidents")
+	}
+	return f.ValidateAccidents()
 }
 
 // checkLimit rejects a -limit below 1, as avserve rejects ?limit=0: a
@@ -134,31 +149,54 @@ func checkLimit(limit int) error {
 // loadEngine builds the query engine, preferring the seed's v2 snapshot
 // (mapped, zero-copy) when a directory is given, then the pipeline. A
 // missing snapshot falls back to the build; a corrupt or incompatible one
-// is surfaced as snapshot2's typed error rather than silently rebuilt.
-func loadEngine(snapDir string, seed int64) (*query.Engine, error) {
+// is surfaced as snapshot2's typed error rather than silently rebuilt. The
+// returned function gives the study's database for CSV export: the one
+// the build produced, or a mapped study's decoded from its View.
+func loadEngine(snapDir string, seed int64) (*query.Engine, func() (*core.DB, error), error) {
 	if snapDir != "" {
 		// if/else rather than switch so the resleak analyzer can follow
-		// the err-nil edges; the error path also unmaps the view instead
-		// of leaking the mapping for the process lifetime.
+		// the err-nil edges.
 		view, err := snapshot2.OpenSeed(snapDir, seed)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "mapped snapshot %s\n", snapshot2.Path(snapDir, seed))
-			eng, err := query.NewFromSource(view, view.Database)
-			if err != nil {
-				view.Close()
-				return nil, err
-			}
-			return eng, nil
+			return query.NewFromView(view), view.Database, nil
 		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
+			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "no snapshot for seed %d in %s; building\n", seed, snapDir)
 	}
 	study, err := avfda.NewStudy(avfda.Options{Seed: seed})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return query.New(study.DB())
+	db := study.DB()
+	eng, err := query.New(db)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng, func() (*core.DB, error) { return db, nil }, nil
+}
+
+// writeCSV emits the events the filter matches as CSV: the rows of the
+// database's events frame that the engine selects.
+func writeCSV(w io.Writer, eng *query.Engine, database func() (*core.DB, error), f query.Filter) error {
+	ids, err := eng.Select(f)
+	if err != nil {
+		return err
+	}
+	db, err := database()
+	if err != nil {
+		return err
+	}
+	fr, err := db.EventsFrame()
+	if err != nil {
+		return err
+	}
+	rows, err := fr.Take(ids)
+	if err != nil {
+		return err
+	}
+	return rows.WriteCSV(w)
 }
 
 // printAccidents lists matched accident reports, truncated to limit.

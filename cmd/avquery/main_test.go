@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"avfda/internal/core"
-	"avfda/internal/frame"
 	"avfda/internal/ontology"
 	"avfda/internal/query"
 	"avfda/internal/schema"
@@ -18,24 +18,21 @@ import (
 
 func queryFixture(t *testing.T) *query.Engine {
 	t.Helper()
-	f := frame.New()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
+	ev := func(m schema.Manufacturer, tag ontology.Tag, road schema.RoadType, mod schema.Modality, cause string, month int, year int) core.Event {
+		return core.Event{
+			Disengagement: schema.Disengagement{
+				Manufacturer: m, ReportYear: schema.Report2016, Cause: cause, Road: road, Modality: mod,
+				Time: time.Date(year, time.Month(month), 10, 0, 0, 0, 0, time.UTC),
+			},
+			Tag:      tag,
+			Category: ontology.CategoryOf(tag),
 		}
 	}
-	must(f.AddStrings("manufacturer", []string{"Waymo", "Waymo", "Bosch"}))
-	must(f.AddStrings("tag", []string{"Software", "Sensor", "Software"}))
-	must(f.AddStrings("category", []string{"System", "System", "System"}))
-	must(f.AddStrings("road", []string{"highway", "city street", "highway"}))
-	must(f.AddStrings("modality", []string{"Manual", "Automatic", "Planned"}))
-	must(f.AddStrings("cause", []string{"a", "b", "c"}))
-	must(f.AddTimes("time", []time.Time{
-		time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2015, 6, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 1, 10, 0, 0, 0, 0, time.UTC),
-	}))
-	eng, err := query.NewFromFrame(f)
+	eng, err := query.New(&core.DB{Events: []core.Event{
+		ev(schema.Waymo, ontology.TagSoftware, schema.RoadHighway, schema.ModalityManual, "a", 3, 2015),
+		ev(schema.Waymo, ontology.TagSensor, schema.RoadCityStreet, schema.ModalityAutomatic, "b", 6, 2015),
+		ev(schema.Bosch, ontology.TagSoftware, schema.RoadHighway, schema.ModalityPlanned, "c", 1, 2016),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,21 +164,14 @@ func TestGoldenListOutput(t *testing.T) {
 }
 
 func TestGoldenListTruncatesLongCauses(t *testing.T) {
-	f := frame.New()
 	long := strings.Repeat("x", 70)
-	if err := f.AddStrings("manufacturer", []string{"Waymo"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddStrings("tag", []string{"Software"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddStrings("cause", []string{long}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddTimes("time", []time.Time{time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC)}); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := query.NewFromFrame(f)
+	eng, err := query.New(&core.DB{Events: []core.Event{{
+		Disengagement: schema.Disengagement{
+			Manufacturer: schema.Waymo, Cause: long,
+			Time: time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC),
+		},
+		Tag: ontology.TagSoftware,
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +289,7 @@ func TestLoadEngineMapsSnapshot(t *testing.T) {
 	if _, err := snapshot2.WriteSeed(dir, 7, db); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := loadEngine(dir, 7)
+	eng, _, err := loadEngine(dir, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +319,89 @@ func TestLoadEngineCorruptSnapshotIsTypedError(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := loadEngine(dir, 7)
+	eng, _, err := loadEngine(dir, 7)
 	var ce *snapshot2.ChecksumError
 	if !errors.As(err, &ce) {
 		t.Fatalf("loadEngine over a corrupt snapshot: err = %v, want *snapshot2.ChecksumError", err)
 	}
 	if eng != nil {
 		t.Error("loadEngine returned an engine alongside the error")
+	}
+}
+
+// TestCheckFilter pins the checks run before the study build: an accident
+// listing refuses the predicates accident reports cannot answer and the
+// flags that act on disengagements, and every listing refuses a malformed
+// month.
+func TestCheckFilter(t *testing.T) {
+	for _, tc := range []struct {
+		f         query.Filter
+		accidents bool
+		by        string
+		csv       bool
+		want      string // "" means accepted
+	}{
+		{query.Filter{Tag: "Software", Road: "highway"}, false, "tag", true, ""},
+		{query.Filter{Manufacturer: "Waymo", From: "2015-01"}, true, "", false, ""},
+		{query.Filter{From: "bogus"}, false, "", false, `bad -from value "bogus": want YYYY-MM`},
+		{query.Filter{To: "bogus"}, true, "", false, `bad -to value "bogus": want YYYY-MM`},
+		{query.Filter{Tag: "Software"}, true, "", false, "accidents cannot be filtered by tag: accident reports carry no tag"},
+		{query.Filter{Category: "System"}, true, "", false, "accidents cannot be filtered by category: accident reports carry no category"},
+		{query.Filter{Road: "highway"}, true, "", false, "accidents cannot be filtered by road: accident reports carry no road"},
+		{query.Filter{Weather: "sunny"}, true, "", false, "accidents cannot be filtered by weather: accident reports carry no weather"},
+		{query.Filter{Modality: "manual"}, true, "", false, "accidents cannot be filtered by modality: accident reports carry no modality"},
+		{query.Filter{}, true, "tag", false, "-by does not apply to -accidents"},
+		{query.Filter{}, true, "", true, "-csv does not apply to -accidents"},
+	} {
+		err := checkFilter(tc.f, tc.accidents, tc.by, tc.csv)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("checkFilter(%+v, accidents=%v) = %v, want nil", tc.f, tc.accidents, err)
+			}
+			continue
+		}
+		//lint:allow errsubstr this test pins the message avquery prints for a rejected flag
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("checkFilter(%+v, accidents=%v, by=%q, csv=%v) = %v, want %q", tc.f, tc.accidents, tc.by, tc.csv, err, tc.want)
+		}
+	}
+}
+
+// TestCSVFreshMatchesSnapshot: -csv writes the same bytes for a freshly
+// built study and for the same study mapped from -snapshot-dir.
+func TestCSVFreshMatchesSnapshot(t *testing.T) {
+	const seed = 3
+	fresh, freshDB, err := loadEngine("", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := freshDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
+		t.Fatal(err)
+	}
+	mapped, mappedDB, err := loadEngine(dir, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []query.Filter{
+		{},
+		{Manufacturer: "Waymo", Tag: "Planner"},
+		{Category: "ML/Design", Weather: "raining", From: "2015-01", To: "2016-06"},
+		{Manufacturer: "DeLorean"},
+	} {
+		var want, got bytes.Buffer
+		if err := writeCSV(&want, fresh, freshDB, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeCSV(&got, mapped, mappedDB, f); err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 || !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("filter %+v: CSV from the snapshot differs from the fresh build's (%d vs %d bytes)", f, got.Len(), want.Len())
+		}
 	}
 }

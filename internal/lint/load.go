@@ -28,6 +28,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -186,6 +187,11 @@ type loader struct {
 	// type-checking of in-module dependencies. Read-only after LoadModule's
 	// setup phase.
 	listed map[string]listedPkg
+	// variants maps a package path to the in-module packages that import
+	// it and so are recompiled against its in-package test files when its
+	// external test package builds ("query [snapshot2.test]" in go list).
+	// Read-only after LoadModule's setup phase.
+	variants map[string][]string
 	// exports maps import paths to compiled export-data files (shared,
 	// read-only, from stdExports).
 	exports map[string]string
@@ -213,6 +219,7 @@ func newLoader(fixtureRoot string) (*loader, error) {
 		fset:        token.NewFileSet(),
 		fixtureRoot: fixtureRoot,
 		listed:      map[string]listedPkg{},
+		variants:    map[string][]string{},
 		exports:     exports,
 		flights:     map[string]*importFlight{},
 		funcs:       newFuncIndex(),
@@ -327,14 +334,14 @@ func (l *loader) parse(files []string) ([]*ast.File, error) {
 }
 
 // check type-checks a target package (with full types.Info) from the given
-// files.
-func (l *loader) check(path, dir string, files []string) (*Package, error) {
+// files, resolving its imports through imp.
+func (l *loader) check(imp types.Importer, path, dir string, files []string) (*Package, error) {
 	asts, err := l.parse(files)
 	if err != nil {
 		return nil, err
 	}
 	info := newInfo()
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, l.fset, asts, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
@@ -396,9 +403,12 @@ func LoadModuleParallel(dir string, workers int, patterns ...string) ([]*Package
 	// Test-variant entries ("pkg [pkg.test]", "pkg.test") are folded onto
 	// their base import path; the base entry wins when both appear.
 	for _, p := range dep.pkgs {
-		base, _, _ := strings.Cut(p.ImportPath, " ")
+		base, variant, _ := strings.Cut(p.ImportPath, " ")
 		if strings.HasSuffix(base, ".test") {
 			continue
+		}
+		if of := strings.TrimSuffix(strings.Trim(variant, "[]"), ".test"); variant != "" && base != of && base != of+"_test" {
+			l.variants[of] = append(l.variants[of], base)
 		}
 		if _, ok := l.listed[base]; ok {
 			continue
@@ -460,25 +470,66 @@ func (l *loader) checkTarget(t listedPkg) ([]*Package, error) {
 	for _, f := range append(append([]string{}, t.GoFiles...), t.TestGoFiles...) {
 		files = append(files, filepath.Join(t.Dir, f))
 	}
+	imp := types.Importer(l)
 	if len(files) > 0 {
-		pkg, err := l.check(t.ImportPath, t.Dir, files)
+		pkg, err := l.check(l, t.ImportPath, t.Dir, files)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
+		if len(t.TestGoFiles) > 0 {
+			imp = &testImporter{l: l, under: t.ImportPath, pkgs: map[string]*types.Package{t.ImportPath: pkg.Types}}
+		}
 	}
 	if len(t.XTestGoFiles) > 0 {
 		files = files[:0]
 		for _, f := range t.XTestGoFiles {
 			files = append(files, filepath.Join(t.Dir, f))
 		}
-		pkg, err := l.check(t.ImportPath+"_test", t.Dir, files)
+		pkg, err := l.check(imp, t.ImportPath+"_test", t.Dir, files)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
 	}
 	return out, nil
+}
+
+// testImporter resolves an external test package's imports as go builds
+// them: the package under test includes its in-package test files (so an
+// export_test.go is visible), and the in-module packages importing it are
+// re-checked against that package; every other import comes from the
+// shared loader. One target's check uses it from one goroutine.
+type testImporter struct {
+	l     *loader
+	under string
+	pkgs  map[string]*types.Package
+}
+
+// Import implements types.Importer.
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.pkgs[path]; ok {
+		return pkg, nil
+	}
+	if !slices.Contains(ti.l.variants[ti.under], path) {
+		return ti.l.Import(path)
+	}
+	lp := ti.l.listed[path]
+	files := make([]string, len(lp.GoFiles))
+	for i, f := range lp.GoFiles {
+		files[i] = filepath.Join(lp.Dir, f)
+	}
+	asts, err := ti.l.parse(files)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: ti}
+	pkg, err := conf.Check(path, ti.l.fset, asts, newInfo())
+	if err != nil {
+		return nil, fmt.Errorf("type-checking dependency %s for %s's tests: %w", path, ti.under, err)
+	}
+	ti.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // LoadFixture loads analyzer test fixtures: each path is resolved as
@@ -503,7 +554,7 @@ func LoadFixture(root string, paths ...string) ([]*Package, error) {
 			}
 		}
 		sort.Strings(files)
-		pkg, err := l.check(path, dir, files)
+		pkg, err := l.check(l, path, dir, files)
 		if err != nil {
 			return nil, err
 		}

@@ -83,11 +83,10 @@ func Reliability(x *core.Exposure) ([]ReliabilityMetric, error) {
 }
 
 // Reliability reports the engine's per-manufacturer reliability metrics
-// from its source's exposure summary: a mapped snapshot view sums its
-// columns and decodes no table. Only an engine built from a bare frame has
-// no summary to give, and fails.
+// from the exposure summary its View sums from the columns; no table is
+// decoded.
 func (e *Engine) Reliability() ([]ReliabilityMetric, error) {
-	x, err := e.src.Exposure()
+	x, err := e.v.Exposure()
 	if err != nil {
 		return nil, err
 	}

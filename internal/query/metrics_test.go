@@ -99,9 +99,6 @@ func TestEngineOverDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.DB() == nil {
-		t.Error("DB() = nil for database-backed engine")
-	}
 	n, err := eng.Count(Filter{Manufacturer: "Waymo"})
 	if err != nil {
 		t.Fatal(err)

@@ -9,30 +9,33 @@
 // month range), group-by counts, per-manufacturer reliability metrics, and
 // pagination.
 //
-// An Engine is built once per study and is immutable afterwards, so it is
-// safe for concurrent use. Construction precomputes inverted indexes
-// (manufacturer/tag/category value → row ids) so equality-filtered queries
-// walk only the smallest matching posting list instead of scanning every
-// row. Each query plans its Filter once: the month bounds are parsed, the
-// posting list is chosen, and only the predicates the filter sets are
-// tested per row, so an unset predicate costs nothing. Events, Count, and
-// GroupCount stream matches through that plan without building a row-id
-// slice; Events materializes only the rows inside its page, and a filter
-// with nothing set reads its page directly. SelectScan is the full-scan
-// reference implementation the tests hold every answer equal to.
+// A study has one in-memory form: the snapshot2 columnar layout. An Engine
+// reads it through a snapshot2.View, over heap bytes for a freshly built
+// study (New) and over a mapped file for a restarted or peer-fetched one
+// (NewFromView), so every study answers through the same code. The View's
+// inverted indexes (manufacturer/tag/category value → row ids) let
+// equality-filtered queries walk only the smallest matching posting list
+// instead of scanning every row. Each query plans its Filter once: the
+// month bounds are parsed, the posting list is chosen, and only the
+// predicates the filter sets are tested per row, so an unset predicate
+// costs nothing. Events, Count, and GroupCount stream matches through that
+// plan without building a row-id slice; Events materializes only the rows
+// inside its page, and a filter with nothing set reads its page directly.
+// SelectScan is the full-scan reference implementation the tests hold
+// every answer equal to.
 package query
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"avfda/internal/core"
-	"avfda/internal/frame"
 	"avfda/internal/schema"
+	"avfda/internal/snapshot2"
 )
 
 // Filter is one conjunctive query over the failure database: every
@@ -72,13 +75,13 @@ func (e *MonthError) Error() string {
 func (e *MonthError) Unwrap() error { return e.Err }
 
 // ColumnError reports a query naming a column the engine does not have
-// (e.g. a group-by over a column absent from the frame). It mirrors
-// MonthError so transports can classify it as client input error with
-// errors.As instead of matching message text.
+// (a group-by over an unknown column). It mirrors MonthError so transports
+// can classify it as client input error with errors.As instead of
+// matching message text.
 type ColumnError struct {
 	// Column is the rejected column name.
 	Column string
-	// Err is the underlying frame-layer error.
+	// Err is the underlying cause.
 	Err error
 }
 
@@ -87,8 +90,21 @@ func (e *ColumnError) Error() string {
 	return fmt.Sprintf("group by %q: %v", e.Column, e.Err)
 }
 
-// Unwrap exposes the underlying frame error.
+// Unwrap exposes the underlying cause.
 func (e *ColumnError) Unwrap() error { return e.Err }
+
+// PredicateError reports a filter predicate a listing cannot apply:
+// accident reports carry no tag, category, road, weather or modality.
+type PredicateError struct {
+	// Field is the predicate's parameter name, as avquery's flags and
+	// avserve's query parameters spell it ("tag", "road", ...).
+	Field string
+}
+
+// Error implements the error interface.
+func (e *PredicateError) Error() string {
+	return fmt.Sprintf("accidents cannot be filtered by %s: accident reports carry no %s", e.Field, e.Field)
+}
 
 // ParseMonthRange parses inclusive "YYYY-MM" month bounds into a concrete
 // [start, endExcl) time window. Empty strings leave the corresponding side
@@ -120,6 +136,23 @@ func (f Filter) monthRange() (from, to time.Time, err error) {
 func (f Filter) Validate() error {
 	_, _, err := f.monthRange()
 	return err
+}
+
+// ValidateAccidents checks the filter for an accident listing: only
+// Manufacturer, From and To apply, so any other set predicate is a
+// *PredicateError, and the month bounds are checked as Validate checks
+// them. It is the one place that decides which predicates accident
+// listings accept.
+func (f Filter) ValidateAccidents() error {
+	for _, p := range [...]struct{ field, value string }{
+		{"tag", f.Tag}, {"category", f.Category}, {"road", f.Road},
+		{"weather", f.Weather}, {"modality", f.Modality},
+	} {
+		if p.value != "" {
+			return &PredicateError{Field: p.field}
+		}
+	}
+	return f.Validate()
 }
 
 // Event is one disengagement in JSON-friendly form.
@@ -159,262 +192,40 @@ type GroupCount struct {
 	Count int    `json:"count"`
 }
 
-// Source is the read surface the engine queries: per-row column accessors
-// in the exact string forms core.DB.EventsFrame renders (display names for
-// enums, "YYYY-YYYY" report years), the three inverted-index lookups,
-// keyed by lower-cased value with ascending row ids, and the study's
-// exposure summary and accident reports. Implementations must be immutable
-// and safe for concurrent use; returned posting lists and accident slices
-// are shared and read-only.
-//
-// The in-heap implementation wraps the column slices an engine has always
-// carried; snapshot2.View implements the same surface directly over a
-// memory-mapped study file, which is how an engine serves queries,
-// accident listings and reliability metrics with no deserialization at all.
-type Source interface {
-	// NumRows returns the event count; row indexes run [0, NumRows()).
-	NumRows() int
-
-	Manufacturer(i int) string
-	Vehicle(i int) string
-	ReportYear(i int) string
-	Time(i int) time.Time
-	Cause(i int) string
-	Tag(i int) string
-	Category(i int) string
-	Modality(i int) string
-	Road(i int) string
-	Weather(i int) string
-	ReactionSeconds(i int) float64
-
-	// ManufacturerIDs, TagIDs, and CategoryIDs return the ascending row
-	// ids whose lower-cased column value equals key, or nil when the key
-	// has no rows.
-	ManufacturerIDs(key string) []int
-	TagIDs(key string) []int
-	CategoryIDs(key string) []int
-
-	// Exposure summarizes the study's miles, disengagements and accidents
-	// per manufacturer and per vehicle (Tables VI-VII).
-	Exposure() (*core.Exposure, error)
-	// Accidents returns the study's accident reports in table order.
-	Accidents() ([]schema.Accident, error)
-}
-
-// Engine answers queries over one study's failure database. Build it once
-// with New (or NewFromFrame, or NewFromSource over a snapshot view) and
-// share it freely: all methods are read-only and safe for concurrent use.
+// Engine answers queries over one study's failure database. Every engine
+// reads the study through a snapshot2.View: New encodes a freshly built
+// database into the v2 layout and views those heap bytes, and NewFromView
+// wraps a View already open over a mapped file, so fresh and restarted
+// studies run the same code. Build it once and share it freely: all
+// methods are read-only and safe for concurrent use.
 type Engine struct {
-	src Source
-	n   int
-
-	db     *core.DB // set by New; nil for frame- and source-backed engines
-	lazyDB func() (*core.DB, error)
-	dbOnce sync.Once
-	mdb    *core.DB
-	mdbErr error
-
-	f         *frame.Frame // set by New/NewFromFrame; else materialized lazily
-	frameOnce sync.Once
-	mframe    *frame.Frame
-	mframeErr error
+	v *snapshot2.View
 }
 
-// sliceSource is the in-heap Source: the engine's historical column slices
-// and eagerly built inverted indexes, plus the database behind them (nil
-// for an engine built from a bare frame).
-type sliceSource struct {
-	db *core.DB
-
-	mfr      []string
-	tag      []string
-	category []string
-	road     []string
-	weather  []string
-	modality []string
-	vehicle  []string
-	year     []string
-	cause    []string
-	reaction []float64
-	times    []time.Time
-
-	// Inverted indexes: lower-cased column value → ascending row ids.
-	byMfr      map[string][]int
-	byTag      map[string][]int
-	byCategory map[string][]int
-}
-
-func (s *sliceSource) NumRows() int                     { return len(s.mfr) }
-func (s *sliceSource) Manufacturer(i int) string        { return s.mfr[i] }
-func (s *sliceSource) Vehicle(i int) string             { return s.vehicle[i] }
-func (s *sliceSource) ReportYear(i int) string          { return s.year[i] }
-func (s *sliceSource) Time(i int) time.Time             { return s.times[i] }
-func (s *sliceSource) Cause(i int) string               { return s.cause[i] }
-func (s *sliceSource) Tag(i int) string                 { return s.tag[i] }
-func (s *sliceSource) Category(i int) string            { return s.category[i] }
-func (s *sliceSource) Modality(i int) string            { return s.modality[i] }
-func (s *sliceSource) Road(i int) string                { return s.road[i] }
-func (s *sliceSource) Weather(i int) string             { return s.weather[i] }
-func (s *sliceSource) ReactionSeconds(i int) float64    { return s.reaction[i] }
-func (s *sliceSource) ManufacturerIDs(key string) []int { return s.byMfr[key] }
-func (s *sliceSource) TagIDs(key string) []int          { return s.byTag[key] }
-func (s *sliceSource) CategoryIDs(key string) []int     { return s.byCategory[key] }
-
-// errNoDatabase is what a bare-frame engine answers for the analyses that
-// need the study's other tables.
-var errNoDatabase = errors.New("query: engine has no database (built from a bare frame)")
-
-func (s *sliceSource) Exposure() (*core.Exposure, error) {
-	if s.db == nil {
-		return nil, errNoDatabase
-	}
-	return s.db.Exposure(), nil
-}
-
-func (s *sliceSource) Accidents() ([]schema.Accident, error) {
-	if s.db == nil {
-		return nil, errNoDatabase
-	}
-	return s.db.Accidents, nil
-}
-
-// New builds an engine over the database's events (via EventsFrame).
+// New encodes db in the snapshot2 layout and builds an engine over a View
+// of those bytes.
 func New(db *core.DB) (*Engine, error) {
 	if db == nil {
 		return nil, errors.New("query: nil database")
 	}
-	f, err := db.EventsFrame()
+	data, err := snapshot2.Encode(db)
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	return newFrameEngine(f, db), nil
+	v, err := snapshot2.NewView(data)
+	if err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	return &Engine{v: v}, nil
 }
 
-// NewFromFrame builds an engine over an events dataframe (the EventsFrame
-// column layout). Missing columns are treated as all-zero, so partial
-// frames — tests, external CSV loads — still query; the analyses that need
-// the study's other tables (Reliability, Accidents) require New.
-func NewFromFrame(f *frame.Frame) (*Engine, error) {
-	if f == nil {
-		return nil, errors.New("query: nil frame")
-	}
-	return newFrameEngine(f, nil), nil
-}
-
-// newFrameEngine builds the in-heap engine over f and, for New, the
-// database f was rendered from.
-func newFrameEngine(f *frame.Frame, db *core.DB) *Engine {
-	n := f.NumRows()
-	s := &sliceSource{
-		db:       db,
-		mfr:      stringColOrEmpty(f, "manufacturer", n),
-		tag:      stringColOrEmpty(f, "tag", n),
-		category: stringColOrEmpty(f, "category", n),
-		road:     stringColOrEmpty(f, "road", n),
-		weather:  stringColOrEmpty(f, "weather", n),
-		modality: stringColOrEmpty(f, "modality", n),
-		vehicle:  stringColOrEmpty(f, "vehicle", n),
-		year:     stringColOrEmpty(f, "reportYear", n),
-		cause:    stringColOrEmpty(f, "cause", n),
-		reaction: floatColOrZero(f, "reactionSeconds", n),
-		times:    timeColOrZero(f, "time", n),
-	}
-	s.byMfr = buildIndex(s.mfr)
-	s.byTag = buildIndex(s.tag)
-	s.byCategory = buildIndex(s.category)
-	return &Engine{src: s, n: n, db: db, f: f}
-}
-
-// NewFromSource builds an engine directly over a Source — typically a
-// snapshot2.View serving a memory-mapped study with zero deserialization.
-// Listings, counts, accident pages and reliability metrics read the source
-// alone. lazyDB, when non-nil, materializes the full failure database on
-// first need (Database, for whole paper tables, and the dataframe
-// fallbacks: CSV export and group-by over non-indexed columns); it is
-// invoked at most once and must return a database consistent with the
-// source's rows. With a nil lazyDB those fail the same way a bare-frame
-// engine's do.
-func NewFromSource(src Source, lazyDB func() (*core.DB, error)) (*Engine, error) {
-	if src == nil {
-		return nil, errors.New("query: nil source")
-	}
-	return &Engine{src: src, n: src.NumRows(), lazyDB: lazyDB}, nil
-}
-
-// stringColOrEmpty copies the named string column, or zero-fills.
-func stringColOrEmpty(f *frame.Frame, name string, n int) []string {
-	if data, err := f.StringsCol(name); err == nil {
-		return data
-	}
-	return make([]string, n)
-}
-
-// floatColOrZero copies the named float column, or zero-fills.
-func floatColOrZero(f *frame.Frame, name string, n int) []float64 {
-	if data, err := f.Floats(name); err == nil {
-		return data
-	}
-	return make([]float64, n)
-}
-
-// timeColOrZero copies the named time column, or zero-fills.
-func timeColOrZero(f *frame.Frame, name string, n int) []time.Time {
-	if data, err := f.Times(name); err == nil {
-		return data
-	}
-	return make([]time.Time, n)
-}
-
-// buildIndex maps each distinct lower-cased value to its ascending row ids.
-func buildIndex(col []string) map[string][]int {
-	idx := make(map[string][]int)
-	for i, v := range col {
-		k := strings.ToLower(v)
-		idx[k] = append(idx[k], i)
-	}
-	return idx
-}
+// NewFromView builds an engine over an open View, typically a mapped
+// study file. The caller keeps ownership of v: the engine must not be used
+// after v is closed.
+func NewFromView(v *snapshot2.View) *Engine { return &Engine{v: v} }
 
 // Len returns the total number of events in the engine.
-func (e *Engine) Len() int { return e.n }
-
-// DB returns the database the engine was constructed from (New), or nil
-// for frame- and source-backed engines. Callers that can accept lazy
-// materialization should prefer Database.
-func (e *Engine) DB() *core.DB { return e.db }
-
-// Database returns the backing failure database, materializing it on
-// first use for source-backed engines (snapshot views decode their tables
-// exactly once, here). Engines built from a bare frame have no database
-// to give and return an error.
-func (e *Engine) Database() (*core.DB, error) {
-	if e.db != nil {
-		return e.db, nil
-	}
-	if e.lazyDB == nil {
-		return nil, errNoDatabase
-	}
-	e.dbOnce.Do(func() { e.mdb, e.mdbErr = e.lazyDB() })
-	return e.mdb, e.mdbErr
-}
-
-// frame returns the engine's events dataframe, materializing it from the
-// database on first use for source-backed engines. Only the dataframe
-// fallbacks (CSV export, group-by over non-indexed columns) pay this cost.
-func (e *Engine) frame() (*frame.Frame, error) {
-	if e.f != nil {
-		return e.f, nil
-	}
-	e.frameOnce.Do(func() {
-		db, err := e.Database()
-		if err != nil {
-			e.mframeErr = err
-			return
-		}
-		e.mframe, e.mframeErr = db.EventsFrame()
-	})
-	return e.mframe, e.mframeErr
-}
+func (e *Engine) Len() int { return e.v.NumRows() }
 
 // eqFold reports whether got matches the predicate want ("" matches all).
 func eqFold(got, want string) bool {
@@ -423,7 +234,7 @@ func eqFold(got, want string) bool {
 
 // plan is a Filter resolved once against an engine: the parsed month
 // bounds, the smallest posting list, and only the equality predicates the
-// filter sets, each bound to its Source accessor. An unset predicate costs
+// filter sets, each bound to its View accessor. An unset predicate costs
 // nothing per row, and an unbounded month window never reads Time.
 type plan struct {
 	from, toExcl time.Time
@@ -434,7 +245,7 @@ type plan struct {
 
 // pred is one set equality predicate: column accessor and wanted value.
 type pred struct {
-	col  func(Source, int) string
+	col  func(*snapshot2.View, int) string
 	want string
 }
 
@@ -447,12 +258,12 @@ func (e *Engine) plan(f Filter) (plan, error) {
 	}
 	p := plan{from: from, toExcl: toExcl, timed: !from.IsZero() || !toExcl.IsZero(), cands: e.candidates(f)}
 	for _, c := range [...]pred{
-		{Source.Manufacturer, f.Manufacturer},
-		{Source.Tag, f.Tag},
-		{Source.Category, f.Category},
-		{Source.Road, f.Road},
-		{Source.Weather, f.Weather},
-		{Source.Modality, f.Modality},
+		{(*snapshot2.View).Manufacturer, f.Manufacturer},
+		{(*snapshot2.View).Tag, f.Tag},
+		{(*snapshot2.View).Category, f.Category},
+		{(*snapshot2.View).Road, f.Road},
+		{(*snapshot2.View).Weather, f.Weather},
+		{(*snapshot2.View).Modality, f.Modality},
 	} {
 		if c.want != "" {
 			p.preds = append(p.preds, c)
@@ -468,14 +279,14 @@ func (p *plan) all() bool { return len(p.preds) == 0 && !p.timed }
 // match verifies the plan's set predicates and month window against row i.
 func (e *Engine) match(p *plan, i int) bool {
 	for _, c := range p.preds {
-		if !strings.EqualFold(c.col(e.src, i), c.want) {
+		if !strings.EqualFold(c.col(e.v, i), c.want) {
 			return false
 		}
 	}
 	if !p.timed {
 		return true
 	}
-	ts := e.src.Time(i)
+	ts := e.v.Time(i)
 	return (p.from.IsZero() || !ts.Before(p.from)) && (p.toExcl.IsZero() || ts.Before(p.toExcl))
 }
 
@@ -489,7 +300,7 @@ func (e *Engine) each(p *plan, fn func(i int)) {
 		}
 		return
 	}
-	for i := 0; i < e.n; i++ {
+	for i := range e.Len() {
 		if e.match(p, i) {
 			fn(i)
 		}
@@ -498,7 +309,7 @@ func (e *Engine) each(p *plan, fn func(i int)) {
 
 // ids collects the plan's matching rows.
 func (e *Engine) ids(p *plan) []int {
-	n := e.n
+	n := e.Len()
 	if p.cands != nil {
 		n = len(p.cands)
 	}
@@ -534,9 +345,9 @@ func (e *Engine) candidates(f Filter) []int {
 			best, found = list, true
 		}
 	}
-	consider(e.src.ManufacturerIDs, f.Manufacturer)
-	consider(e.src.TagIDs, f.Tag)
-	consider(e.src.CategoryIDs, f.Category)
+	consider(e.v.ManufacturerIDs, f.Manufacturer)
+	consider(e.v.TagIDs, f.Tag)
+	consider(e.v.CategoryIDs, f.Category)
 	if !found {
 		return nil
 	}
@@ -555,17 +366,17 @@ func (e *Engine) SelectScan(f Filter) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, e.n)
-	for i := 0; i < e.n; i++ {
-		if !eqFold(e.src.Manufacturer(i), f.Manufacturer) ||
-			!eqFold(e.src.Tag(i), f.Tag) ||
-			!eqFold(e.src.Category(i), f.Category) ||
-			!eqFold(e.src.Road(i), f.Road) ||
-			!eqFold(e.src.Weather(i), f.Weather) ||
-			!eqFold(e.src.Modality(i), f.Modality) {
+	out := make([]int, 0, e.Len())
+	for i := range e.Len() {
+		if !eqFold(e.v.Manufacturer(i), f.Manufacturer) ||
+			!eqFold(e.v.Tag(i), f.Tag) ||
+			!eqFold(e.v.Category(i), f.Category) ||
+			!eqFold(e.v.Road(i), f.Road) ||
+			!eqFold(e.v.Weather(i), f.Weather) ||
+			!eqFold(e.v.Modality(i), f.Modality) {
 			continue
 		}
-		ts := e.src.Time(i)
+		ts := e.v.Time(i)
 		if (from.IsZero() || !ts.Before(from)) && (toExcl.IsZero() || ts.Before(toExcl)) {
 			out = append(out, i)
 		}
@@ -580,7 +391,7 @@ func (e *Engine) Count(f Filter) (int, error) {
 		return 0, err
 	}
 	if p.all() {
-		return e.n, nil
+		return e.Len(), nil
 	}
 	n := 0
 	e.each(&p, func(int) { n++ })
@@ -590,17 +401,17 @@ func (e *Engine) Count(f Filter) (int, error) {
 // event materializes row i.
 func (e *Engine) event(i int) Event {
 	return Event{
-		Manufacturer:    e.src.Manufacturer(i),
-		Vehicle:         e.src.Vehicle(i),
-		ReportYear:      e.src.ReportYear(i),
-		Time:            e.src.Time(i),
-		Cause:           e.src.Cause(i),
-		Tag:             e.src.Tag(i),
-		Category:        e.src.Category(i),
-		Modality:        e.src.Modality(i),
-		Road:            e.src.Road(i),
-		Weather:         e.src.Weather(i),
-		ReactionSeconds: e.src.ReactionSeconds(i),
+		Manufacturer:    e.v.Manufacturer(i),
+		Vehicle:         e.v.Vehicle(i),
+		ReportYear:      e.v.ReportYear(i),
+		Time:            e.v.Time(i),
+		Cause:           e.v.Cause(i),
+		Tag:             e.v.Tag(i),
+		Category:        e.v.Category(i),
+		Modality:        e.v.Modality(i),
+		Road:            e.v.Road(i),
+		Weather:         e.v.Weather(i),
+		ReactionSeconds: e.v.ReactionSeconds(i),
 	}
 }
 
@@ -627,8 +438,8 @@ func (e *Engine) Events(f Filter, pg Page) (EventPage, error) {
 	pg.Offset = max(pg.Offset, 0)
 	page := EventPage{Offset: pg.Offset, Limit: pg.Limit}
 	if p.all() {
-		start, end := window(e.n, pg)
-		page.Total = e.n
+		start, end := window(e.Len(), pg)
+		page.Total = e.Len()
 		page.Events = make([]Event, 0, end-start)
 		for i := start; i < end; i++ {
 			page.Events = append(page.Events, e.event(i))
@@ -636,7 +447,7 @@ func (e *Engine) Events(f Filter, pg Page) (EventPage, error) {
 		return page, nil
 	}
 	page.Events = []Event{}
-	if room := e.n - pg.Offset; pg.Limit > 0 && room > 0 {
+	if room := e.Len() - pg.Offset; pg.Limit > 0 && room > 0 {
 		page.Events = make([]Event, 0, min(pg.Limit, room))
 	}
 	e.each(&p, func(i int) {
@@ -660,17 +471,17 @@ type AccidentPage struct {
 // Accidents returns one page of the study's accident reports matching the
 // filter. Accident reports carry no tag/category/road/weather/modality
 // context, so only the Manufacturer, From, and To predicates apply; the
-// other filter fields are ignored. Pagination follows Events: negative
+// engine ignores the other filter fields, and transports reject them up
+// front with ValidateAccidents. Pagination follows Events: negative
 // offsets clamp to 0, Limit <= 0 means unlimited, and an offset at or past
-// the total yields an empty (non-nil) page. The reports come from the
-// engine's source, so a mapped snapshot view decodes its accident columns
-// and nothing else; an engine built from a bare frame has none and fails.
+// the total yields an empty (non-nil) page. The View decodes its accident
+// columns and nothing else.
 func (e *Engine) Accidents(f Filter, p Page) (AccidentPage, error) {
 	from, toExcl, err := f.monthRange()
 	if err != nil {
 		return AccidentPage{}, err
 	}
-	rows, err := e.src.Accidents()
+	rows, err := e.v.Accidents()
 	if err != nil {
 		return AccidentPage{}, err
 	}
@@ -694,94 +505,56 @@ func (e *Engine) Accidents(f Filter, p Page) (AccidentPage, error) {
 	return page, nil
 }
 
-// Frame returns the matching rows as a dataframe (for CSV export and
-// frame-level post-processing). Source-backed engines materialize their
-// dataframe on first use.
-func (e *Engine) Frame(f Filter) (*frame.Frame, error) {
-	ids, err := e.Select(f)
-	if err != nil {
-		return nil, err
-	}
-	fr, err := e.frame()
-	if err != nil {
-		return nil, err
-	}
-	return fr.Take(ids)
+// groupKeys renders each group-by column's key for row i. The event
+// columns render as core.DB.EventsFrame would: strings as stored, times in
+// RFC 3339 with nanoseconds, and reaction times in %g form. "month" is the
+// event's "YYYY-MM".
+var groupKeys = map[string]func(v *snapshot2.View, i int) string{
+	"manufacturer": (*snapshot2.View).Manufacturer,
+	"tag":          (*snapshot2.View).Tag,
+	"category":     (*snapshot2.View).Category,
+	"road":         (*snapshot2.View).Road,
+	"weather":      (*snapshot2.View).Weather,
+	"modality":     (*snapshot2.View).Modality,
+	"month":        func(v *snapshot2.View, i int) string { return v.Time(i).Format("2006-01") },
+	"vehicle":      (*snapshot2.View).Vehicle,
+	"reportYear":   (*snapshot2.View).ReportYear,
+	"cause":        (*snapshot2.View).Cause,
+	"time":         func(v *snapshot2.View, i int) string { return v.Time(i).Format(time.RFC3339Nano) },
+	"reactionSeconds": func(v *snapshot2.View, i int) string {
+		return strconv.FormatFloat(v.ReactionSeconds(i), 'g', -1, 64)
+	},
 }
 
-// GroupColumns lists the group-by columns the engine answers from its
-// typed column cache. Other columns fall back to the dataframe layer.
+// GroupColumns lists the columns GroupCount groups by.
 func GroupColumns() []string {
-	return []string{"manufacturer", "tag", "category", "road", "weather", "modality", "month"}
-}
-
-// groupColumns is the full set of columns GroupCount accepts: the typed
-// GroupColumns plus the EventsFrame columns the dataframe fallback can
-// group (core.DB.EventsFrame owns that list).
-var groupColumns = map[string]bool{
-	"manufacturer": true, "tag": true, "category": true, "road": true,
-	"weather": true, "modality": true, "month": true,
-	"vehicle": true, "reportYear": true, "cause": true,
-	"time": true, "reactionSeconds": true,
+	return []string{"manufacturer", "tag", "category", "road", "weather", "modality", "month",
+		"vehicle", "reportYear", "cause", "time", "reactionSeconds"}
 }
 
 // IsGroupColumn reports whether by is a column GroupCount can group by.
 // The server checks ?by= with it while parsing the request, before the
 // study is resolved: a garbage ?by= must fail in microseconds, not after
 // a full pipeline run.
-func IsGroupColumn(by string) bool { return groupColumns[by] }
+func IsGroupColumn(by string) bool { return groupKeys[by] != nil }
+
+// errNoColumn is the cause a *ColumnError carries.
+var errNoColumn = errors.New("no such column")
 
 // GroupCount counts matching events per value of the named column, most
-// frequent first (ties broken by key). "month" groups by the event's
-// "YYYY-MM"; any other column present in the underlying frame (e.g.
-// "cause") is grouped through the dataframe layer.
+// frequent first (ties broken by key). An unknown column is a
+// *ColumnError.
 func (e *Engine) GroupCount(f Filter, by string) ([]GroupCount, error) {
 	p, err := e.plan(f)
 	if err != nil {
 		return nil, err
 	}
-	var key func(i int) string
-	switch by {
-	case "manufacturer":
-		key = e.src.Manufacturer
-	case "tag":
-		key = e.src.Tag
-	case "category":
-		key = e.src.Category
-	case "road":
-		key = e.src.Road
-	case "weather":
-		key = e.src.Weather
-	case "modality":
-		key = e.src.Modality
-	case "month":
-		key = func(i int) string { return e.src.Time(i).Format("2006-01") }
-	default:
-		return e.groupCountFrame(e.ids(&p), by)
+	key := groupKeys[by]
+	if key == nil {
+		return nil, &ColumnError{Column: by, Err: errNoColumn}
 	}
 	counts := make(map[string]int)
-	e.each(&p, func(i int) { counts[key(i)]++ })
-	return sortedGroups(counts), nil
-}
-
-// groupCountFrame groups arbitrary frame columns via frame.GroupBy.
-func (e *Engine) groupCountFrame(ids []int, by string) ([]GroupCount, error) {
-	fr, err := e.frame()
-	if err != nil {
-		return nil, err
-	}
-	sub, err := fr.Take(ids)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := sub.GroupBy(by)
-	if err != nil {
-		return nil, &ColumnError{Column: by, Err: err}
-	}
-	counts := make(map[string]int, len(groups))
-	for _, g := range groups {
-		counts[g.Key[0]] = g.Frame.NumRows()
-	}
+	e.each(&p, func(i int) { counts[key(e.v, i)]++ })
 	return sortedGroups(counts), nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"avfda/internal/core"
-	"avfda/internal/frame"
 	"avfda/internal/ontology"
 	"avfda/internal/schema"
 )
@@ -18,27 +17,25 @@ import (
 // fixtureEngine builds a small five-row engine with known values.
 func fixtureEngine(t *testing.T) *Engine {
 	t.Helper()
-	f := frame.New()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
+	ev := func(m schema.Manufacturer, tag ontology.Tag, road schema.RoadType, w schema.Weather,
+		mod schema.Modality, cause string, ts time.Time) core.Event {
+		return core.Event{
+			Disengagement: schema.Disengagement{
+				Manufacturer: m, ReportYear: schema.Report2016, Time: ts, Cause: cause,
+				Modality: mod, Road: road, Weather: w,
+			},
+			Tag:      tag,
+			Category: ontology.CategoryOf(tag),
 		}
 	}
-	must(f.AddStrings("manufacturer", []string{"Waymo", "Waymo", "Bosch", "Delphi", "Waymo"}))
-	must(f.AddStrings("tag", []string{"Software", "Sensor", "Software", "Planner", "Software"}))
-	must(f.AddStrings("category", []string{"System", "System", "System", "ML/Design", "System"}))
-	must(f.AddStrings("road", []string{"highway", "city street", "highway", "", "highway"}))
-	must(f.AddStrings("weather", []string{"sunny", "rain", "", "sunny", "fog"}))
-	must(f.AddStrings("modality", []string{"Manual", "Automatic", "Planned", "Manual", "Manual"}))
-	must(f.AddStrings("cause", []string{"a", "b", "c", "d", "e"}))
-	must(f.AddTimes("time", []time.Time{
-		time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2015, 6, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 1, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 5, 2, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 11, 30, 0, 0, 0, 0, time.UTC),
-	}))
-	eng, err := NewFromFrame(f)
+	day := func(y, m, d int) time.Time { return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC) }
+	eng, err := New(&core.DB{Events: []core.Event{
+		ev(schema.Waymo, ontology.TagSoftware, schema.RoadHighway, schema.WeatherSunny, schema.ModalityManual, "a", day(2015, 3, 10)),
+		ev(schema.Waymo, ontology.TagSensor, schema.RoadCityStreet, schema.WeatherRaining, schema.ModalityAutomatic, "b", day(2015, 6, 10)),
+		ev(schema.Bosch, ontology.TagSoftware, schema.RoadHighway, schema.WeatherUnknown, schema.ModalityPlanned, "c", day(2016, 1, 10)),
+		ev(schema.Delphi, ontology.TagPlanner, schema.RoadUnknown, schema.WeatherSunny, schema.ModalityManual, "d", day(2016, 5, 2)),
+		ev(schema.Waymo, ontology.TagSoftware, schema.RoadHighway, schema.WeatherFoggy, schema.ModalityManual, "e", day(2016, 11, 30)),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,44 +116,11 @@ func TestMonthErrors(t *testing.T) {
 	}
 }
 
-// randomEngine generates a deterministic pseudo-random corpus for the
-// equivalence property test.
+// randomEngine builds an engine over a deterministic pseudo-random corpus
+// for the equivalence property tests and benchmarks.
 func randomEngine(t testing.TB, rng *rand.Rand, n int) *Engine {
 	t.Helper()
-	pick := func(opts []string) string { return opts[rng.Intn(len(opts))] }
-	mfrs := []string{"Waymo", "Bosch", "Delphi", "GMCruise", "Tesla", ""}
-	tags := []string{"Software", "Sensor", "Planner", "Recognition System", "Unknown-T"}
-	cats := []string{"System", "ML/Design", "Unknown"}
-	roads := []string{"highway", "city street", "rural", ""}
-	weathers := []string{"sunny", "rain", "fog", ""}
-	modalities := []string{"Manual", "Automatic", "Planned"}
-
-	f := frame.New()
-	col := func(opts []string) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = pick(opts)
-		}
-		return out
-	}
-	times := make([]time.Time, n)
-	start := time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC)
-	for i := range times {
-		times[i] = start.AddDate(0, rng.Intn(27), rng.Intn(28))
-	}
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(f.AddStrings("manufacturer", col(mfrs)))
-	must(f.AddStrings("tag", col(tags)))
-	must(f.AddStrings("category", col(cats)))
-	must(f.AddStrings("road", col(roads)))
-	must(f.AddStrings("weather", col(weathers)))
-	must(f.AddStrings("modality", col(modalities)))
-	must(f.AddTimes("time", times))
-	eng, err := NewFromFrame(f)
+	eng, err := New(randomDB(rng, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +146,7 @@ func TestIndexScanEquivalence(t *testing.T) {
 			Tag:          maybe([]string{"Software", "sensor", "Planner", "No Such Tag"}),
 			Category:     maybe([]string{"System", "ml/design", "Unknown"}),
 			Road:         maybe([]string{"highway", "rural", "parking lot"}),
-			Weather:      maybe([]string{"sunny", "rain"}),
+			Weather:      maybe([]string{"sunny", "raining"}),
 			Modality:     maybe([]string{"Manual", "automatic"}),
 			From:         months[rng.Intn(len(months))],
 			To:           months[rng.Intn(len(months))],
@@ -272,7 +236,7 @@ func TestGroupCount(t *testing.T) {
 		t.Errorf("GroupCount(month) = %v, want %v", got, want)
 	}
 
-	// Fallback through the dataframe layer for non-cached columns.
+	// Columns outside the indexed set group from the View's accessors.
 	got, err = eng.GroupCount(Filter{Tag: "Software"}, "cause")
 	if err != nil {
 		t.Fatal(err)
@@ -287,63 +251,9 @@ func TestGroupCount(t *testing.T) {
 	}
 }
 
-func TestFrameProjection(t *testing.T) {
-	eng := fixtureEngine(t)
-	fr, err := eng.Frame(Filter{Manufacturer: "Waymo", Tag: "Software"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.NumRows() != 2 {
-		t.Errorf("projected rows = %d, want 2", fr.NumRows())
-	}
-	causes, err := fr.StringsCol("cause")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(causes, []string{"a", "e"}) {
-		t.Errorf("projected causes = %v", causes)
-	}
-}
-
-func TestNewFromFrameMissingColumns(t *testing.T) {
-	f := frame.New()
-	if err := f.AddStrings("manufacturer", []string{"Waymo", "Bosch"}); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewFromFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := eng.Count(Filter{Manufacturer: "Waymo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("count = %d", n)
-	}
-	// Predicates over absent columns match nothing (zero values).
-	n, err = eng.Count(Filter{Tag: "Software"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("absent-column count = %d", n)
-	}
-}
-
 func TestNewNilInputs(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Error("New(nil): want error")
-	}
-	if _, err := NewFromFrame(nil); err == nil {
-		t.Error("NewFromFrame(nil): want error")
-	}
-}
-
-func TestReliabilityRequiresDB(t *testing.T) {
-	eng := fixtureEngine(t)
-	if _, err := eng.Reliability(); err == nil {
-		t.Error("frame-only engine Reliability: want error")
 	}
 }
 
@@ -446,8 +356,35 @@ func TestAccidentsErrors(t *testing.T) {
 	if !errors.As(err, &me) {
 		t.Errorf("malformed month error = %v, want *MonthError", err)
 	}
-	if _, err := fixtureEngine(t).Accidents(Filter{}, Page{}); err == nil {
-		t.Error("frame-only engine Accidents: want error")
+}
+
+// TestValidateAccidents pins the one check that decides which predicates
+// an accident listing accepts: manufacturer and months only, every other
+// set predicate a *PredicateError naming its parameter.
+func TestValidateAccidents(t *testing.T) {
+	for _, f := range []Filter{{}, {Manufacturer: "Waymo", From: "2015-01", To: "2015-06"}} {
+		if err := f.ValidateAccidents(); err != nil {
+			t.Errorf("ValidateAccidents(%+v) = %v, want nil", f, err)
+		}
+	}
+	for _, tc := range []struct {
+		f     Filter
+		field string
+	}{
+		{Filter{Tag: "Software"}, "tag"},
+		{Filter{Category: "System"}, "category"},
+		{Filter{Road: "highway"}, "road"},
+		{Filter{Weather: "sunny"}, "weather"},
+		{Filter{Modality: "manual", Manufacturer: "Waymo"}, "modality"},
+	} {
+		var pe *PredicateError
+		if err := tc.f.ValidateAccidents(); !errors.As(err, &pe) || pe.Field != tc.field {
+			t.Errorf("ValidateAccidents(%+v) = %v, want a *PredicateError for %s", tc.f, err, tc.field)
+		}
+	}
+	var me *MonthError
+	if err := (Filter{To: "2015-13"}).ValidateAccidents(); !errors.As(err, &me) {
+		t.Errorf("bad month: %v, want *MonthError", err)
 	}
 }
 

@@ -17,11 +17,12 @@ import (
 // database plus its query engine. Both are immutable after construction,
 // so a cached study is served to any number of concurrent requests.
 type Study struct {
-	// DB is the in-heap database for freshly built studies; it is nil
-	// for studies served from a mapped v2 snapshot, whose engine answers
-	// from the columns and materializes tables only for Database. Callers
-	// that need the database should go through Database.
-	DB     *core.DB
+	// DB is the database a fresh build produced; it is nil for a study
+	// mapped from a v2 snapshot. Callers that need the database should go
+	// through Database.
+	DB *core.DB
+	// Engine answers every query through a snapshot2.View: over the heap
+	// bytes New encodes a fresh build to, or over a mapped study's file.
 	Engine *query.Engine
 	// ETag is the study's content fingerprint — the CRC-32C of its v2
 	// snapshot payload, lower-case hex, no quotes — set when the study was
@@ -36,10 +37,15 @@ type Study struct {
 	// (memo.go).
 	memo sync.Map
 
-	// view is the mapped snapshot a study loaded from v2 reads; nil for a
-	// heap study. The cache closes it once the study is evicted and its
-	// last user is gone. users and evicted are guarded by Cache.mu.
+	// view is the mapped snapshot a study loaded from v2 reads, the same
+	// View its Engine reads; nil for a built study. The cache closes it
+	// once the study is evicted and its last user is gone. Database
+	// decodes the study from it at most once, calling decoded (which
+	// counts StudyMaterializations) the first time. users and evicted are
+	// guarded by Cache.mu.
 	view    *snapshot2.View
+	decode  sync.Once
+	decoded func()
 	users   users
 	evicted bool
 }
@@ -69,15 +75,19 @@ func (s *Study) closable() bool {
 	return s.view != nil && s.evicted && !s.users.pinned && s.users.holds == 0
 }
 
-// Database returns the study's failure database, materializing it from
-// the engine's backing snapshot when the study was loaded as a mapped v2
-// view (whole-table consumers — the report tables — pay that cost once,
-// counted as StudyMaterializations).
+// Database returns the study's failure database. A mapped study decodes
+// it from its View on first use, counted once as a
+// StudyMaterialization; only whole-table consumers (the paper tables)
+// need it.
 func (s *Study) Database() (*core.DB, error) {
 	if s.DB != nil {
 		return s.DB, nil
 	}
-	return s.Engine.Database()
+	if s.view == nil {
+		return nil, errors.New("serve: study has neither a database nor a snapshot")
+	}
+	s.decode.Do(s.decoded)
+	return s.view.Database()
 }
 
 // BuildFunc builds the study for one seed. Builds are expensive (a full
@@ -119,7 +129,7 @@ type CacheStats struct {
 	// validation on receipt).
 	SnapshotFetchErrors int64
 	// StudyMaterializations counts whole-database decodes of mapped
-	// studies: only the paper tables and the dataframe fallbacks need one.
+	// studies: only the paper tables need one.
 	StudyMaterializations int64
 	// SnapshotReleases counts mappings of evicted studies closed when
 	// their last request released them.
@@ -395,13 +405,14 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 }
 
 // loadSnapshot2 maps the v2 snapshot for seed and serves queries straight
-// off the mapping: no deserialization, no DB materialization until an
-// endpoint actually needs whole tables. The view is validated end-to-end
-// at open, so a success here is as trustworthy as a fresh build.
+// off the mapping through the same engine a fresh build uses: no
+// deserialization, no DB materialization until an endpoint actually needs
+// whole tables. The view is validated end-to-end at open, so a success
+// here is as trustworthy as a fresh build.
 //
-// Listings, accident pages and reliability metrics read the columns; only
-// Study.Database (the paper tables) and the dataframe fallbacks decode the
-// whole database, counted as StudyMaterializations.
+// Listings, group counts, accident pages and reliability metrics read the
+// columns; only Study.Database (the paper tables) decodes the whole
+// database, counted as StudyMaterializations.
 //
 // Release path: OpenSeed retains no file descriptor (the fd is closed as
 // soon as the mapping exists), so an evicted study pins only its mapping.
@@ -417,15 +428,8 @@ func (c *Cache) loadSnapshot2(seed int64) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, err := query.NewFromSource(v, func() (*core.DB, error) {
-		c.bump(&c.stats.StudyMaterializations)
-		return v.Database()
-	})
-	if err != nil {
-		v.Close()
-		return nil, err
-	}
-	return &Study{Engine: engine, ETag: etagFromCRC(v.Checksum()), view: v}, nil
+	return &Study{Engine: query.NewFromView(v), ETag: etagFromCRC(v.Checksum()), view: v,
+		decoded: func() { c.bump(&c.stats.StudyMaterializations) }}, nil
 }
 
 // bump increments one stats counter under the cache lock.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -253,6 +254,8 @@ func TestBadParamsSkipStudyBuild(t *testing.T) {
 		"/v1/studies/1/disengagements?limit=0",
 		"/v1/studies/1/disengagements?offset=-1",
 		"/v1/studies/1/accidents?limit=bogus",
+		"/v1/studies/1/accidents?tag=Software",
+		"/v1/studies/1/accidents?mfr=Waymo&weather=sunny",
 		"/v1/studies/1/groupby",
 	} {
 		if code, body := get(t, s, path); code != http.StatusBadRequest {
@@ -288,6 +291,24 @@ func TestBadMonthSkipsStudyBuild(t *testing.T) {
 	}
 	if stats := s.CacheStats(); stats.Builds != 0 || stats.Misses != 0 {
 		t.Errorf("stats = %+v, want an untouched cold cache", stats)
+	}
+}
+
+// TestAccidentsRejectInapplicableFilters: accident reports carry no tag,
+// category, road, weather or modality, so asking the accidents route to
+// filter by one is a 400 naming the parameter, not a 200 listing every
+// accident.
+func TestAccidentsRejectInapplicableFilters(t *testing.T) {
+	s := newTestServer(t, nil, 0, 0)
+	for _, param := range []string{"tag", "category", "road", "weather", "modality"} {
+		code, body := get(t, s, "/v1/studies/1/accidents?"+param+"=x")
+		want := fmt.Sprintf(`{"error":"accidents cannot be filtered by %s: accident reports carry no %s"}`+"\n", param, param)
+		if code != http.StatusBadRequest || body != want {
+			t.Errorf("accidents?%s=x = %d %q, want 400 %q", param, code, body, want)
+		}
+	}
+	if code, body := get(t, s, "/v1/studies/1/accidents?mfr=waymo&from=2015-01&to=2015-12"); code != http.StatusOK {
+		t.Errorf("accidents by mfr and months = %d (%s), want 200", code, strings.TrimSpace(body))
 	}
 }
 

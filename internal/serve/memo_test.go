@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -187,17 +188,20 @@ func TestMemoFirstRequestRace(t *testing.T) {
 	}
 }
 
-// TestMemoSkipsFailures: a study whose engine has no database fails its
-// reliability and table answers with 500 on every request, and nothing is
-// memoized.
+// TestMemoSkipsFailures: renders that fail answer 500 on every request,
+// and nothing is memoized. The study's database gives one car a mileage so
+// small that its rate per mile is infinite, which JSON cannot encode, so
+// the reliability render fails; the study carries no database for the
+// tables, so their render fails too.
 func TestMemoSkipsFailures(t *testing.T) {
-	frame, err := testDB(t).EventsFrame()
+	db := testDB(t)
+	db.Mileage[0].Miles = math.SmallestNonzeroFloat64
+	engine, err := query.New(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Build: func(int64) (*Study, error) {
-		engine, err := query.NewFromFrame(frame)
-		return &Study{Engine: engine}, err
+		return &Study{Engine: engine}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -229,13 +229,26 @@ func clientIP(r *http.Request) string {
 
 // seedKey hashes a seed onto the ring's keyspace.
 func seedKey(seed int64) uint64 {
-	h := fnv.New64a()
 	var buf [8]byte
 	for i := range buf {
 		buf[i] = byte(uint64(seed) >> (8 * i))
 	}
-	_, _ = h.Write(buf[:])
-	return h.Sum64()
+	return ringHash(buf[:])
+}
+
+// ringHash places bytes on the ring: FNV-1a, then the splitmix64
+// finalizer. FNV-1a alone leaves short, similar inputs structured — a
+// small seed's eight bytes hash to nearly (offset^seed)·prime⁸, and the
+// vnode names of two loopback backends differ in a few digits — so seeds
+// could crowd onto one backend's arcs. The finalizer spreads both seed
+// keys and vnode positions over the keyspace.
+func ringHash(b []byte) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write(b)
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // ringVnodes is how many virtual nodes each backend contributes. 64 keeps
@@ -262,9 +275,7 @@ func newHashRing(backends []string) *hashRing {
 	vnodes := make([]vnode, 0, len(backends)*ringVnodes)
 	for i, b := range backends {
 		for v := 0; v < ringVnodes; v++ {
-			h := fnv.New64a()
-			_, _ = fmt.Fprintf(h, "%s#%d", b, v)
-			vnodes = append(vnodes, vnode{hash: h.Sum64(), idx: i})
+			vnodes = append(vnodes, vnode{hash: ringHash(fmt.Appendf(nil, "%s#%d", b, v)), idx: i})
 		}
 	}
 	sort.Slice(vnodes, func(i, j int) bool {

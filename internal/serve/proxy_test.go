@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -68,6 +69,29 @@ func TestRingProperties(t *testing.T) {
 	// k exceeding the backend count is clamped, not an error.
 	if owners := r.owners(seedKey(7), 99); len(owners) != len(backends) {
 		t.Errorf("k=99 owners = %v", owners)
+	}
+
+	// Two loopback backends, as tests and the smoke scripts start them,
+	// must split the catalogue seeds: their vnode names differ only in
+	// the port, and small seeds differ only in their low bytes.
+	rng := rand.New(rand.NewSource(5))
+	for pair := 0; pair < 200; pair++ {
+		a, b := 1024+rng.Intn(64000), 1024+rng.Intn(64000)
+		if a == b {
+			continue
+		}
+		loop := []string{fmt.Sprintf("http://127.0.0.1:%d", a), fmt.Sprintf("http://127.0.0.1:%d", b)}
+		r := newHashRing(loop)
+		first := 0
+		const n = 1024
+		for seed := int64(1); seed <= n; seed++ {
+			if r.owners(seedKey(seed), 1)[0] == loop[0] {
+				first++
+			}
+		}
+		if minority := float64(min(first, n-first)) / n; minority < 0.25 {
+			t.Errorf("ring over %v gives one backend %.1f%% of seeds 1..%d; want at least 25%%", loop, 100*minority, n)
+		}
 	}
 }
 

@@ -30,6 +30,8 @@
 //
 // Filter query parameters mirror the avquery flags: mfr, tag, category,
 // road, weather, modality, from, to; listings also take offset and limit.
+// Accident reports carry only a manufacturer and a time, so the accidents
+// route answers 400 to tag, category, road, weather and modality.
 //
 // Study responses carry HTTP validators when the study is snapshot-backed:
 // an ETag derived from the v2 snapshot's CRC-32C (identical on every node
@@ -133,7 +135,7 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)
 	s.route("GET /v1/studies/{seed}/disengagements", studyRoute(s, parseList, handleDisengagements))
-	s.route("GET /v1/studies/{seed}/accidents", studyRoute(s, parseList, handleAccidents))
+	s.route("GET /v1/studies/{seed}/accidents", studyRoute(s, parseAccidents, handleAccidents))
 	s.route("GET /v1/studies/{seed}/groupby", studyRoute(s, parseGroupBy, handleGroupBy))
 	s.route("GET /v1/studies/{seed}/metrics/reliability", studyRoute(s, noParams, handleReliability))
 	s.route("GET /v1/studies/{seed}/tables/{id}", studyRoute(s, parseTable, handleTable))
@@ -332,6 +334,21 @@ func parseList(w http.ResponseWriter, _ *http.Request, q url.Values) (listReques
 	return listRequest{filter: f, page: page}, ok
 }
 
+// parseAccidents reads an accident listing as parseList reads a listing,
+// then rejects with a 400 naming the parameter any predicate accident
+// reports cannot answer (tag, category, road, weather, modality).
+func parseAccidents(w http.ResponseWriter, r *http.Request, q url.Values) (listRequest, bool) {
+	req, ok := parseList(w, r, q)
+	if !ok {
+		return listRequest{}, false
+	}
+	if err := req.filter.ValidateAccidents(); err != nil {
+		writeQueryError(w, err)
+		return listRequest{}, false
+	}
+	return req, true
+}
+
 // groupRequest is the group-by route's parsed parameters.
 type groupRequest struct {
 	filter query.Filter
@@ -453,10 +470,10 @@ func handleDisengagements(w http.ResponseWriter, _ *http.Request, study *Study, 
 // query engine (the avquery CLI serves the identical structure).
 type AccidentPage = query.AccidentPage
 
-// handleAccidents lists accident reports, filtered by mfr and month range
-// (query.Engine.Accidents reads only those predicates of the filter). The
-// filtering lives in the engine — one tested path shared with the CLI —
-// instead of being reimplemented inline here.
+// handleAccidents lists accident reports, filtered by mfr and month range,
+// the only predicates parseAccidents lets through. The filtering lives in
+// the engine — one tested path shared with the CLI — instead of being
+// reimplemented inline here.
 func handleAccidents(w http.ResponseWriter, _ *http.Request, study *Study, req listRequest) {
 	res, err := study.Engine.Accidents(req.filter, req.page)
 	if err != nil {
@@ -575,14 +592,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeQueryError maps engine errors to status codes: malformed client
-// input — month bounds (*query.MonthError) and unknown columns
-// (*query.ColumnError) — is 400, the rest 500. Classification is by typed
-// error, never by message text, so rewording an error cannot silently turn
-// client mistakes into server faults.
+// input — month bounds (*query.MonthError), unknown columns
+// (*query.ColumnError) and predicates a listing cannot apply
+// (*query.PredicateError) — is 400, the rest 500. Classification is by
+// typed error, never by message text, so rewording an error cannot
+// silently turn client mistakes into server faults.
 func writeQueryError(w http.ResponseWriter, err error) {
 	var me *query.MonthError
 	var ce *query.ColumnError
-	if errors.As(err, &me) || errors.As(err, &ce) {
+	var pe *query.PredicateError
+	if errors.As(err, &me) || errors.As(err, &ce) || errors.As(err, &pe) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

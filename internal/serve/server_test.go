@@ -234,6 +234,11 @@ func TestErrorPaths(t *testing.T) {
 		{"/v1/studies/1/groupby", http.StatusBadRequest},
 		{"/v1/studies/1/groupby?by=bogus", http.StatusBadRequest},
 		{"/v1/studies/1/accidents?to=2015-99", http.StatusBadRequest},
+		{"/v1/studies/1/accidents?tag=Software", http.StatusBadRequest},
+		{"/v1/studies/1/accidents?category=System", http.StatusBadRequest},
+		{"/v1/studies/1/accidents?road=highway", http.StatusBadRequest},
+		{"/v1/studies/1/accidents?weather=sunny", http.StatusBadRequest},
+		{"/v1/studies/1/accidents?mfr=Waymo&modality=manual", http.StatusBadRequest},
 		{"/v1/studies/1/tables/xyz", http.StatusNotFound},
 		{"/v1/studies/1/tables/ii", http.StatusNotFound},
 		{"/v1/nope", http.StatusNotFound},
@@ -299,7 +304,7 @@ func TestMetricsHelpText(t *testing.T) {
 		"avserve_snapshot2_loads_total 0",
 		"avserve_snapshot2_writes_total 0",
 		"avserve_snapshot2_rejects_total 0",
-		"# HELP avserve_study_materializations_total Whole-database decodes of mapped studies (paper tables and dataframe fallbacks; listings, accidents and reliability read the columns).",
+		"# HELP avserve_study_materializations_total Whole-database decodes of mapped studies (paper tables only; listings, group-bys, accidents and reliability read the columns).",
 		"avserve_study_materializations_total 3",
 		"# HELP avserve_snapshot_releases_total Mappings of evicted studies closed when their last request released them.",
 		"avserve_snapshot_releases_total 5",
@@ -544,6 +549,33 @@ func TestAccidentsGolden(t *testing.T) {
 		`"inAutonomousMode":true,"redacted":false}]}` + "\n"
 	if body != want {
 		t.Errorf("filtered accidents body:\n%q\nwant:\n%q", body, want)
+	}
+}
+
+// TestMappedGroupByReadsColumns: on a mapped study, group-by over every
+// column outside the indexed set answers from the View's columns, so the
+// whole-database decode counter stays at 0.
+func TestMappedGroupByReadsColumns(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := snapshot2.WriteSeed(dir, 1, testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Build: testBuilder(t, nil, 0), SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, by := range []string{"vehicle", "reportYear", "cause", "time", "reactionSeconds"} {
+		code, body := get(t, s, "/v1/studies/1/groupby?by="+by)
+		var res GroupByResponse
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &res) != nil || res.Total != 3 {
+			t.Fatalf("groupby?by=%s = %d %s, want 200 over 3 events", by, code, strings.TrimSpace(body))
+		}
+	}
+	if stats := s.CacheStats(); stats.Snapshot2Loads != 1 || stats.StudyMaterializations != 0 {
+		t.Errorf("stats = %+v, want one mapped load and no materialization", stats)
+	}
+	if _, body := get(t, s, "/metrics"); !strings.Contains(body, "avserve_study_materializations_total 0\n") {
+		t.Errorf("/metrics does not report 0 materializations:\n%s", body)
 	}
 }
 

@@ -1,4 +1,4 @@
-package snapshot2
+package snapshot2_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"avfda/internal/core"
 	"avfda/internal/pipeline"
 	"avfda/internal/query"
+	"avfda/internal/snapshot2"
 	"avfda/internal/synth"
 )
 
@@ -26,17 +27,13 @@ func buildStudy(tb testing.TB, seed int64) *core.DB {
 
 // openV2 is the cold-open path avserve's v2 tier takes: map, validate, and
 // stand a query engine directly on the columns — no deserialization.
-func openV2(tb testing.TB, dir string, seed int64) (*View, *query.Engine) {
+func openV2(tb testing.TB, dir string, seed int64) (*snapshot2.View, *query.Engine) {
 	tb.Helper()
-	v, err := OpenSeed(dir, seed)
+	v, err := snapshot2.OpenSeed(dir, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, err := query.NewFromSource(v, v.Database)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return v, eng
+	return v, query.NewFromView(v)
 }
 
 // BenchmarkSnapshotV2Load measures the v2 warm-start path on the
@@ -45,7 +42,7 @@ func openV2(tb testing.TB, dir string, seed int64) (*View, *query.Engine) {
 // reported alongside ns/op for the perf-trajectory artifact.
 func BenchmarkSnapshotV2Load(b *testing.B) {
 	dir := b.TempDir()
-	if _, err := WriteSeed(dir, 1, buildStudy(b, 1)); err != nil {
+	if _, err := snapshot2.WriteSeed(dir, 1, buildStudy(b, 1)); err != nil {
 		b.Fatal(err)
 	}
 	var size int
@@ -65,7 +62,7 @@ func BenchmarkSnapshotV2Write(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := WriteSeed(dir, 1, db); err != nil {
+		if _, err := snapshot2.WriteSeed(dir, 1, db); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package snapshot2
+package snapshot2_test
 
 import (
 	"bytes"
@@ -7,11 +7,19 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"avfda/internal/core"
+	"avfda/internal/frame"
 	"avfda/internal/pipeline"
 	"avfda/internal/query"
+	"avfda/internal/schema"
+	"avfda/internal/snapshot2"
 	"avfda/internal/synth"
 )
 
@@ -35,10 +43,12 @@ type equivalenceQuery struct {
 }
 
 // equivalenceQueries draws the 250 queries the equivalence tests sweep.
+// The group-by column is any of query.GroupColumns, time and
+// reactionSeconds included.
 func equivalenceQueries() []equivalenceQuery {
 	rng := rand.New(rand.NewSource(99))
 	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
-	groupBys := append(query.GroupColumns(), "cause", "vehicle", "reportYear")
+	groupBys := query.GroupColumns()
 	out := make([]equivalenceQuery, 250)
 	for i := range out {
 		out[i].f = query.Filter{
@@ -57,26 +67,241 @@ func equivalenceQueries() []equivalenceQuery {
 	return out
 }
 
-// TestCalibratedStudiesAnswerFromColumns builds calibrated studies and
-// holds a View's exposure summary equal to the heap database's, bit for
-// bit, and its engine's reliability metrics and accident pages (over the
-// filters and pages of the equivalence set) byte-identical to a heap
-// engine's. The mapped engine has no database hook at all, so these
-// answers provably come from the columns.
-func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
-	for _, seed := range []int64{1, 2, 41, 165, 190, 500} {
-		cfg := pipeline.DefaultConfig()
-		cfg.Synth = synth.Config{Seed: seed}
-		cfg.OCR.Seed = seed
-		res, err := pipeline.Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+// calibratedDB runs the full Stage I-IV pipeline for a seed.
+func calibratedDB(t *testing.T, seed int64) *core.DB {
+	t.Helper()
+	cfg := pipeline.DefaultConfig()
+	cfg.Synth = synth.Config{Seed: seed}
+	cfg.OCR.Seed = seed
+	res, err := pipeline.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return res.DB
+}
+
+// dbRef answers the equivalence queries straight from a core.DB: it scans
+// every row of the database's events frame and filters its accident table,
+// sharing no code with the engine. It is the reference every engine, fresh
+// or mapped, is held to.
+type dbRef struct {
+	db *core.DB
+	fr *frame.Frame
+
+	mfr, vehicle, year, cause, tag, category, modality, road, weather []string
+	times                                                             []time.Time
+	reaction                                                          []float64
+}
+
+// newDBRef reads db's events frame into the reference's columns.
+func newDBRef(t *testing.T, db *core.DB) *dbRef {
+	t.Helper()
+	fr, err := db.EventsFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &dbRef{db: db, fr: fr}
+	for _, c := range []struct {
+		name string
+		dst  *[]string
+	}{
+		{"manufacturer", &r.mfr}, {"vehicle", &r.vehicle}, {"reportYear", &r.year},
+		{"cause", &r.cause}, {"tag", &r.tag}, {"category", &r.category},
+		{"modality", &r.modality}, {"road", &r.road}, {"weather", &r.weather},
+	} {
+		if *c.dst, err = fr.StringsCol(c.name); err != nil {
+			t.Fatal(err)
 		}
-		data, err := Encode(res.DB)
+	}
+	if r.times, err = fr.Times("time"); err != nil {
+		t.Fatal(err)
+	}
+	if r.reaction, err = fr.Floats("reactionSeconds"); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// inMonths reports whether ts falls in the filter's month bounds.
+func inMonths(t *testing.T, f query.Filter, ts time.Time) bool {
+	t.Helper()
+	from, toExcl, err := query.ParseMonthRange(f.From, f.To)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (from.IsZero() || !ts.Before(from)) && (toExcl.IsZero() || ts.Before(toExcl))
+}
+
+// rows returns the event rows f matches, ascending.
+func (r *dbRef) rows(t *testing.T, f query.Filter) []int {
+	t.Helper()
+	var out []int
+	for i := range r.mfr {
+		ok := inMonths(t, f, r.times[i])
+		for _, p := range [...]struct{ got, want string }{
+			{r.mfr[i], f.Manufacturer}, {r.tag[i], f.Tag}, {r.category[i], f.Category},
+			{r.road[i], f.Road}, {r.weather[i], f.Weather}, {r.modality[i], f.Modality},
+		} {
+			ok = ok && (p.want == "" || strings.EqualFold(p.got, p.want))
+		}
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// pageWindow is the [start, end) slice of total matches page p covers,
+// with the offset clamped to 0.
+func pageWindow(total int, p query.Page) (offset, start, end int) {
+	offset = max(p.Offset, 0)
+	start, end = min(offset, total), total
+	if p.Limit > 0 && p.Limit < end-start {
+		end = start + p.Limit
+	}
+	return offset, start, end
+}
+
+// events is the reference page of matching events.
+func (r *dbRef) events(t *testing.T, f query.Filter, p query.Page) query.EventPage {
+	ids := r.rows(t, f)
+	offset, start, end := pageWindow(len(ids), p)
+	page := query.EventPage{Total: len(ids), Offset: offset, Limit: p.Limit, Events: []query.Event{}}
+	for _, i := range ids[start:end] {
+		page.Events = append(page.Events, query.Event{
+			Manufacturer: r.mfr[i], Vehicle: r.vehicle[i], ReportYear: r.year[i],
+			Time: r.times[i], Cause: r.cause[i], Tag: r.tag[i], Category: r.category[i],
+			Modality: r.modality[i], Road: r.road[i], Weather: r.weather[i],
+			ReactionSeconds: r.reaction[i],
+		})
+	}
+	return page
+}
+
+// groupCount is the reference group count: the events frame's own
+// group-by keys, or the event's "YYYY-MM" for month.
+func (r *dbRef) groupCount(t *testing.T, f query.Filter, by string) []query.GroupCount {
+	t.Helper()
+	ids := r.rows(t, f)
+	counts := make(map[string]int)
+	if by == "month" {
+		for _, i := range ids {
+			counts[r.times[i].Format("2006-01")]++
+		}
+	} else {
+		sub, err := r.fr.Take(ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := NewView(data)
+		groups, err := sub.GroupBy(by)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range groups {
+			counts[g.Key[0]] = g.Frame.NumRows()
+		}
+	}
+	return sortGroups(counts)
+}
+
+// sortGroups orders buckets by descending count, then ascending key.
+func sortGroups(counts map[string]int) []query.GroupCount {
+	out := make([]query.GroupCount, 0, len(counts))
+	for k, n := range counts {
+		out = append(out, query.GroupCount{Key: k, Count: n})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
+// accidents is the reference accident page: the database's accident
+// reports matching the manufacturer and months.
+func (r *dbRef) accidents(t *testing.T, f query.Filter, p query.Page) query.AccidentPage {
+	matched := []schema.Accident{}
+	for _, a := range r.db.Accidents {
+		if (f.Manufacturer == "" || strings.EqualFold(string(a.Manufacturer), f.Manufacturer)) && inMonths(t, f, a.Time) {
+			matched = append(matched, a)
+		}
+	}
+	offset, start, end := pageWindow(len(matched), p)
+	return query.AccidentPage{Total: len(matched), Offset: offset, Limit: p.Limit, Accidents: matched[start:end]}
+}
+
+// reliability is the reference reliability metrics, from the database's
+// own exposure summary.
+func (r *dbRef) reliability(t *testing.T) []query.ReliabilityMetric {
+	t.Helper()
+	rows, err := query.Reliability(r.db.Exposure())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestViewAccessorsMatchEventsFrame holds every per-row View accessor
+// equal to the matching column of core.DB.EventsFrame on calibrated
+// studies, the seeds whose parses lose rows included: the View's string
+// forms are the database's.
+func TestViewAccessorsMatchEventsFrame(t *testing.T) {
+	for _, seed := range []int64{1, 41, 165, 190} {
+		db := calibratedDB(t, seed)
+		data, err := snapshot2.Encode(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := snapshot2.NewView(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newDBRef(t, db)
+		if v.NumRows() != len(ref.mfr) {
+			t.Fatalf("seed %d: View has %d rows, frame %d", seed, v.NumRows(), len(ref.mfr))
+		}
+		for i := range ref.mfr {
+			for _, c := range [...]struct {
+				name      string
+				got, want string
+			}{
+				{"manufacturer", v.Manufacturer(i), ref.mfr[i]},
+				{"vehicle", v.Vehicle(i), ref.vehicle[i]},
+				{"reportYear", v.ReportYear(i), ref.year[i]},
+				{"cause", v.Cause(i), ref.cause[i]},
+				{"tag", v.Tag(i), ref.tag[i]},
+				{"category", v.Category(i), ref.category[i]},
+				{"modality", v.Modality(i), ref.modality[i]},
+				{"road", v.Road(i), ref.road[i]},
+				{"weather", v.Weather(i), ref.weather[i]},
+				{"time", v.Time(i).Format(time.RFC3339Nano), ref.times[i].Format(time.RFC3339Nano)},
+			} {
+				if c.got != c.want {
+					t.Fatalf("seed %d row %d %s: View %q, frame %q", seed, i, c.name, c.got, c.want)
+				}
+			}
+			if got, want := v.ReactionSeconds(i), ref.reaction[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d row %d reactionSeconds: View %g, frame %g", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCalibratedStudiesAnswerFromColumns builds calibrated studies and
+// holds a View's exposure summary equal to the heap database's, bit for
+// bit, and its engine's reliability metrics and accident pages (over the
+// filters and pages of the equivalence set) byte-identical to the answers
+// derived from the database itself.
+func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
+	for _, seed := range []int64{1, 2, 41, 165, 190, 500} {
+		db := calibratedDB(t, seed)
+		data, err := snapshot2.Encode(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := snapshot2.NewView(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,21 +309,12 @@ func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := res.DB.Exposure(); !reflect.DeepEqual(got, want) {
+		if want := db.Exposure(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: View exposure differs from the database's", seed)
 		}
-		heap, err := query.New(res.DB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := query.NewFromSource(v, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRel, err := heap.Reliability()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newDBRef(t, db)
+		mapped := query.NewFromView(v)
+		wantRel := ref.reliability(t)
 		gotRel, err := mapped.Reliability()
 		if err != nil {
 			t.Fatalf("seed %d: mapped reliability: %v", seed, err)
@@ -107,10 +323,7 @@ func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
 			t.Fatalf("seed %d: reliability metrics diverge", seed)
 		}
 		for _, q := range append(equivalenceQueries(), equivalenceQuery{}, equivalenceQuery{page: query.Page{Offset: 40, Limit: 1000}}) {
-			want, err := heap.Accidents(q.f, q.page)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := ref.accidents(t, q.f, q.page)
 			got, err := mapped.Accidents(q.f, q.page)
 			if err != nil {
 				t.Fatalf("seed %d: mapped accidents: %v", seed, err)
@@ -122,140 +335,102 @@ func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2QueryEquivalence is the contract that lets avserve swap a
-// mapped View in where a deserialized database used to be: an engine
-// backed by the v2 columns answers every query byte-identically to an
-// engine built fresh on the original in-memory database. 250 randomized
-// filters sweep the full query surface — event pages, accident pages,
-// group counts over the typed columns and the dataframe-fallback columns,
-// counts, indexed-vs-scan selection, reliability metrics, and CSV export.
+// TestSnapshotV2QueryEquivalence is the contract behind serving every
+// study through a View: an engine over a fresh build's heap bytes (New)
+// and one over the mapped snapshot file (NewFromView) both answer every
+// query byte-identically to answers derived from the original in-memory
+// database. 250 randomized filters sweep the full query surface — event
+// pages, accident pages, group counts over every column, counts,
+// indexed-vs-scan selection, and reliability metrics.
 func TestSnapshotV2QueryEquivalence(t *testing.T) {
-	db := testDB(11, 400, 40)
-	data, err := Encode(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewView(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := snapshot2.TestDB(11, 400, 40)
+	ref := newDBRef(t, db)
 	fresh, err := query.New(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := query.NewFromSource(v, v.Database)
+	dir := t.TempDir()
+	if _, err := snapshot2.WriteSeed(dir, 11, db); err != nil {
+		t.Fatal(err)
+	}
+	v, err := snapshot2.OpenSeed(dir, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Len() != mapped.Len() {
-		t.Fatalf("Len: fresh %d, mapped %d", fresh.Len(), mapped.Len())
-	}
+	defer v.Close()
+	mapped := query.NewFromView(v)
 
-	for i, q := range equivalenceQueries() {
-		f, page := q.f, q.page
+	for _, eng := range []struct {
+		name string
+		e    *query.Engine
+	}{{"fresh", fresh}, {"mapped", mapped}} {
+		if eng.e.Len() != len(db.Events) {
+			t.Fatalf("%s Len %d, database %d", eng.name, eng.e.Len(), len(db.Events))
+		}
+		for _, q := range equivalenceQueries() {
+			f, page := q.f, q.page
 
-		wantN, err := fresh.Count(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotN, err := mapped.Count(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantN != gotN {
-			t.Fatalf("filter %+v: count fresh %d, mapped %d", f, wantN, gotN)
-		}
-
-		wantEv, err := fresh.Events(f, page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotEv, err := mapped.Events(f, page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(jsonBytes(t, wantEv), jsonBytes(t, gotEv)) {
-			t.Fatalf("filter %+v: event pages diverge", f)
-		}
-
-		wantAcc, err := fresh.Accidents(f, page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotAcc, err := mapped.Accidents(f, page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(jsonBytes(t, wantAcc), jsonBytes(t, gotAcc)) {
-			t.Fatalf("filter %+v: accident pages diverge", f)
-		}
-
-		by := q.by
-		wantGr, err := fresh.GroupCount(f, by)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotGr, err := mapped.GroupCount(f, by)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(jsonBytes(t, wantGr), jsonBytes(t, gotGr)) {
-			t.Fatalf("filter %+v by %s: group counts diverge", f, by)
-		}
-
-		// The mapped engine's posting lists must agree with its own scan
-		// path, the same invariant the in-heap indexes are held to.
-		indexed, err := mapped.Select(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scanned, err := mapped.SelectScan(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(indexed, scanned) {
-			t.Fatalf("filter %+v: mapped engine's index disagrees with scan", f)
-		}
-
-		if i%25 == 0 {
-			var wantCSV, gotCSV bytes.Buffer
-			wantFr, err := fresh.Frame(f)
+			gotN, err := eng.e.Count(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotFr, err := mapped.Frame(f)
+			if wantN := len(ref.rows(t, f)); wantN != gotN {
+				t.Fatalf("%s filter %+v: count reference %d, engine %d", eng.name, f, wantN, gotN)
+			}
+
+			gotEv, err := eng.e.Events(f, page)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := wantFr.WriteCSV(&wantCSV); err != nil {
+			if !bytes.Equal(jsonBytes(t, ref.events(t, f, page)), jsonBytes(t, gotEv)) {
+				t.Fatalf("%s filter %+v: event pages diverge", eng.name, f)
+			}
+
+			gotAcc, err := eng.e.Accidents(f, page)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := gotFr.WriteCSV(&gotCSV); err != nil {
+			if !bytes.Equal(jsonBytes(t, ref.accidents(t, f, page)), jsonBytes(t, gotAcc)) {
+				t.Fatalf("%s filter %+v: accident pages diverge", eng.name, f)
+			}
+
+			gotGr, err := eng.e.GroupCount(f, q.by)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(wantCSV.Bytes(), gotCSV.Bytes()) {
-				t.Fatalf("filter %+v: CSV export diverges", f)
+			if !bytes.Equal(jsonBytes(t, ref.groupCount(t, f, q.by)), jsonBytes(t, gotGr)) {
+				t.Fatalf("%s filter %+v by %s: group counts diverge", eng.name, f, q.by)
+			}
+
+			// The posting lists must agree with the scan path and with the
+			// reference's rows.
+			indexed, err := eng.e.Select(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned, err := eng.e.SelectScan(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(indexed, scanned) || !slices.Equal(indexed, ref.rows(t, f)) {
+				t.Fatalf("%s filter %+v: index, scan and reference disagree", eng.name, f)
 			}
 		}
-	}
 
-	wantRel, err := fresh.Reliability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRel, err := mapped.Reliability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jsonBytes(t, wantRel), jsonBytes(t, gotRel)) {
-		t.Fatal("reliability metrics diverge")
+		gotRel, err := eng.e.Reliability()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(jsonBytes(t, ref.reliability(t)), jsonBytes(t, gotRel)) {
+			t.Fatalf("%s: reliability metrics diverge", eng.name)
+		}
 	}
 }
 
 // refMappedEvents is the select-then-slice Events loop, run over the
 // mapped engine's SelectScan ids and materialized from the View's own
 // accessors: the reference page the streamed Events must reproduce.
-func refMappedEvents(t *testing.T, eng *query.Engine, v *View, f query.Filter, p query.Page) query.EventPage {
+func refMappedEvents(t *testing.T, eng *query.Engine, v *snapshot2.View, f query.Filter, p query.Page) query.EventPage {
 	t.Helper()
 	ids, err := eng.SelectScan(f)
 	if err != nil {
@@ -287,7 +462,7 @@ func refMappedEvents(t *testing.T, eng *query.Engine, v *View, f query.Filter, p
 
 // refMappedGroupCount is the select-then-count GroupCount loop over the
 // typed columns, run over SelectScan ids and the View's accessors.
-func refMappedGroupCount(t *testing.T, eng *query.Engine, v *View, f query.Filter, by string) []query.GroupCount {
+func refMappedGroupCount(t *testing.T, eng *query.Engine, v *snapshot2.View, f query.Filter, by string) []query.GroupCount {
 	t.Helper()
 	ids, err := eng.SelectScan(f)
 	if err != nil {
@@ -296,23 +471,18 @@ func refMappedGroupCount(t *testing.T, eng *query.Engine, v *View, f query.Filte
 	key := map[string]func(int) string{
 		"manufacturer": v.Manufacturer, "tag": v.Tag, "category": v.Category,
 		"road": v.Road, "weather": v.Weather, "modality": v.Modality,
-		"month": func(i int) string { return v.Time(i).Format("2006-01") },
+		"month":   func(i int) string { return v.Time(i).Format("2006-01") },
+		"vehicle": v.Vehicle, "reportYear": v.ReportYear, "cause": v.Cause,
+		"time": func(i int) string { return v.Time(i).Format(time.RFC3339Nano) },
+		"reactionSeconds": func(i int) string {
+			return strconv.FormatFloat(v.ReactionSeconds(i), 'g', -1, 64)
+		},
 	}[by]
 	counts := make(map[string]int)
 	for _, i := range ids {
 		counts[key(i)]++
 	}
-	out := make([]query.GroupCount, 0, len(counts))
-	for k, n := range counts {
-		out = append(out, query.GroupCount{Key: k, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
+	return sortGroups(counts)
 }
 
 // TestSnapshotV2StreamedAnswersMatchReference holds the mapped engine's
@@ -321,18 +491,15 @@ func refMappedGroupCount(t *testing.T, eng *query.Engine, v *View, f query.Filte
 // rarely produce (nothing set, month-only, one non-indexed predicate) and
 // pages at the window's edges.
 func TestSnapshotV2StreamedAnswersMatchReference(t *testing.T) {
-	data, err := Encode(testDB(23, 400, 10))
+	data, err := snapshot2.Encode(snapshot2.TestDB(23, 400, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := NewView(data)
+	v, err := snapshot2.NewView(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := query.NewFromSource(v, v.Database)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped := query.NewFromView(v)
 	for _, f := range []query.Filter{
 		{},
 		{From: "2015-03", To: "2016-06"},

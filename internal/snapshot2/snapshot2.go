@@ -2,12 +2,13 @@
 // database (core.DB) — in a memory-mappable columnar layout (system #23 in
 // DESIGN.md §2). It is the only on-disk study format.
 //
-// A format that deserializes the whole database into heap objects before
-// the query engine can touch a single row costs O(study) allocation per
-// cold load. The v2 layout is arranged so the query engine reads the file
-// bytes in place — a View implements the column read surface query.Engine
-// needs (interface query.Source) directly over the mapped file, with lazy
-// string materialization and no per-row decoding. Opening a snapshot costs a
+// It is also the only in-memory form of a study. A format that
+// deserializes the whole database into heap objects before the query
+// engine can touch a single row costs O(study) allocation per cold load.
+// The v2 layout is arranged so the query engine reads the bytes in place —
+// a View is the column read surface query.Engine needs, over a mapped file
+// or over the heap bytes a fresh build was encoded to, with lazy string
+// materialization and no per-row decoding. Opening a snapshot costs a
 // checksum pass and a structural validation of the section directory;
 // resident cost is pages of the mapped file, not heap, which is what makes
 // thousands of concurrently-hot studies per node feasible.
@@ -266,9 +267,8 @@ func Encode(db *core.DB) ([]byte, error) {
 		acFlags[i] = flags
 	}
 
-	// Inverted indexes over the event columns, keyed exactly like
-	// query.Engine's in-heap indexes: lower-cased display value → ascending
-	// row ids. Index keys are interned after the row columns so row data
+	// Inverted indexes over the event columns, keyed the way query.Engine
+	// looks them up: lower-cased display value → ascending row ids. Index keys are interned after the row columns so row data
 	// dominates string-table locality.
 	idxMfr := e.encodePostings(db, func(ev *core.Event) string { return string(ev.Manufacturer) })
 	idxTag := e.encodePostings(db, func(ev *core.Event) string { return ev.Tag.String() })

@@ -18,13 +18,8 @@ import (
 
 	"avfda/internal/core"
 	"avfda/internal/ontology"
-	"avfda/internal/query"
 	"avfda/internal/schema"
 )
-
-// The whole point of the format: a View is a query.Source, so the engine
-// can read the mapped bytes with no deserialization step between.
-var _ query.Source = (*View)(nil)
 
 // testDB builds a randomized but deterministic database: every field the
 // wire format carries is exercised, including empty strings, duplicate
@@ -398,8 +393,8 @@ func TestCorruptPayloadBehindValidChecksum(t *testing.T) {
 }
 
 // TestPostingsMatchHeapIndex cross-checks every stored inverted index
-// against an index built the way query.Engine builds its in-heap ones:
-// identical keys, identical ascending row ids, nil for unknown keys.
+// against one built on the heap from the database's events: identical
+// keys, identical ascending row ids, nil for unknown keys.
 func TestPostingsMatchHeapIndex(t *testing.T) {
 	db := testDB(23, 300, 10)
 	data, err := Encode(db)

@@ -14,12 +14,13 @@ import (
 	"avfda/internal/schema"
 )
 
-// View is a validated window onto one v2 snapshot's bytes — typically a
-// memory-mapped file. It implements the per-row read surface the query
-// engine consumes (interface query.Source): every accessor reads the
-// column bytes in place, materializing strings lazily (each distinct
-// string is copied out of the mapping at most once and cached), so an
-// opened study costs file pages rather than deserialized heap.
+// View is a validated window onto one v2 snapshot's bytes: a mapped file
+// for a restarted or peer-fetched study, or the heap bytes a fresh build
+// was encoded to. It is the per-row read surface query.Engine consumes:
+// every accessor reads the column bytes in place, materializing strings
+// lazily (each distinct string is copied out of the bytes at most once and
+// cached), so an opened study costs its encoded bytes rather than
+// deserialized heap.
 //
 // NewView validates the whole structure up front — checksum, section
 // tiling, string-table offsets, string ids, posting streams — so accessors
@@ -382,8 +383,8 @@ func (v *View) timeAt(secSec, secNsec uint32, i int) time.Time {
 func (v *View) NumRows() int { return v.nEvents }
 
 // The event-row accessors below produce exactly the string forms
-// core.DB.EventsFrame puts in the engine's columns, so a View-backed
-// engine answers byte-identically to a freshly built one.
+// core.DB.EventsFrame renders (display names for enums, "YYYY-YYYY"
+// report years), so the engine's answers and CSV export agree.
 
 // Manufacturer returns event i's manufacturer name.
 func (v *View) Manufacturer(i int) string { return v.str(v.u32(secEvMfr, i)) }
@@ -496,11 +497,11 @@ func (v *View) Accidents() ([]schema.Accident, error) {
 }
 
 // Database materializes the full failure database from the columns —
-// heap-allocated, independent of the mapping — built once and cached. The
-// engine calls this lazily only for what genuinely needs whole tables (the
-// paper tables and the dataframe fallbacks); listings, accident pages and
+// heap-allocated, independent of the mapping — built once and cached. Only
+// what needs whole tables calls it (the paper tables, avquery's CSV
+// export of a mapped study); listings, group counts, accident pages and
 // reliability metrics never pay for it. The error is always nil for a
-// validated View; the signature matches the engine's lazy-database hook.
+// validated View.
 func (v *View) Database() (*core.DB, error) {
 	v.dbOnce.Do(func() { v.db = v.materialize() })
 	return v.db, nil
