@@ -418,11 +418,11 @@ func BenchmarkSynthGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineScale measures end-to-end throughput on corpora scaled
-// to multiples of the calibrated fleet (Scale x cars/miles/events), both
-// sequential (Workers=1) and parallel (Workers=GOMAXPROCS); the seq/par
-// ratio at each scale is the pipeline's parallel speedup.
-func BenchmarkPipelineScale(b *testing.B) {
+// BenchmarkPipelineWorkers measures an end-to-end build of the calibrated
+// study sequentially (Workers=1) and with the OCR and parse fan-out on
+// GOMAXPROCS workers (Workers=0); the seq/par ratio is what the fan-out
+// buys.
+func BenchmarkPipelineWorkers(b *testing.B) {
 	modes := []struct {
 		name    string
 		workers int
@@ -430,25 +430,22 @@ func BenchmarkPipelineScale(b *testing.B) {
 		{"seq", 1},
 		{fmt.Sprintf("par-%d", runtime.GOMAXPROCS(0)), 0},
 	}
-	for _, scale := range []int{1, 2, 4} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%dx-%s", scale, mode.name), func(b *testing.B) {
-				cfg := pipeline.DefaultConfig()
-				cfg.Synth.Scale = scale
-				cfg.Workers = mode.workers
-				var events int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cfg.Synth.Seed = int64(i + 1)
-					res, err := pipeline.Run(context.Background(), cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					events = len(res.DB.Events)
+	for _, mode := range modes {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := pipeline.DefaultConfig()
+			cfg.Workers = mode.workers
+			var events int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Synth.Seed = int64(i + 1)
+				res, err := pipeline.Run(context.Background(), cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(events), "events")
-			})
-		}
+				events = len(res.DB.Events)
+			}
+			b.ReportMetric(float64(events), "events")
+		})
 	}
 }
 

@@ -224,6 +224,13 @@ func New(db *core.DB) (*Engine, error) {
 // after v is closed.
 func NewFromView(v *snapshot2.View) *Engine { return &Engine{v: v} }
 
+// WriteSeed persists the study the engine reads as the canonical v2 file
+// for seed under dir and returns its payload checksum
+// (snapshot2.View.WriteSeed).
+func (e *Engine) WriteSeed(dir string, seed int64) (uint32, error) {
+	return e.v.WriteSeed(dir, seed)
+}
+
 // Len returns the total number of events in the engine.
 func (e *Engine) Len() int { return e.v.NumRows() }
 

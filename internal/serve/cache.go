@@ -361,11 +361,12 @@ func (c *Cache) acquire(seed int64) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.snapDir != "" && study != nil && study.DB != nil {
-		// Write-through replaces whatever was on disk (including a
-		// just-rejected file) via an atomic rename; a write failure only
-		// costs the next cold process a rebuild, so it is not fatal.
-		if crc, err := snapshot2.WriteSeed(c.snapDir, seed, study.DB); err == nil {
+	if c.snapDir != "" && study != nil && study.Engine != nil {
+		// Write-through installs the bytes the engine already encoded,
+		// replacing whatever was on disk (including a just-rejected file)
+		// via an atomic rename; a write failure only costs the next cold
+		// process a rebuild, so it is not fatal.
+		if crc, err := study.Engine.WriteSeed(c.snapDir, seed); err == nil {
 			c.bump(&c.stats.Snapshot2Writes)
 			// The write-through fixes the study's content fingerprint, so
 			// the freshly built study can carry a validator too.

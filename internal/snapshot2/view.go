@@ -566,6 +566,17 @@ func (v *View) Size() int { return len(v.data) }
 // is what lets the serving layer derive HTTP ETags from it.
 func (v *View) Checksum() uint32 { return v.crc }
 
+// WriteSeed atomically installs the view's bytes as the canonical v2 file
+// for seed under dir and returns their payload checksum, so a study already
+// encoded for serving is persisted without encoding it again. It hands back
+// no bytes, so nothing it returns aliases the snapshot.
+func (v *View) WriteSeed(dir string, seed int64) (uint32, error) {
+	if err := writeFileAtomic(Path(dir, seed), v.data); err != nil {
+		return 0, err
+	}
+	return v.crc, nil
+}
+
 // Close releases the backing mapping for views opened by Open; it is
 // idempotent and a no-op for views over caller-owned bytes (NewView).
 // After Close, column accessors must not be used; previously materialized

@@ -38,12 +38,12 @@ var accidentNarratives = []string{
 
 // caseStudyAccidents encodes the paper's two §II case-study collisions,
 // both Waymo vehicles in Mountain View within the 2015-2016 reporting
-// window. vidPrefix keeps replica fleets' vehicles distinct.
-func caseStudyAccidents(vidPrefix string) []schema.Accident {
+// window.
+func caseStudyAccidents() []schema.Accident {
 	return []schema.Accident{
 		{
 			Manufacturer: schema.Waymo,
-			Vehicle:      schema.VehicleID(vidPrefix + "Waymo-1-car01"),
+			Vehicle:      "Waymo-1-car01",
 			ReportYear:   schema.Report2016,
 			Time:         time.Date(2015, time.October, 8, 15, 40, 0, 0, time.UTC),
 			Location:     "South Shoreline Blvd & Highschool Way, Mountain View, CA",
@@ -60,7 +60,7 @@ func caseStudyAccidents(vidPrefix string) []schema.Accident {
 		},
 		{
 			Manufacturer: schema.Waymo,
-			Vehicle:      schema.VehicleID(vidPrefix + "Waymo-1-car02"),
+			Vehicle:      "Waymo-1-car02",
 			ReportYear:   schema.Report2016,
 			Time:         time.Date(2015, time.August, 20, 11, 5, 0, 0, time.UTC),
 			Location:     "El Camino Real & Clark Av, Mountain View, CA",
@@ -77,22 +77,21 @@ func caseStudyAccidents(vidPrefix string) []schema.Accident {
 	}
 }
 
-// generateAccidents emits p's accident reports into sink. Waymo's
+// generateAccidents appends p's accident reports to t. Waymo's
 // 2015-2016 release includes the two case-study collisions first; remaining
 // accidents are drawn from the narrative/location pools with exponential
 // collision speeds (Fig. 12). Vehicles are assigned in proportion to their
 // mileage weights so accident exposure tracks miles driven.
-func generateAccidents(p profile, rng *rand.Rand, sink Sink,
+func (t *Truth) generateAccidents(p profile, rng *rand.Rand,
 	vehicles []schema.VehicleID, mileWeights []float64,
-) error {
+) {
 	n := accidentAllocation(p.mfr, p.year)
 	if n == 0 {
-		return nil
+		return
 	}
-	var out []schema.Accident
 	if p.mfr == schema.Waymo && p.year == schema.Report2016 {
-		cs := caseStudyAccidents(p.vidPrefix)
-		out = append(out, cs...)
+		cs := caseStudyAccidents()
+		t.Corpus.Accidents = append(t.Corpus.Accidents, cs...)
 		n -= len(cs)
 	}
 	avSpeed := stats.Exponential{Lambda: 1 / calib.AVSpeedMean}
@@ -129,14 +128,8 @@ func generateAccidents(p profile, rng *rand.Rand, sink Sink,
 		} else {
 			a.Vehicle = vehicles[drawIndexWeighted(mileWeights, rng)]
 		}
-		out = append(out, a)
+		t.Corpus.Accidents = append(t.Corpus.Accidents, a)
 	}
-	for _, a := range out {
-		if err := sink.emitAccident(a); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // drawIndexWeighted samples an index proportionally to weights, falling

@@ -11,64 +11,45 @@ import (
 	"avfda/internal/calib"
 	"avfda/internal/ontology"
 	"avfda/internal/schema"
-	"avfda/internal/stats"
 )
 
 // Config parameterizes corpus generation.
 type Config struct {
 	// Seed drives all randomness; equal seeds give byte-identical corpora.
 	Seed int64
-	// AlertnessDrift scales how much reaction times grow with cumulative
-	// miles driven (the paper's Q4 observation that driver alertness
-	// decays as the system improves). Default 0.6; zero disables the
-	// effect.
-	AlertnessDrift float64
-	// CarSpread is the log-stddev of per-car mileage weights (Fig. 4
-	// spread). Default 0.5.
-	CarSpread float64
-	// BadnessSpread is the log-stddev of per-car failure-proneness
-	// (drives the per-car DPM quartiles). Default 0.6.
-	BadnessSpread float64
-	// MileageBadnessCoupling makes high-mileage cars proportionally less
-	// failure-prone (badness ~ mileageWeight^-coupling). The paper's
-	// Table VII medians sit *above* the fleet-wide rates, which requires
-	// exactly this inverse relation. Default 0.7.
-	MileageBadnessCoupling float64
-	// Scale multiplies every fleet's cars, miles, and disengagement counts
-	// (accident counts are left at the calibrated values). Default 1 — the
-	// calibrated corpus. Use larger values only for throughput/scaling
-	// benchmarks; scaled corpora no longer match Table I.
-	Scale int
-	// Fleets replicates the whole calibrated manufacturer roster into N
-	// independent synthetic fleets, each generated from its own derived
-	// seed with fleet-prefixed vehicle IDs (f01-, f02-, ...). Default 1 —
-	// the calibrated corpus. Combined with Scale this reaches 100M+ miles
-	// while per-fleet working memory stays calibrated-sized, which is what
-	// makes the streaming path's bounded-memory guarantee useful. Like
-	// Scale, replicated corpora no longer match Table I.
-	Fleets int
 }
 
-func (c Config) withDefaults() Config {
-	if c.AlertnessDrift == 0 {
-		c.AlertnessDrift = 0.55
-	}
-	if c.CarSpread == 0 {
-		c.CarSpread = 0.5
-	}
-	if c.BadnessSpread == 0 {
-		c.BadnessSpread = 0.6
-	}
-	if c.MileageBadnessCoupling == 0 {
-		c.MileageBadnessCoupling = 0.7
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Fleets <= 0 {
-		c.Fleets = 1
-	}
-	return c
+// model holds the generator's shape parameters that Table I does not fix.
+// Generate always uses calibrated; tests vary a field through generate.
+type model struct {
+	// alertnessDrift scales each drawn reaction time by
+	// 1 + alertnessDrift*(p-0.5), where p is the manufacturer's share of
+	// its study-wide miles driven by the end of the event's month. At the
+	// calibrated 0.55 an event at the program's start takes 0.725x its
+	// drawn reaction time and one at its end 1.275x: reaction times grow
+	// with cumulative miles (the paper's Q4 observation that driver
+	// alertness decays as the system improves), while the factor's
+	// centre of 1 keeps the fleet-wide mean near the calibrated value.
+	alertnessDrift float64
+	// carSpread is the log-stddev of per-car mileage weights (Fig. 4
+	// spread).
+	carSpread float64
+	// badnessSpread is the log-stddev of per-car failure-proneness
+	// (drives the per-car DPM quartiles).
+	badnessSpread float64
+	// mileageBadnessCoupling makes high-mileage cars proportionally less
+	// failure-prone (badness ~ mileageWeight^-coupling). The paper's
+	// Table VII medians sit *above* the fleet-wide rates, which requires
+	// exactly this inverse relation.
+	mileageBadnessCoupling float64
+}
+
+// calibrated is the model every Generate call uses.
+var calibrated = model{
+	alertnessDrift:         0.55,
+	carSpread:              0.5,
+	badnessSpread:          0.6,
+	mileageBadnessCoupling: 0.7,
 }
 
 // Truth is a generated corpus together with its ground-truth labels, kept
@@ -82,109 +63,24 @@ type Truth struct {
 }
 
 // Generate builds the full two-release synthetic corpus calibrated to the
-// paper's Table I (exact counts) and distributional targets. It is the
-// materialized path: every record is collected into a Truth and the whole
-// corpus is validated before return. GenerateStream produces the identical
-// record sequence without materializing it.
+// paper's Table I (exact counts) and distributional targets, and validates
+// it before return.
 func Generate(cfg Config) (*Truth, error) {
-	cfg = cfg.withDefaults()
-	truth := &Truth{}
-	if err := generateInto(cfg, truth.sink()); err != nil {
-		return nil, err
+	return generate(cfg.Seed, calibrated)
+}
+
+// generate builds the corpus for seed under model m. Each manufacturer-year
+// profile draws from its own RNG, seeded from seed and the profile alone.
+func generate(seed int64, m model) (*Truth, error) {
+	t := &Truth{}
+	for _, p := range profiles() {
+		rng := rand.New(rand.NewSource(profileSeed(seed, p.mfr, p.year)))
+		t.generateProfile(m, p, rng)
 	}
-	if err := truth.Corpus.Validate(); err != nil {
+	if err := t.Corpus.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated corpus invalid: %w", err)
 	}
-	return truth, nil
-}
-
-// sink returns the materializing Sink that appends every record to t — the
-// reference emission order the streaming generator is pinned against.
-func (t *Truth) sink() Sink {
-	return Sink{
-		Fleet: func(f schema.Fleet) error {
-			t.Corpus.Fleets = append(t.Corpus.Fleets, f)
-			return nil
-		},
-		Mileage: func(m schema.MonthlyMileage) error {
-			t.Corpus.Mileage = append(t.Corpus.Mileage, m)
-			return nil
-		},
-		Disengagement: func(d schema.Disengagement, tag ontology.Tag) error {
-			t.Corpus.Disengagements = append(t.Corpus.Disengagements, d)
-			t.Tags = append(t.Tags, tag)
-			return nil
-		},
-		Accident: func(a schema.Accident) error {
-			t.Corpus.Accidents = append(t.Corpus.Accidents, a)
-			return nil
-		},
-	}
-}
-
-// generateInto runs every generation job sequentially, emitting into sink.
-func generateInto(cfg Config, sink Sink) error {
-	for _, j := range generationJobs(cfg) {
-		if err := runJob(cfg, j, sink); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// genJob is one unit of generation work: a fleet replica of one
-// manufacturer-year profile with its derived seed. Jobs are independent —
-// each owns its RNG — which is what makes parallel streaming generation
-// byte-identical to the sequential path at any worker count.
-type genJob struct {
-	p    profile
-	seed int64
-}
-
-// generationJobs expands the configuration into the ordered job list:
-// fleet-replica-major, then the stable profile order. Replica 0 keeps the
-// exact legacy seed derivation and unprefixed vehicle IDs, so Fleets=1
-// output is byte-identical to historical corpora for a given seed.
-func generationJobs(cfg Config) []genJob {
-	jobs := make([]genJob, 0, cfg.Fleets*20)
-	for r := 0; r < cfg.Fleets; r++ {
-		for _, p := range profiles() {
-			if cfg.Scale > 1 {
-				p = scaleProfile(p, cfg.Scale)
-			}
-			if r > 0 {
-				p.vidPrefix = fmt.Sprintf("f%02d-", r)
-			}
-			jobs = append(jobs, genJob{p: p, seed: replicaSeed(cfg.Seed, r, p.mfr, p.year)})
-		}
-	}
-	return jobs
-}
-
-// runJob generates one job's records into sink.
-func runJob(cfg Config, j genJob, sink Sink) error {
-	rng := rand.New(rand.NewSource(j.seed))
-	if err := generateProfile(cfg, j.p, rng, sink); err != nil {
-		return fmt.Errorf("synth: %s%s %s: %w", j.p.vidPrefix, j.p.mfr, j.p.year, err)
-	}
-	return nil
-}
-
-// scaleProfile multiplies a fleet's cars, miles, and disengagements for
-// throughput benchmarks.
-func scaleProfile(p profile, scale int) profile {
-	out := p
-	out.cars = p.cars * scale
-	if out.stats.Miles > 0 {
-		out.stats.Miles *= float64(scale)
-	}
-	if out.stats.Disengagements > 0 {
-		out.stats.Disengagements *= scale
-	}
-	if out.stats.Cars > 0 {
-		out.stats.Cars *= scale
-	}
-	return out
+	return t, nil
 }
 
 // profileSeed derives a stable per-profile seed from the master seed.
@@ -194,44 +90,31 @@ func profileSeed(seed int64, m schema.Manufacturer, y schema.ReportYear) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// replicaSeed derives the seed for one fleet replica of a profile. Replica
-// 0 uses the legacy derivation unchanged so historical corpora stay
-// byte-identical; later replicas mix the fleet index into the hash.
-func replicaSeed(seed int64, fleet int, m schema.Manufacturer, y schema.ReportYear) int64 {
-	if fleet == 0 {
-		return profileSeed(seed, m, y)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|f%d", m, y, fleet)
-	return seed ^ int64(h.Sum64())
-}
-
-// generateProfile emits one manufacturer-year's fleet, mileage,
-// disengagements, and accidents into sink, in that per-type order.
-func generateProfile(cfg Config, p profile, rng *rand.Rand, sink Sink) error {
+// generateProfile appends one manufacturer-year's fleet, mileage,
+// disengagements, and accidents to t.
+func (t *Truth) generateProfile(mdl model, p profile, rng *rand.Rand) {
 	// Fleet row (Cars may be calib.Unreported, preserving Table I dashes).
-	if err := sink.emitFleet(schema.Fleet{
+	t.Corpus.Fleets = append(t.Corpus.Fleets, schema.Fleet{
 		Manufacturer: p.mfr,
 		ReportYear:   p.year,
 		Cars:         p.stats.Cars,
-	}); err != nil {
-		return err
-	}
+	})
 
 	nCars := p.cars
 	nMonths := len(p.activeMonths)
 	if nCars <= 0 || nMonths == 0 {
 		// Accident-only vendors (Uber) still file accident reports.
-		return generateAccidents(p, rng, sink, nil, nil)
+		t.generateAccidents(p, rng, nil, nil)
+		return
 	}
 
 	// Per-car mileage weights and failure proneness.
 	carW := make([]float64, nCars)
 	badness := make([]float64, nCars)
 	for i := range carW {
-		carW[i] = math.Exp(rng.NormFloat64() * cfg.CarSpread)
-		badness[i] = math.Exp(rng.NormFloat64()*cfg.BadnessSpread) *
-			math.Pow(carW[i], -cfg.MileageBadnessCoupling)
+		carW[i] = math.Exp(rng.NormFloat64() * mdl.carSpread)
+		badness[i] = math.Exp(rng.NormFloat64()*mdl.badnessSpread) *
+			math.Pow(carW[i], -mdl.mileageBadnessCoupling)
 	}
 	// Month weights ramp up linearly: testing programs grow over time.
 	monthW := make([]float64, nMonths)
@@ -291,13 +174,9 @@ func generateProfile(cfg Config, p profile, rng *rand.Rand, sink Sink) error {
 		}
 	}
 
-	// Emit mileage records and events. Category and modality decks are
+	// Mileage records and events. Category and modality decks are
 	// apportioned by largest remainder so the Table IV/V percentages are
 	// reproduced exactly up to rounding, then shuffled over events.
-	var reaction *stats.Weibull
-	if p.reaction != nil {
-		reaction = &stats.Weibull{K: p.reaction.Shape, Lambda: p.reaction.Scale}
-	}
 	var events []schema.Disengagement
 	var tags []ontology.Tag
 	catDeck := buildCategoryDeck(nEvents, p.category, rng)
@@ -307,18 +186,16 @@ func generateProfile(cfg Config, p profile, rng *rand.Rand, sink Sink) error {
 		vid := p.vehicleID(i)
 		for m := 0; m < nMonths; m++ {
 			month := p.activeMonths[m]
-			if err := sink.emitMileage(schema.MonthlyMileage{
+			t.Corpus.Mileage = append(t.Corpus.Mileage, schema.MonthlyMileage{
 				Manufacturer: p.mfr,
 				Vehicle:      vid,
 				ReportYear:   p.year,
 				Month:        month,
 				Miles:        cellMiles[i*nMonths+m],
-			}); err != nil {
-				return err
-			}
+			})
 			for e := 0; e < cellEvents[i*nMonths+m]; e++ {
 				tag := tagForCategory(catDeck[next], rng)
-				ev := synthesizeEvent(cfg, p, rng, vid, month, tag, modDeck[next], reaction, cumFrac[m])
+				ev := synthesizeEvent(mdl, p, rng, vid, month, tag, modDeck[next], cumFrac[m])
 				events = append(events, ev)
 				tags = append(tags, tag)
 				next++
@@ -331,9 +208,7 @@ func generateProfile(cfg Config, p profile, rng *rand.Rand, sink Sink) error {
 		events[rng.Intn(len(events))].ReactionSeconds = calib.VWOutlierSeconds
 	}
 
-	// Deterministic ordering: by time, then vehicle. Sorting needs the
-	// profile's events materialized, so streaming memory is bounded by the
-	// largest single profile, never the whole corpus.
+	// Deterministic ordering: by time, then vehicle.
 	type evTag struct {
 		ev  schema.Disengagement
 		tag ontology.Tag
@@ -349,9 +224,8 @@ func generateProfile(cfg Config, p profile, rng *rand.Rand, sink Sink) error {
 		return pairs[a].ev.Vehicle < pairs[b].ev.Vehicle
 	})
 	for _, pr := range pairs {
-		if err := sink.emitDisengagement(pr.ev, pr.tag); err != nil {
-			return err
-		}
+		t.Corpus.Disengagements = append(t.Corpus.Disengagements, pr.ev)
+		t.Tags = append(t.Tags, pr.tag)
 	}
 
 	// Accident exposure scales with vehicle mileage: cars that drive more
@@ -365,7 +239,7 @@ func generateProfile(cfg Config, p profile, rng *rand.Rand, sink Sink) error {
 			carMiles[i] += cellMiles[i*nMonths+m]
 		}
 	}
-	return generateAccidents(p, rng, sink, vehicles, carMiles)
+	t.generateAccidents(p, rng, vehicles, carMiles)
 }
 
 // programMiles returns the manufacturer's miles in earlier report years and
@@ -405,9 +279,8 @@ func buildModalityDeck(n int, m calib.ModalityPct, rng *rand.Rand) []schema.Moda
 }
 
 // synthesizeEvent draws one disengagement event.
-func synthesizeEvent(cfg Config, p profile, rng *rand.Rand, vid schema.VehicleID,
-	month time.Time, tag ontology.Tag, modality schema.Modality,
-	reaction *stats.Weibull, progress float64,
+func synthesizeEvent(mdl model, p profile, rng *rand.Rand, vid schema.VehicleID,
+	month time.Time, tag ontology.Tag, modality schema.Modality, progress float64,
 ) schema.Disengagement {
 	ev := schema.Disengagement{
 		Manufacturer:    p.mfr,
@@ -420,15 +293,11 @@ func synthesizeEvent(cfg Config, p profile, rng *rand.Rand, vid schema.VehicleID
 		Weather:         drawWeather(rng),
 		ReactionSeconds: -1,
 	}
-	if reaction != nil {
+	if p.reaction != nil {
 		// Drift is centered on 1 so alertness decay (positive correlation
 		// of reaction time with cumulative miles, paper Q4) does not move
 		// the fleet-wide mean off the calibrated 0.85 s.
-		drift := 1 + cfg.AlertnessDrift*(progress-0.5)
-		if drift < 0.1 {
-			drift = 0.1
-		}
-		ev.ReactionSeconds = reaction.Rand(rng) * drift
+		ev.ReactionSeconds = p.reaction.Rand(rng) * (1 + mdl.alertnessDrift*(progress-0.5))
 	}
 	return ev
 }
@@ -487,11 +356,4 @@ func drawWeather(rng *rand.Rand) schema.Weather {
 	default:
 		return schema.WeatherFoggy
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

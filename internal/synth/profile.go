@@ -8,6 +8,10 @@
 // accident speeds are matched in distribution. Event counts are allocated
 // with largest-remainder rounding so totals are exact while attribute
 // sampling stays random (seeded, deterministic).
+//
+// Generate is the one entry point and Config.Seed its one input: every
+// seed yields the calibrated two-release corpus of about 1.1M autonomous
+// miles, byte-identical across runs.
 package synth
 
 import (
@@ -16,6 +20,7 @@ import (
 
 	"avfda/internal/calib"
 	"avfda/internal/schema"
+	"avfda/internal/stats"
 )
 
 // reportWindow returns the month range [first, last] covered by a DMV
@@ -63,18 +68,12 @@ type profile struct {
 	modality calib.ModalityPct
 	// reaction is the reaction-time distribution; nil when the vendor
 	// does not report reaction times.
-	reaction *calib.WeibullParams
-	// accidents to generate for this vendor-year.
-	accidents int
-	// vidPrefix distinguishes fleet replicas (Config.Fleets): "" for the
-	// calibrated fleet, "f01-" etc. for replicas, keeping vehicle IDs
-	// unique across the whole multi-fleet corpus.
-	vidPrefix string
+	reaction *stats.Weibull
 }
 
 // vehicleID names the i-th (zero-based) car of this profile's fleet.
 func (p profile) vehicleID(i int) schema.VehicleID {
-	return schema.VehicleID(fmt.Sprintf("%s%s-%d-car%02d", p.vidPrefix, p.mfr, int(p.year), i+1))
+	return schema.VehicleID(fmt.Sprintf("%s-%d-car%02d", p.mfr, int(p.year), i+1))
 }
 
 // activityWindow returns the months a manufacturer was actually testing in
@@ -117,8 +116,7 @@ func profiles() []profile {
 				modality:     calib.TableV[m],
 			}
 			if w, ok := calib.ReactionDist[m]; ok {
-				wc := w
-				p.reaction = &wc
+				p.reaction = &stats.Weibull{K: w.Shape, Lambda: w.Scale}
 			}
 			out = append(out, p)
 		}

@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -256,6 +259,32 @@ func TestGenerateAccidentSpeeds(t *testing.T) {
 	}
 }
 
+// TestGenerateGolden pins the generated Stage I corpus, ground-truth tags
+// included, byte for byte: the SHA-256 of its JSON encoding per seed. Any
+// change to these digests changes every downstream study.
+func TestGenerateGolden(t *testing.T) {
+	want := map[int64]string{
+		1:   "ba7ca9af80574cb0af58fe4c668d15be7fe58f47a63d9726db67c4de666698d2",
+		2:   "2c72e3fcd8661eaba01ac836c474bf6031f7c6e9dc7fc4c034e6e82fb5fc26cd",
+		41:  "af9a9efd4242bc13f3df88fd8acc93c5a36fc8f14d8171b5b2001b4168c41072",
+		165: "f810ed52e2b6b987ba18e25a21dfb3c34877120fbff0479e5c8ba679f5bf6043",
+		500: "83ede58b73121ceca9461247b49c762e69c9544259813532d61276fdcfcf456b",
+	}
+	for seed, digest := range want {
+		tr, err := Generate(Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(*tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != digest {
+			t.Errorf("seed %d: corpus sha256 = %s, want %s", seed, got, digest)
+		}
+	}
+}
+
 func TestGenerateDeterminism(t *testing.T) {
 	a, err := Generate(Config{Seed: 42})
 	if err != nil {
@@ -392,31 +421,13 @@ func TestSplitAmount(t *testing.T) {
 	}
 }
 
-func TestGenerateScale(t *testing.T) {
-	tr, err := Generate(Config{Seed: 2, Scale: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tr.Corpus.Disengagements); got != 3*calib.TotalDisengagements {
-		t.Errorf("scaled disengagements = %d, want %d", got, 3*calib.TotalDisengagements)
-	}
-	if got := tr.Corpus.TotalMiles(); math.Abs(got-3*calib.TotalMiles) > 5 {
-		t.Errorf("scaled miles = %.0f, want %.0f", got, 3*calib.TotalMiles)
-	}
-	// Accidents stay at the calibrated count.
-	if got := len(tr.Corpus.Accidents); got != calib.TotalAccidents {
-		t.Errorf("scaled accidents = %d, want %d", got, calib.TotalAccidents)
-	}
-	if err := tr.Corpus.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The BadnessSpread knob controls the per-car DPM dispersion that Fig. 4
+// The model's badnessSpread controls the per-car DPM dispersion that Fig. 4
 // visualizes: a wider spread must widen the log-IQR of per-car rates.
 func TestBadnessSpreadWidensDPMSpread(t *testing.T) {
 	iqr := func(spread float64) float64 {
-		tr, err := Generate(Config{Seed: 6, BadnessSpread: spread})
+		m := calibrated
+		m.badnessSpread = spread
+		tr, err := generate(6, m)
 		if err != nil {
 			t.Fatal(err)
 		}
