@@ -1,4 +1,6 @@
-# Mirrors .github/workflows/ci.yml: `make ci` runs exactly what CI runs.
+# Mirrors .github/workflows/ci.yml: `make ci` runs exactly what CI runs,
+# except the govulncheck job, which is CI-only because it installs the
+# govulncheck tool from the network.
 
 GO ?= go
 
@@ -24,8 +26,7 @@ race:
 
 # The analyzer suite over the whole repository, the same single pass as
 # CI's lint job (which adds -gha only to render findings as annotations).
-# See DESIGN.md systems #21, #25, and #26 for what each analyzer
-# enforces.
+# See DESIGN.md systems #21 and #25 for what each analyzer enforces.
 lint:
 	$(GO) run ./cmd/avlint ./...
 
@@ -97,4 +98,4 @@ fmt:
 		echo "unformatted files:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
-ci: build vet test race lint fuzz fmt bench bench-check
+ci: build vet test race lint fuzz fmt bench bench-check serve load-smoke proxy-smoke

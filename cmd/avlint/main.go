@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	avlint [-C dir] [-disable name,name] [-list] [-json] [-gha]
-//	       [-parallel n] [packages]
+//	avlint [-C dir] [-disable name,name] [-list] [-json] [-gha] [packages]
 //
 // With no package patterns it lints ./... from the current directory. Each
 // diagnostic prints as
@@ -15,8 +14,8 @@
 // -json switches stdout to a machine-readable JSON object with a
 // "findings" array, and -gha to GitHub Actions workflow commands
 // (::error file=...) so CI annotates the offending lines in pull requests.
-// -parallel bounds the loading/analysis worker pools (default: all cores);
-// wall time is reported on stderr either way.
+// Loading and analysis use GOMAXPROCS workers; wall time is reported on
+// stderr.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when loading or analysis itself failed — a package that
@@ -52,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "run as if started in this directory")
 	jsonOut := fs.Bool("json", false, "print findings as a JSON object")
 	gha := fs.Bool("gha", false, "print findings as GitHub Actions ::error annotations")
-	parallel := fs.Int("parallel", 0, "worker pool size for loading and analysis (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -74,12 +72,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	pkgs, err := lint.LoadModuleParallel(*dir, *parallel, patterns...)
+	pkgs, err := lint.LoadModule(*dir, patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "avlint:", err)
 		return 2
 	}
-	diags, err := lint.RunParallel(pkgs, analyzers, *parallel)
+	diags, err := lint.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "avlint:", err)
 		return 2

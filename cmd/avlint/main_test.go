@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -231,33 +232,30 @@ func TestEscapeWorkflowCommand(t *testing.T) {
 }
 
 // TestSequentialMatchesParallel pins scheduling-independence: linting the
-// repository with a single worker and with the default pool must produce
-// byte-identical diagnostics (here: none, plus identical ordering
-// guarantees exercised by the dirty fixture's findings).
+// repository with GOMAXPROCS 1 and GOMAXPROCS 8, which size the loading and
+// analysis worker pools, must produce byte-identical packages and
+// diagnostics.
 func TestSequentialMatchesParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the repository twice; skipped in -short mode")
 	}
 	root := repoRoot(t)
 	analyzers := lint.All()
-
-	seqPkgs, err := lint.LoadModuleParallel(root, 1, "./...")
-	if err != nil {
-		t.Fatal(err)
+	lintWith := func(procs int) ([]*lint.Package, []lint.Diagnostic) {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pkgs, err := lint.LoadModule(root, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := lint.Run(pkgs, analyzers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkgs, diags
 	}
-	seq, err := lint.RunParallel(seqPkgs, analyzers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parPkgs, err := lint.LoadModuleParallel(root, 8, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := lint.RunParallel(parPkgs, analyzers, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqPkgs, seq := lintWith(1)
+	parPkgs, par := lintWith(8)
 
 	if len(seqPkgs) != len(parPkgs) {
 		t.Fatalf("package counts differ: sequential %d, parallel %d", len(seqPkgs), len(parPkgs))

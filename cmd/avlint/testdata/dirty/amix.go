@@ -2,9 +2,9 @@ package dirty
 
 import "sync/atomic"
 
-// tally mixes atomic and plain access — the stable atomicmix finding the
-// output-mode tests assert on: Add updates n through sync/atomic, Read
-// returns it as a plain value with no lock held.
+// tally updates a plain int64 through sync/atomic, so Read can return it
+// without atomics: the stable atomicmix finding the output-mode tests
+// assert on.
 type tally struct {
 	n int64
 }

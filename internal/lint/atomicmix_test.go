@@ -7,12 +7,10 @@ import (
 	"avfda/internal/lint/analysistest"
 )
 
-// TestAtomicMix drives atomicmix over mixed-access fixtures: plain reads,
-// read-modify-writes, and typed-atomic copies of atomically-updated state
-// are flagged — including a field whose only atomic updater lives in the
-// amix/b dependency — while mutex-guarded reads, method-based typed-atomic
-// use, plain initialization writes, and atomics on joined locals are
+// TestAtomicMix drives atomicmix over its fixture: raw sync/atomic calls in
+// non-test code are flagged with their typed-atomic replacement, while
+// typed-atomic method calls and raw atomics in a _test.go file are
 // accepted.
 func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), lint.AtomicMix, "amix/a")
+	analysistest.Run(t, analysistest.TestData(t), lint.AtomicMix, "amix")
 }

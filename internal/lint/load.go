@@ -46,9 +46,9 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// Funcs indexes every function declaration the loader type-checked from
-	// source — this package's and its in-module dependencies' — for the
-	// interprocedural (generation-3) analyzers. Shared by all packages of
-	// one Load call.
+	// source — this package's and its in-module dependencies' — so the
+	// interprocedural resleak analyzer can summarize callee bodies. Shared
+	// by all packages of one LoadModule or LoadFixture call.
 	Funcs *FuncIndex
 }
 
@@ -60,8 +60,6 @@ type FuncSource struct {
 	Decl *ast.FuncDecl
 	// Info holds the type-checker's facts for the declaring package.
 	Info *types.Info
-	// Path is the declaring package's import path.
-	Path string
 }
 
 // A FuncIndex maps function objects to their source declarations across
@@ -72,29 +70,10 @@ type FuncSource struct {
 type FuncIndex struct {
 	mu    sync.RWMutex
 	funcs map[*types.Func]FuncSource
-	// paths lists each package's indexed functions in declaration order,
-	// so the module-scope analyzer (atomicmix) can iterate every
-	// source-checked function of a dependency deterministically.
-	paths map[string][]*types.Func
 }
 
 func newFuncIndex() *FuncIndex {
-	return &FuncIndex{
-		funcs: map[*types.Func]FuncSource{},
-		paths: map[string][]*types.Func{},
-	}
-}
-
-// FuncsIn returns the indexed functions declared in the package with the
-// given import path, in declaration (file, source) order. Nil when the
-// path was not source-checked by this loader.
-func (ix *FuncIndex) FuncsIn(path string) []*types.Func {
-	if ix == nil {
-		return nil
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.paths[path]
+	return &FuncIndex{funcs: map[*types.Func]FuncSource{}}
 }
 
 // Source returns the declaration of fn, if the loader checked it from
@@ -112,7 +91,7 @@ func (ix *FuncIndex) Source(fn *types.Func) (FuncSource, bool) {
 
 // record indexes every FuncDecl with a body in files, resolving each
 // through info's Defs.
-func (ix *FuncIndex) record(path string, files []*ast.File, info *types.Info) {
+func (ix *FuncIndex) record(files []*ast.File, info *types.Info) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, f := range files {
@@ -122,8 +101,7 @@ func (ix *FuncIndex) record(path string, files []*ast.File, info *types.Info) {
 				continue
 			}
 			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				ix.funcs[fn] = FuncSource{Decl: fd, Info: info, Path: path}
-				ix.paths[path] = append(ix.paths[path], fn)
+				ix.funcs[fn] = FuncSource{Decl: fd, Info: info}
 			}
 		}
 	}
@@ -306,7 +284,7 @@ func (l *loader) checkSource(path string, files []string) (*types.Package, error
 	if err != nil {
 		return nil, fmt.Errorf("type-checking dependency %s: %w", path, err)
 	}
-	l.funcs.record(path, asts, info)
+	l.funcs.record(asts, info)
 	return pkg, nil
 }
 
@@ -346,7 +324,7 @@ func (l *loader) check(imp types.Importer, path, dir string, files []string) (*P
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	l.funcs.record(path, asts, info)
+	l.funcs.record(asts, info)
 	return &Package{
 		Path:  path,
 		Dir:   dir,
@@ -362,18 +340,11 @@ func (l *loader) check(imp types.Importer, path, dir string, files []string) (*P
 // "./...") from the module rooted at or above dir, type-checking each
 // together with its in-package test files; external (_test package) test
 // files become a separate *Package with a "_test" path suffix. Targets are
-// type-checked across GOMAXPROCS workers; use LoadModuleParallel to bound
-// the pool.
+// type-checked across GOMAXPROCS workers. Results are in target order
+// regardless of scheduling, and a target that fails to type-check always
+// surfaces as an error (the first such, in target order) — never as a
+// silently missing package.
 func LoadModule(dir string, patterns ...string) ([]*Package, error) {
-	return LoadModuleParallel(dir, 0, patterns...)
-}
-
-// LoadModuleParallel is LoadModule with an explicit worker count for the
-// target type-checking pool; workers <= 0 selects GOMAXPROCS. Results are
-// in target order regardless of scheduling, and a target that fails to
-// type-check always surfaces as an error (the first such, in target order)
-// — never as a silently missing package.
-func LoadModuleParallel(dir string, workers int, patterns ...string) ([]*Package, error) {
 	l, err := newLoader("")
 	if err != nil {
 		return nil, err
@@ -417,15 +388,7 @@ func LoadModuleParallel(dir string, workers int, patterns ...string) ([]*Package
 		l.listed[base] = p
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(targets))
 
 	// Fan the targets across the pool. results is indexed by target so the
 	// output order (and the choice of which error wins) is deterministic.

@@ -105,6 +105,9 @@ type CacheStats struct {
 	// concurrent Gets for the same seed). A Get served from the snapshot
 	// tier does not count as a build.
 	Builds int64
+	// BuildFailures counts builds that returned an error. Failed builds
+	// are not cached, so the next Get for the seed builds again.
+	BuildFailures int64
 	// Evictions counts studies dropped to respect the capacity.
 	Evictions int64
 	// Snapshot2Loads counts misses satisfied by mapping a v2 columnar
@@ -113,6 +116,9 @@ type CacheStats struct {
 	// Snapshot2Writes counts v2 snapshots written through after a
 	// successful pipeline build.
 	Snapshot2Writes int64
+	// Snapshot2WriteErrors counts write-throughs that failed. The study is
+	// served anyway, without an ETag; the next cold process rebuilds it.
+	Snapshot2WriteErrors int64
 	// Snapshot2Rejects counts v2 snapshot files that existed but were
 	// refused (version mismatch, checksum failure, truncation, structural
 	// corruption) and fell through to a peer fetch or a rebuild.
@@ -359,19 +365,23 @@ func (c *Cache) acquire(seed int64) (*Study, error) {
 	c.bump(&c.stats.Builds)
 	study, err := c.build(seed)
 	if err != nil {
+		c.bump(&c.stats.BuildFailures)
 		return nil, err
 	}
 	if c.snapDir != "" && study != nil && study.Engine != nil {
 		// Write-through installs the bytes the engine already encoded,
 		// replacing whatever was on disk (including a just-rejected file)
 		// via an atomic rename; a write failure only costs the next cold
-		// process a rebuild, so it is not fatal.
-		if crc, err := study.Engine.WriteSeed(c.snapDir, seed); err == nil {
-			c.bump(&c.stats.Snapshot2Writes)
-			// The write-through fixes the study's content fingerprint, so
-			// the freshly built study can carry a validator too.
-			study.ETag = etagFromCRC(crc)
+		// process a rebuild, so it is counted but not fatal.
+		crc, err := study.Engine.WriteSeed(c.snapDir, seed)
+		if err != nil {
+			c.bump(&c.stats.Snapshot2WriteErrors)
+			return study, nil
 		}
+		c.bump(&c.stats.Snapshot2Writes)
+		// The write-through fixes the study's content fingerprint, so the
+		// freshly built study can carry a validator too.
+		study.ETag = etagFromCRC(crc)
 	}
 	return study, nil
 }

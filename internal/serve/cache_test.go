@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"avfda/internal/snapshot2"
 )
 
 // buildErr is a typed build failure carrying which builder invocation
@@ -175,8 +178,33 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 	if !errors.As(err, &be) || be.call != 2 {
 		t.Fatalf("second Get error = %v, want a fresh build attempt (call 2)", err)
 	}
-	if s := c.Stats(); s.Resident != 0 || s.Builds != 2 {
+	if s := c.Stats(); s.Resident != 0 || s.Builds != 2 || s.BuildFailures != 2 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// TestCacheCountsWriteErrors: a write-through that fails (here the
+// snapshot path is a directory, which no permission bit can make writable)
+// counts as a write error, and the built study is still served, without an
+// ETag.
+func TestCacheCountsWriteErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(snapshot2.Path(dir, 1), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewSnapshotCache(testBuilder(t, nil, 0), 2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := c.Get(context.Background(), 1)
+	if err != nil {
+		t.Fatalf("a failed write-through must not fail the Get: %v", err)
+	}
+	if study.ETag != "" {
+		t.Errorf("ETag = %q, want none without a written snapshot", study.ETag)
+	}
+	if s := c.Stats(); s.Builds != 1 || s.BuildFailures != 0 || s.Snapshot2Writes != 0 || s.Snapshot2WriteErrors != 1 {
+		t.Errorf("stats = %+v, want Builds 1, Snapshot2WriteErrors 1, no writes or build failures", s)
 	}
 }
 

@@ -132,9 +132,11 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		{"avserve_cache_hits_total", "Study cache hits.", cache.Hits},
 		{"avserve_cache_misses_total", "Study cache misses.", cache.Misses},
 		{"avserve_cache_builds_total", "Study pipeline builds started (singleflight-coalesced), whether or not they succeed; includes rebuilds triggered by snapshot rejects.", cache.Builds},
+		{"avserve_build_failures_total", "Study pipeline builds that returned an error; failed builds are not cached.", cache.BuildFailures},
 		{"avserve_cache_evictions_total", "Studies evicted to respect capacity.", cache.Evictions},
 		{"avserve_snapshot2_loads_total", "Cache misses served by mapping a v2 columnar snapshot (zero-copy).", cache.Snapshot2Loads},
 		{"avserve_snapshot2_writes_total", "V2 snapshots written through after a successful build.", cache.Snapshot2Writes},
+		{"avserve_snapshot2_write_errors_total", "V2 snapshot write-throughs that failed after a successful build; the study is still served.", cache.Snapshot2WriteErrors},
 		{"avserve_snapshot2_rejects_total", "V2 snapshot files refused by validation (checksum, version, or structure); each falls back to a peer fetch or a rebuild, and is not a build failure.", cache.Snapshot2Rejects},
 		{"avserve_snapshot_fetches_total", "Cache misses served by pulling the seed's v2 snapshot from a peer (CRC re-verified on receipt).", cache.SnapshotFetches},
 		{"avserve_snapshot_fetch_misses_total", "Peer snapshot probes answered 404 on every peer (seed not held anywhere; falls back to a rebuild).", cache.SnapshotFetchMisses},

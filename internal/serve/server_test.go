@@ -285,14 +285,15 @@ func TestCacheHitOnSecondRequest(t *testing.T) {
 // TestMetricsHelpText pins the counter help lines: the build counter and
 // the reject counter must describe distinct events (a snapshot reject
 // triggers a rebuild but is not a build failure — the descriptions used to
-// conflate them), and every snapshot counter must render. It also pins the
-// latency buckets, whose first three bounds resolve warm requests.
+// conflate them), and every snapshot and failure counter must render. It
+// also pins the latency buckets, whose first three bounds resolve warm
+// requests.
 func TestMetricsHelpText(t *testing.T) {
 	var buf strings.Builder
 	m := NewMetrics()
 	m.Observe("/r", 200, 0.0002)
 	m.Observe("/r", 200, 0.0004)
-	if err := m.WriteText(&buf, CacheStats{StudyMaterializations: 3, SnapshotReleases: 5}); err != nil {
+	if err := m.WriteText(&buf, CacheStats{StudyMaterializations: 3, SnapshotReleases: 5, BuildFailures: 2, Snapshot2WriteErrors: 4}); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.String()
@@ -308,6 +309,10 @@ func TestMetricsHelpText(t *testing.T) {
 		"avserve_study_materializations_total 3",
 		"# HELP avserve_snapshot_releases_total Mappings of evicted studies closed when their last request released them.",
 		"avserve_snapshot_releases_total 5",
+		"# HELP avserve_build_failures_total Study pipeline builds that returned an error; failed builds are not cached.",
+		"avserve_build_failures_total 2",
+		"# HELP avserve_snapshot2_write_errors_total",
+		"avserve_snapshot2_write_errors_total 4",
 		`avserve_request_duration_seconds_bucket{route="/r",le="0.0001"} 0`,
 		`avserve_request_duration_seconds_bucket{route="/r",le="0.00025"} 1`,
 		`avserve_request_duration_seconds_bucket{route="/r",le="0.0005"} 2`,

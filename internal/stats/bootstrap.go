@@ -53,47 +53,3 @@ func Bootstrap(xs []float64, stat func([]float64) float64, resamples int, level 
 		Resamples: resamples,
 	}, nil
 }
-
-// PermutationTestCorr estimates a permutation p-value for the Pearson
-// correlation of (xs, ys): the fraction of label permutations whose |r|
-// meets or exceeds the observed |r|. It complements the parametric t-based
-// p-value for small samples.
-func PermutationTestCorr(xs, ys []float64, permutations int, rng *rand.Rand) (float64, error) {
-	xs, ys = PairedDropNaN(xs, ys)
-	if len(xs) < 3 {
-		return 0, ErrInsufficient
-	}
-	if permutations < 10 {
-		return 0, errors.New("stats: permutation test requires >= 10 permutations")
-	}
-	if rng == nil {
-		return 0, errors.New("stats: permutation test requires a random source")
-	}
-	obs, err := Pearson(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	absObs := obs.R
-	if absObs < 0 {
-		absObs = -absObs
-	}
-	perm := make([]float64, len(ys))
-	copy(perm, ys)
-	exceed := 0
-	for p := 0; p < permutations; p++ {
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		r, err := Pearson(xs, perm)
-		if err != nil {
-			continue
-		}
-		abs := r.R
-		if abs < 0 {
-			abs = -abs
-		}
-		if abs >= absObs {
-			exceed++
-		}
-	}
-	// Add-one smoothing keeps the estimate away from an impossible 0.
-	return (float64(exceed) + 1) / (float64(permutations) + 1), nil
-}

@@ -100,22 +100,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// GeometricMean returns the geometric mean of xs. All values must be
-// positive.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
 // Quantile returns the p-th quantile (0 <= p <= 1) of xs using the type-7
 // (linear interpolation) estimator, the default in R and NumPy. xs need not
 // be sorted.
@@ -201,39 +185,6 @@ func BoxPlot(xs []float64) (FiveNum, error) {
 	return f, nil
 }
 
-// Skewness returns the adjusted Fisher–Pearson sample skewness of xs.
-func Skewness(xs []float64) (float64, error) {
-	n := float64(len(xs))
-	if len(xs) < 3 {
-		return 0, ErrInsufficient
-	}
-	m, _ := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return g1 * math.Sqrt(n*(n-1)) / (n - 2), nil
-}
-
-// CumSum returns the running cumulative sum of xs.
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		out[i] = sum
-	}
-	return out
-}
-
 // Log10All returns log10 of every element. Elements <= 0 map to NaN.
 func Log10All(xs []float64) []float64 {
 	out := make([]float64, len(xs))
@@ -242,17 +193,6 @@ func Log10All(xs []float64) []float64 {
 			out[i] = math.NaN()
 		} else {
 			out[i] = math.Log10(x)
-		}
-	}
-	return out
-}
-
-// DropNaN returns xs without NaN or Inf entries.
-func DropNaN(xs []float64) []float64 {
-	out := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			out = append(out, x)
 		}
 	}
 	return out

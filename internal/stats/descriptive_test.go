@@ -77,17 +77,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	gm, err := GeometricMean([]float64{1, 10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almostEqual(t, gm, 10, 1e-9, "geometric mean")
-	if _, err := GeometricMean([]float64{1, -1}); err == nil {
-		t.Error("GeometricMean with negative input: want error")
-	}
-}
-
 func TestQuantileType7(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	cases := []struct {
@@ -145,43 +134,16 @@ func TestBoxPlot(t *testing.T) {
 	}
 }
 
-func TestSkewness(t *testing.T) {
-	// Symmetric data: skewness ~ 0.
-	sym := []float64{-2, -1, 0, 1, 2}
-	s, err := Skewness(sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almostEqual(t, s, 0, 1e-12, "symmetric skewness")
-	// Right-tailed data: positive skew.
-	right := []float64{1, 1, 1, 2, 2, 3, 10}
-	s, _ = Skewness(right)
-	if s <= 0 {
-		t.Errorf("right-tailed skewness = %g, want > 0", s)
-	}
-}
-
-func TestCumSum(t *testing.T) {
-	got := CumSum([]float64{1, 2, 3})
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CumSum = %v, want %v", got, want)
-		}
-	}
-	if out := CumSum(nil); len(out) != 0 {
-		t.Errorf("CumSum(nil) = %v, want empty", out)
-	}
-}
-
+// TestLog10AllAndDropNaN pins the log-log composition the figures use:
+// Log10All maps non-positive values to NaN and PairedDropNaN drops them.
 func TestLog10AllAndDropNaN(t *testing.T) {
 	xs := Log10All([]float64{100, 0, -5, 10})
 	if xs[0] != 2 || !math.IsNaN(xs[1]) || !math.IsNaN(xs[2]) || xs[3] != 1 {
 		t.Errorf("Log10All = %v", xs)
 	}
-	clean := DropNaN(xs)
+	clean, _ := PairedDropNaN(xs, xs)
 	if len(clean) != 2 || clean[0] != 2 || clean[1] != 1 {
-		t.Errorf("DropNaN = %v", clean)
+		t.Errorf("PairedDropNaN(Log10All) = %v", clean)
 	}
 }
 

@@ -183,42 +183,6 @@ func TestBootstrapErrors(t *testing.T) {
 	}
 }
 
-func TestPermutationTestCorr(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n := 60
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xs[i] = float64(i)
-		ys[i] = float64(i) + rng.NormFloat64()*3
-	}
-	p, err := PermutationTestCorr(xs, ys, 500, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 0.01 {
-		t.Errorf("strongly correlated data: permutation p = %g, want tiny", p)
-	}
-	// Independent data: p should not be tiny.
-	indep := make([]float64, n)
-	for i := range indep {
-		indep[i] = rng.NormFloat64()
-	}
-	p2, err := PermutationTestCorr(xs, indep, 500, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 < 0.01 {
-		t.Errorf("independent data: permutation p = %g, want non-tiny", p2)
-	}
-	if _, err := PermutationTestCorr(xs[:2], ys[:2], 500, rng); err != ErrInsufficient {
-		t.Errorf("n=2: err = %v", err)
-	}
-	if _, err := PermutationTestCorr(xs, ys, 500, nil); err == nil {
-		t.Error("nil rng: want error")
-	}
-}
-
 func TestBootstrapDeterminism(t *testing.T) {
 	xs := []float64{1, 4, 2, 8, 5, 7}
 	medStat := func(s []float64) float64 {

@@ -145,81 +145,3 @@ func Pearson(xs, ys []float64) (PearsonResult, error) {
 	res.P = p
 	return res, nil
 }
-
-// Spearman computes the Spearman rank correlation between xs and ys (ties
-// receive average ranks) with the t-approximation p-value.
-func Spearman(xs, ys []float64) (PearsonResult, error) {
-	xs, ys = PairedDropNaN(xs, ys)
-	if len(xs) < 3 {
-		return PearsonResult{}, ErrInsufficient
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based ranks of xs with ties assigned their average
-// rank (the "fractional" method).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion-free sort of the index slice by value.
-	sortIdxByValue(idx, xs)
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-// sortIdxByValue sorts idx so xs[idx[i]] ascends (stable not required —
-// ties get averaged afterwards).
-func sortIdxByValue(idx []int, xs []float64) {
-	// Simple bottom-up merge sort to avoid pulling in sort.Slice's
-	// reflection for hot paths; n here is small but this keeps the package
-	// allocation-predictable.
-	tmp := make([]int, len(idx))
-	for width := 1; width < len(idx); width *= 2 {
-		for lo := 0; lo < len(idx); lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > len(idx) {
-				mid = len(idx)
-			}
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if xs[idx[i]] <= xs[idx[j]] {
-					tmp[k] = idx[i]
-					i++
-				} else {
-					tmp[k] = idx[j]
-					j++
-				}
-				k++
-			}
-			for i < mid {
-				tmp[k] = idx[i]
-				i++
-				k++
-			}
-			for j < hi {
-				tmp[k] = idx[j]
-				j++
-				k++
-			}
-			copy(idx[lo:hi], tmp[lo:hi])
-		}
-	}
-}

@@ -127,41 +127,6 @@ func TestPearsonErrors(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone nonlinear relation: Spearman = 1, Pearson < 1.
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x)
-	}
-	s, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almostEqual(t, s.R, 1, 1e-12, "Spearman on monotone data")
-	p, _ := Pearson(xs, ys)
-	if p.R >= 1-1e-9 {
-		t.Errorf("Pearson on exp data = %g, expected < 1", p.R)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
-		}
-	}
-	// All ties.
-	got = Ranks([]float64{5, 5, 5})
-	for _, r := range got {
-		if r != 2 {
-			t.Fatalf("all-tie ranks = %v, want all 2", got)
-		}
-	}
-}
-
 // Property: Pearson r is bounded, symmetric in argument order, and invariant
 // to positive affine transforms.
 func TestPearsonInvarianceProperty(t *testing.T) {

@@ -115,24 +115,6 @@ func (km *KaplanMeier) MedianTime() (float64, bool) {
 	return 0, false
 }
 
-// RestrictedMean returns the restricted mean survival time up to tau: the
-// area under the survival curve on [0, tau].
-func (km *KaplanMeier) RestrictedMean(tau float64) float64 {
-	var area float64
-	prevT := 0.0
-	prevS := 1.0
-	for _, p := range km.Points {
-		if p.Time >= tau {
-			break
-		}
-		area += prevS * (p.Time - prevT)
-		prevT = p.Time
-		prevS = p.Survival
-	}
-	area += prevS * (tau - prevT)
-	return area
-}
-
 // LogRank performs the two-sample log-rank test for equality of survival
 // curves, returning the chi-square statistic (1 df) and its p-value.
 func LogRank(a, b []Observation) (chi2, p float64, err error) {

@@ -70,18 +70,6 @@ func TestKaplanMeierClassicExample(t *testing.T) {
 	}
 }
 
-func TestKaplanMeierRestrictedMean(t *testing.T) {
-	obs := []Observation{{Time: 1}, {Time: 2}, {Time: 3}, {Time: 4}}
-	km, err := NewKaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Area under the staircase to tau=4: 1*1 + 0.75*1 + 0.5*1 + 0.25*1.
-	almostEqual(t, km.RestrictedMean(4), 2.5, 1e-12, "restricted mean")
-	// Truncated at tau=2: 1*1 + 0.75*1.
-	almostEqual(t, km.RestrictedMean(2), 1.75, 1e-12, "restricted mean tau=2")
-}
-
 func TestKaplanMeierErrors(t *testing.T) {
 	if _, err := NewKaplanMeier(nil); err != ErrEmpty {
 		t.Errorf("empty err = %v", err)
