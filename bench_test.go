@@ -418,6 +418,21 @@ func BenchmarkSynthGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkRender measures Stage I's document rendering of the seed-1
+// corpus.
+func BenchmarkRender(b *testing.B) {
+	truth, err := synth.Generate(synth.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var docs []scandoc.Document
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		docs = scandoc.Render(&truth.Corpus)
+	}
+	b.ReportMetric(float64(len(docs)), "docs")
+}
+
 // BenchmarkPipelineWorkers measures an end-to-end build of the calibrated
 // study sequentially (Workers=1) and with the OCR and parse fan-out on
 // GOMAXPROCS workers (Workers=0); the seq/par ratio is what the fan-out

@@ -39,99 +39,3 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ColumnSpec declares the expected kind of one CSV column for ReadCSV.
-type ColumnSpec struct {
-	Name string
-	Kind Kind
-}
-
-// ReadCSV parses CSV with a header row into a frame. specs gives the type
-// of each expected column, by name; header columns not in specs are read as
-// strings. Missing spec'd columns are an error.
-func ReadCSV(r io.Reader, specs []ColumnSpec) (*Frame, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("frame: read CSV header: %w", err)
-	}
-	kinds := make([]Kind, len(header))
-	specByName := make(map[string]Kind, len(specs))
-	for _, s := range specs {
-		specByName[s.Name] = s.Kind
-	}
-	seen := make(map[string]bool, len(header))
-	for i, name := range header {
-		seen[name] = true
-		if k, ok := specByName[name]; ok {
-			kinds[i] = k
-		} else {
-			kinds[i] = String
-		}
-	}
-	for _, s := range specs {
-		if !seen[s.Name] {
-			return nil, fmt.Errorf("frame: CSV missing column %q", s.Name)
-		}
-	}
-
-	floats := make([][]float64, len(header))
-	ints := make([][]int64, len(header))
-	strs := make([][]string, len(header))
-	times := make([][]time.Time, len(header))
-
-	rowNum := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("frame: read CSV row %d: %w", rowNum, err)
-		}
-		for j, cell := range rec {
-			switch kinds[j] {
-			case Float:
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					return nil, fmt.Errorf("frame: row %d column %q: %w", rowNum, header[j], err)
-				}
-				floats[j] = append(floats[j], v)
-			case Int:
-				v, err := strconv.ParseInt(cell, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("frame: row %d column %q: %w", rowNum, header[j], err)
-				}
-				ints[j] = append(ints[j], v)
-			case Time:
-				v, err := time.Parse(csvTimeLayout, cell)
-				if err != nil {
-					return nil, fmt.Errorf("frame: row %d column %q: %w", rowNum, header[j], err)
-				}
-				times[j] = append(times[j], v)
-			default:
-				strs[j] = append(strs[j], cell)
-			}
-		}
-		rowNum++
-	}
-
-	out := New()
-	for j, name := range header {
-		var err error
-		switch kinds[j] {
-		case Float:
-			err = out.AddFloats(name, floats[j])
-		case Int:
-			err = out.AddInts(name, ints[j])
-		case Time:
-			err = out.AddTimes(name, times[j])
-		default:
-			err = out.AddStrings(name, strs[j])
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -117,7 +117,7 @@ func TestPorterStemIdempotentProperty(t *testing.T) {
 }
 
 func TestTokenizerDropsStopwordsAndBoilerplate(t *testing.T) {
-	tok := NewTokenizer()
+	tok := &Tokenizer{Stem: true}
 	got := tok.Tokens("The driver safely disengaged and resumed manual control after a software crash")
 	// Everything except "software crash" is stopword/boilerplate.
 	if len(got) != 2 || got[0] != PorterStem("software") || got[1] != PorterStem("crash") {
@@ -134,21 +134,13 @@ func TestTokenizerNoStem(t *testing.T) {
 }
 
 func TestTokenizerBigrams(t *testing.T) {
-	tok := NewTokenizer()
-	bgs := tok.Bigrams("watchdog timer error")
+	tok := &Tokenizer{Stem: true}
+	bgs := bigrams(tok.Tokens("watchdog timer error"))
 	if len(bgs) != 2 {
-		t.Fatalf("Bigrams = %v", bgs)
+		t.Fatalf("bigrams = %v", bgs)
 	}
-	if tok.Bigrams("watchdog") != nil {
+	if bigrams(tok.Tokens("watchdog")) != nil {
 		t.Error("single token should have no bigrams")
-	}
-}
-
-func TestTokenSet(t *testing.T) {
-	tok := NewTokenizer()
-	set := tok.TokenSet("crash crash crash")
-	if len(set) != 1 {
-		t.Errorf("TokenSet size = %d, want 1", len(set))
 	}
 }
 

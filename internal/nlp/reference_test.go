@@ -126,7 +126,7 @@ func refExpand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions
 				res = cls.Classify(text)
 				memo[text] = res
 			}
-			for _, bg := range cls.tok.Bigrams(text) {
+			for _, bg := range bigrams(cls.tok.Tokens(text)) {
 				totals[bg]++
 				if res.Tag == ontology.TagUnknownT {
 					continue

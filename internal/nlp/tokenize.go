@@ -38,12 +38,6 @@ type Tokenizer struct {
 	stopwords map[string]struct{}
 }
 
-// NewTokenizer returns a tokenizer with stemming enabled and the default
-// stopword list.
-func NewTokenizer() *Tokenizer {
-	return &Tokenizer{Stem: true, stopwords: defaultStopwords}
-}
-
 // Tokens lowercases text, splits it on non-alphanumeric runes, drops
 // stopwords and single-character tokens, and (optionally) stems.
 func (t *Tokenizer) Tokens(text string) []string {
@@ -68,22 +62,6 @@ func (t *Tokenizer) Tokens(text string) []string {
 		out = append(out, f)
 	}
 	return out
-}
-
-// TokenSet returns the deduplicated token set of text.
-func (t *Tokenizer) TokenSet(text string) map[string]struct{} {
-	toks := t.Tokens(text)
-	set := make(map[string]struct{}, len(toks))
-	for _, tok := range toks {
-		set[tok] = struct{}{}
-	}
-	return set
-}
-
-// Bigrams returns adjacent-token pairs joined by a space, computed over the
-// token sequence (post stopword removal).
-func (t *Tokenizer) Bigrams(text string) []string {
-	return bigrams(t.Tokens(text))
 }
 
 // bigrams joins each adjacent pair of toks with a space, in order and with

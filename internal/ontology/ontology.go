@@ -131,11 +131,6 @@ func (c Category) String() string {
 	}
 }
 
-// AllCategories lists the categories in display order.
-func AllCategories() []Category {
-	return []Category{CategoryMLDesign, CategorySystem, CategoryUnknownC}
-}
-
 // CategoryOf maps a tag to its failure category per Table III. The paper's
 // dual "AV Controller" tag is represented here as two tags with fixed
 // categories.

@@ -3,6 +3,7 @@ package parse
 import (
 	"bytes"
 	"strings"
+	"unicode/utf8"
 
 	"avfda/internal/schema"
 )
@@ -44,26 +45,36 @@ func resolveManufacturer(val string) (schema.Manufacturer, bool) {
 // as lookalike letters need to be repaired before numeric parsing.
 
 // cleanNumeric repairs the standard OCR confusions inside fields that are
-// known to be numeric or date-like (O→0, l/I→1, S→5, B→8, Z→2, G→6).
+// known to be numeric or date-like (O→0, l/I→1, S→5, B→8, Z→2, G→6). An
+// ASCII field with nothing to repair, the common case, is returned as it
+// is without a strings.Map pass.
 func cleanNumeric(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case 'O', 'o':
-			return '0'
-		case 'l', 'I':
-			return '1'
-		case 'S':
-			return '5'
-		case 'B':
-			return '8'
-		case 'Z':
-			return '2'
-		case 'G':
-			return '6'
-		default:
-			return r
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || numericRepair(rune(c)) != rune(c) {
+			return strings.Map(numericRepair, s)
 		}
-	}, s)
+	}
+	return s
+}
+
+// numericRepair maps one digit lookalike back to its digit.
+func numericRepair(r rune) rune {
+	switch r {
+	case 'O', 'o':
+		return '0'
+	case 'l', 'I':
+		return '1'
+	case 'S':
+		return '5'
+	case 'B':
+		return '8'
+	case 'Z':
+		return '2'
+	case 'G':
+		return '6'
+	default:
+		return r
+	}
 }
 
 // Kinds of a disengagement report's body line, as classifyLine reports
@@ -87,12 +98,13 @@ const (
 // Every phrase is ASCII, and ı (U+0131) and ſ (U+017F) are the only
 // non-ASCII runes whose upper case is ASCII, so on a line without them an
 // ASCII-only fold of the bytes matches exactly where strings.ToUpper
-// would; a line with them takes the strings.ToUpper path.
+// would. Their UTF-8 lead bytes are 0xC4 and 0xC5, so only a line holding
+// one of those bytes takes the strings.ToUpper path.
 func classifyLine(line string) int {
 	var buf [64]byte
 	head := append(buf[:0], line[:min(len(line), len(buf))]...)
 	var column bool
-	if strings.ContainsAny(line, "ıſ") {
+	if strings.IndexByte(line, 0xC4) >= 0 || strings.IndexByte(line, 0xC5) >= 0 {
 		head = append(buf[:0], strings.ToUpper(string(head))...)
 		up := strings.ToUpper(line)
 		column = strings.HasPrefix(up, "VEHICLE |") || strings.HasPrefix(up, "DATE TIME |")
@@ -233,10 +245,9 @@ func fuzzyEqual(a, b string) bool {
 }
 
 // fuzzyContains reports whether text contains a substring fuzzily equal to
-// needle (sliding window at needle length ±1).
+// needle (sliding window at needle length ±1). It compares bytes as they
+// are; callers fold case once, before matching several needles.
 func fuzzyContains(text, needle string) bool {
-	text = strings.ToLower(text)
-	needle = strings.ToLower(needle)
 	if strings.Contains(text, needle) {
 		return true
 	}
@@ -245,6 +256,11 @@ func fuzzyContains(text, needle string) bool {
 		return false
 	}
 	budget := n/8 + 1
+	// Every window is a substring of text, so when no substring comes
+	// within budget, no window can.
+	if substringDistance(text, needle) > budget {
+		return false
+	}
 	for w := n - 1; w <= n+1; w++ {
 		if w <= 0 || w > len(text) {
 			continue
@@ -258,8 +274,33 @@ func fuzzyContains(text, needle string) bool {
 	return false
 }
 
+// substringDistance returns the least edit distance between needle and any
+// substring of text (Sellers' algorithm): one pass over text, against
+// fuzzyContains' three windows per position.
+func substringDistance(text, needle string) int {
+	var colArr [64]int
+	col := colArr[:0]
+	for i := range len(needle) + 1 {
+		col = append(col, i)
+	}
+	best := len(needle)
+	for t := 0; t < len(text); t++ {
+		diag := col[0] // col[0] stays 0: a match may start anywhere
+		for i := 1; i <= len(needle); i++ {
+			cost := 1
+			if needle[i-1] == text[t] {
+				cost = 0
+			}
+			next := min3(col[i]+1, col[i-1]+1, diag+cost)
+			diag, col[i] = col[i], next
+		}
+		best = min(best, col[len(needle)])
+	}
+	return best
+}
+
 // levenshtein computes the edit distance between a and b with the standard
-// two-row dynamic program.
+// two-row dynamic program. The rows live on the stack unless b is long.
 func levenshtein(a, b string) int {
 	if len(a) == 0 {
 		return len(b)
@@ -267,8 +308,12 @@ func levenshtein(a, b string) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	var rows [2][64]int
+	prev, cur := rows[0][:], rows[1][:]
+	if len(b)+1 > len(prev) {
+		prev, cur = make([]int, len(b)+1), make([]int, len(b)+1)
+	}
+	prev, cur = prev[:len(b)+1], cur[:len(b)+1]
 	for j := range prev {
 		prev[j] = j
 	}

@@ -43,25 +43,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableRenderMarkdown(t *testing.T) {
-	tab := Table{
-		Title:   "demo",
-		Headers: []string{"name", "value"},
-		Aligns:  []Align{Left, Right},
-		Notes:   []string{"a note"},
-	}
-	tab.AddRow("alpha|beta", 12)
-	out := tab.RenderMarkdown()
-	for _, want := range []string{
-		"**demo**", "| name | value |", "|---|---:|",
-		`alpha\|beta`, "*a note*",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestDashHelpers(t *testing.T) {
 	if Dash(-1, "%.2f") != "-" || Dash(1.5, "%.1f") != "1.5" {
 		t.Error("Dash wrong")

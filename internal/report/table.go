@@ -113,52 +113,6 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// RenderMarkdown draws the table as GitHub-flavored markdown: a bold title
-// line, a header row with alignment markers, and the notes as italic lines.
-func (t *Table) RenderMarkdown() string {
-	cols := len(t.Headers)
-	for _, r := range t.Rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
-	}
-	esc := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(row []string) {
-		sb.WriteString("|")
-		for i := 0; i < cols; i++ {
-			cell := ""
-			if i < len(row) {
-				cell = esc(row[i])
-			}
-			sb.WriteString(" ")
-			sb.WriteString(cell)
-			sb.WriteString(" |")
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(t.Headers)
-	sb.WriteString("|")
-	for i := 0; i < cols; i++ {
-		if i < len(t.Aligns) && t.Aligns[i] == Right {
-			sb.WriteString("---:|")
-		} else {
-			sb.WriteString("---|")
-		}
-	}
-	sb.WriteString("\n")
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&sb, "\n*%s*\n", esc(n))
-	}
-	return sb.String()
-}
-
 // Dash renders negative sentinel values as the paper's dash.
 func Dash(v float64, format string) string {
 	if v < 0 {

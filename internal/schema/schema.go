@@ -52,13 +52,16 @@ func AnalysisManufacturers() []Manufacturer {
 	}
 }
 
+// manufacturerPunct drops or blanks the punctuation in vendor names.
+var manufacturerPunct = strings.NewReplacer(".", "", ",", "", "(", " ", ")", " ")
+
 // ParseManufacturer resolves the many vendor-name spellings found in raw
 // reports ("Google", "Waymo (Google)", "Delphi Automotive", ...) to a
 // canonical Manufacturer. The second return value reports whether the name
 // was recognized.
 func ParseManufacturer(name string) (Manufacturer, bool) {
 	key := strings.ToLower(strings.TrimSpace(name))
-	key = strings.NewReplacer(".", "", ",", "", "(", " ", ")", " ").Replace(key)
+	key = manufacturerPunct.Replace(key)
 	key = strings.Join(strings.Fields(key), " ")
 	switch key {
 	case "mercedes-benz", "mercedes benz", "benz", "mercedes", "daimler":
@@ -388,33 +391,6 @@ func (c *Corpus) MilesBy() map[Manufacturer]float64 {
 		out[m.Manufacturer] += m.Miles
 	}
 	return out
-}
-
-// DisengagementsBy counts disengagements per manufacturer.
-func (c *Corpus) DisengagementsBy() map[Manufacturer]int {
-	out := make(map[Manufacturer]int)
-	for _, d := range c.Disengagements {
-		out[d.Manufacturer]++
-	}
-	return out
-}
-
-// AccidentsBy counts accidents per manufacturer.
-func (c *Corpus) AccidentsBy() map[Manufacturer]int {
-	out := make(map[Manufacturer]int)
-	for _, a := range c.Accidents {
-		out[a.Manufacturer]++
-	}
-	return out
-}
-
-// Merge appends the contents of other into c. Slices are copied so later
-// mutation of other does not alias c.
-func (c *Corpus) Merge(other *Corpus) {
-	c.Fleets = append(c.Fleets, other.Fleets...)
-	c.Mileage = append(c.Mileage, other.Mileage...)
-	c.Disengagements = append(c.Disengagements, other.Disengagements...)
-	c.Accidents = append(c.Accidents, other.Accidents...)
 }
 
 // Validate checks internal consistency: events inside the study window,

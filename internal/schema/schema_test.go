@@ -200,17 +200,6 @@ func TestCorpusHelpers(t *testing.T) {
 	if c.MilesBy()[Waymo] != 150 {
 		t.Errorf("MilesBy[Waymo] = %g", c.MilesBy()[Waymo])
 	}
-	if c.DisengagementsBy()[Nissan] != 2 {
-		t.Error("DisengagementsBy wrong")
-	}
-	if c.AccidentsBy()[Waymo] != 1 {
-		t.Error("AccidentsBy wrong")
-	}
-	var other Corpus
-	other.Merge(&c)
-	if other.TotalMiles() != 175 || len(other.Disengagements) != 3 {
-		t.Error("Merge incomplete")
-	}
 }
 
 func TestCorpusValidate(t *testing.T) {

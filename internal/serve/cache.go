@@ -123,6 +123,11 @@ type CacheStats struct {
 	// refused (version mismatch, checksum failure, truncation, structural
 	// corruption) and fell through to a peer fetch or a rebuild.
 	Snapshot2Rejects int64
+	// Snapshot2OpenErrors counts v2 snapshot files that could not be read
+	// for a reason other than their absence or their content (permissions,
+	// an I/O error, a directory in the file's place). They fall through
+	// like rejects, but point at the disk, not at the file.
+	Snapshot2OpenErrors int64
 	// SnapshotFetches counts misses satisfied by pulling the seed's v2
 	// snapshot from a peer (CRC re-verified on receipt) instead of paying
 	// a pipeline rebuild.
@@ -353,10 +358,13 @@ func (c *Cache) acquire(seed int64) (*Study, error) {
 			return study, nil
 		case errors.Is(err, fs.ErrNotExist):
 			// Plain tier miss: nothing persisted for this seed yet.
-		default:
+		case isSnapshotReject(err):
 			// Present but unusable (bad checksum, old version, truncated,
 			// structurally corrupt): never trust it, fetch or rebuild.
 			c.bump(&c.stats.Snapshot2Rejects)
+		default:
+			// Unreadable: the file's content was never judged.
+			c.bump(&c.stats.Snapshot2OpenErrors)
 		}
 		if study, ok := c.fetchFromPeer(seed); ok {
 			return study, nil
@@ -384,6 +392,15 @@ func (c *Cache) acquire(seed int64) (*Study, error) {
 		study.ETag = etagFromCRC(crc)
 	}
 	return study, nil
+}
+
+// isSnapshotReject reports whether err is snapshot2's verdict on a file's
+// content, as opposed to a failure to read it.
+func isSnapshotReject(err error) bool {
+	var fe *snapshot2.FormatError
+	var ve *snapshot2.VersionError
+	var ce *snapshot2.ChecksumError
+	return errors.As(err, &fe) || errors.As(err, &ve) || errors.As(err, &ce)
 }
 
 // fetchFromPeer is the pull-through tier: with peers configured, ask each

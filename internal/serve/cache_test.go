@@ -186,7 +186,8 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 // TestCacheCountsWriteErrors: a write-through that fails (here the
 // snapshot path is a directory, which no permission bit can make writable)
 // counts as a write error, and the built study is still served, without an
-// ETag.
+// ETag. The directory could not be read as a snapshot either, which is an
+// open error, not a reject: its content was never judged.
 func TestCacheCountsWriteErrors(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.Mkdir(snapshot2.Path(dir, 1), 0o755); err != nil {
@@ -205,6 +206,9 @@ func TestCacheCountsWriteErrors(t *testing.T) {
 	}
 	if s := c.Stats(); s.Builds != 1 || s.BuildFailures != 0 || s.Snapshot2Writes != 0 || s.Snapshot2WriteErrors != 1 {
 		t.Errorf("stats = %+v, want Builds 1, Snapshot2WriteErrors 1, no writes or build failures", s)
+	}
+	if s := c.Stats(); s.Snapshot2Rejects != 0 || s.Snapshot2OpenErrors != 1 {
+		t.Errorf("stats = %+v, want Snapshot2Rejects 0, Snapshot2OpenErrors 1", s)
 	}
 }
 

@@ -138,6 +138,7 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		{"avserve_snapshot2_writes_total", "V2 snapshots written through after a successful build.", cache.Snapshot2Writes},
 		{"avserve_snapshot2_write_errors_total", "V2 snapshot write-throughs that failed after a successful build; the study is still served.", cache.Snapshot2WriteErrors},
 		{"avserve_snapshot2_rejects_total", "V2 snapshot files refused by validation (checksum, version, or structure); each falls back to a peer fetch or a rebuild, and is not a build failure.", cache.Snapshot2Rejects},
+		{"avserve_snapshot2_open_errors_total", "V2 snapshot files that exist but could not be read (permissions, I/O, not a regular file); each falls back to a peer fetch or a rebuild, and is not a reject.", cache.Snapshot2OpenErrors},
 		{"avserve_snapshot_fetches_total", "Cache misses served by pulling the seed's v2 snapshot from a peer (CRC re-verified on receipt).", cache.SnapshotFetches},
 		{"avserve_snapshot_fetch_misses_total", "Peer snapshot probes answered 404 on every peer (seed not held anywhere; falls back to a rebuild).", cache.SnapshotFetchMisses},
 		{"avserve_snapshot_fetch_errors_total", "Peer snapshot probes that failed (transport error, unexpected status, or a fetched file flunking validation); each falls back to a rebuild.", cache.SnapshotFetchErrors},

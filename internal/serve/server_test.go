@@ -293,7 +293,7 @@ func TestMetricsHelpText(t *testing.T) {
 	m := NewMetrics()
 	m.Observe("/r", 200, 0.0002)
 	m.Observe("/r", 200, 0.0004)
-	if err := m.WriteText(&buf, CacheStats{StudyMaterializations: 3, SnapshotReleases: 5, BuildFailures: 2, Snapshot2WriteErrors: 4}); err != nil {
+	if err := m.WriteText(&buf, CacheStats{StudyMaterializations: 3, SnapshotReleases: 5, BuildFailures: 2, Snapshot2WriteErrors: 4, Snapshot2OpenErrors: 6}); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.String()
@@ -305,6 +305,8 @@ func TestMetricsHelpText(t *testing.T) {
 		"avserve_snapshot2_loads_total 0",
 		"avserve_snapshot2_writes_total 0",
 		"avserve_snapshot2_rejects_total 0",
+		"# HELP avserve_snapshot2_open_errors_total V2 snapshot files that exist but could not be read (permissions, I/O, not a regular file); each falls back to a peer fetch or a rebuild, and is not a reject.",
+		"avserve_snapshot2_open_errors_total 6",
 		"# HELP avserve_study_materializations_total Whole-database decodes of mapped studies (paper tables only; listings, group-bys, accidents and reliability read the columns).",
 		"avserve_study_materializations_total 3",
 		"# HELP avserve_snapshot_releases_total Mappings of evicted studies closed when their last request released them.",

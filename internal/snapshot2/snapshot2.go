@@ -55,6 +55,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -310,25 +311,25 @@ func Encode(db *core.DB) ([]byte, error) {
 	for _, s := range sections {
 		payloadLen += len(s)
 	}
-	payload := make([]byte, 0, payloadLen)
-	payload = binary.LittleEndian.AppendUint32(payload, numSections)
+	// The payload is written in place after the header, whose checksum
+	// is filled in last.
+	out := make([]byte, 0, headerLen+payloadLen)
+	out = append(out, magic...)
+	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint64(out, uint64(payloadLen))
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	out = binary.LittleEndian.AppendUint32(out, numSections)
 	off := uint64(dirLen)
 	for i, s := range sections {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(i+1))
-		payload = binary.LittleEndian.AppendUint64(payload, off)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(s)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(i+1))
+		out = binary.LittleEndian.AppendUint64(out, off)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(s)))
 		off += uint64(len(s))
 	}
 	for _, s := range sections {
-		payload = append(payload, s...)
+		out = append(out, s...)
 	}
-
-	out := make([]byte, 0, headerLen+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	out = append(out, payload...)
+	binary.LittleEndian.PutUint32(out[headerLen-4:headerLen], crc32.Checksum(out[headerLen:], castagnoli))
 	return out, nil
 }
 
@@ -355,10 +356,27 @@ func (e *encoder) intern(s string) uint32 {
 // delta-encoded ascending row ids, keys sorted so encoding is
 // deterministic.
 func (e *encoder) encodePostings(db *core.DB, value func(*core.Event) string) []byte {
-	lists := make(map[string][]int)
+	// Group by raw value, then lower-case each distinct value once; values
+	// that fold to one key merge their lists back into ascending order.
+	raw := make(map[string][]int)
 	for i := range db.Events {
-		k := strings.ToLower(value(&db.Events[i]))
-		lists[k] = append(lists[k], i)
+		v := value(&db.Events[i])
+		raw[v] = append(raw[v], i)
+	}
+	vals := make([]string, 0, len(raw))
+	for v := range raw {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	lists := make(map[string][]int, len(raw))
+	for _, v := range vals {
+		k := strings.ToLower(v)
+		ids := raw[v]
+		if prev, ok := lists[k]; ok {
+			ids = append(prev, ids...)
+			slices.Sort(ids)
+		}
+		lists[k] = ids
 	}
 	keys := make([]string, 0, len(lists))
 	for k := range lists {

@@ -436,6 +436,34 @@ func TestPostingsMatchHeapIndex(t *testing.T) {
 	}
 }
 
+// TestPostingsMergeCaseVariants: values that differ only in case share one
+// lower-cased posting key, and its list stays ascending when their rows
+// interleave.
+func TestPostingsMergeCaseVariants(t *testing.T) {
+	db := testDB(29, 120, 0)
+	spellings := []schema.Manufacturer{"Waymo", "WAYMO", "waymo"}
+	var want []int
+	for i := range db.Events {
+		if i%2 == 0 {
+			db.Events[i].Manufacturer = spellings[(i/2)%len(spellings)]
+			want = append(want, i)
+		} else if strings.EqualFold(string(db.Events[i].Manufacturer), "waymo") {
+			db.Events[i].Manufacturer = "Bosch"
+		}
+	}
+	data, err := Encode(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewView(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.ManufacturerIDs("waymo"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ManufacturerIDs(waymo) = %v, want %v", got, want)
+	}
+}
+
 // TestOpenMissing maps a nonexistent file to fs.ErrNotExist so cache tiers
 // can tell "no snapshot yet" from corruption.
 func TestOpenMissing(t *testing.T) {

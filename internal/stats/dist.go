@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 )
@@ -36,14 +35,6 @@ var (
 // paper fits it to accident speeds (Fig. 12).
 type Exponential struct {
 	Lambda float64
-}
-
-// NewExponential builds an exponential distribution from its mean.
-func NewExponential(mean float64) (Exponential, error) {
-	if mean <= 0 {
-		return Exponential{}, errors.New("stats: exponential mean must be positive")
-	}
-	return Exponential{Lambda: 1 / mean}, nil
 }
 
 // PDF implements Dist.

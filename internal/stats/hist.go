@@ -152,17 +152,3 @@ func (k *KDE) Evaluate(lo, hi float64, n int) (grid, dens []float64) {
 	}
 	return grid, dens
 }
-
-// ECDF returns the empirical CDF of xs evaluated at x.
-func ECDF(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var count int
-	for _, xi := range xs {
-		if xi <= x {
-			count++
-		}
-	}
-	return float64(count) / float64(len(xs))
-}

@@ -124,21 +124,6 @@ func TestKDEErrors(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := ECDF(xs, c.x); got != c.want {
-			t.Errorf("ECDF(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	if ECDF(nil, 1) != 0 {
-		t.Error("empty ECDF should be 0")
-	}
-}
-
 func TestBootstrapMeanCI(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	truth := Normal{Mu: 5, Sigma: 2}

@@ -203,28 +203,6 @@ func (s *Structure) Loops() []ControlLoop {
 	return out
 }
 
-// EdgesFrom returns edges leaving id.
-func (s *Structure) EdgesFrom(id ComponentID) []Edge {
-	var out []Edge
-	for _, e := range s.edges {
-		if e.From == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// EdgesInto returns edges entering id.
-func (s *Structure) EdgesInto(id ComponentID) []Edge {
-	var out []Edge
-	for _, e := range s.edges {
-		if e.To == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // LoopsContaining returns the loops whose path includes id.
 func (s *Structure) LoopsContaining(id ComponentID) []ControlLoop {
 	var out []ControlLoop

@@ -47,33 +47,6 @@ func TestComponentLookup(t *testing.T) {
 	}
 }
 
-func TestEdgesFromInto(t *testing.T) {
-	s := NewADSStructure()
-	out := s.EdgesFrom(CompPlanner)
-	if len(out) == 0 {
-		t.Fatal("planner has no outgoing edges")
-	}
-	foundPlan := false
-	for _, e := range out {
-		if e.To == CompFollower && e.Kind == ControlAction {
-			foundPlan = true
-		}
-	}
-	if !foundPlan {
-		t.Error("planner -> follower control action missing")
-	}
-	in := s.EdgesInto(CompPlanner)
-	foundScene := false
-	for _, e := range in {
-		if e.From == CompRecognition && e.Kind == Feedback {
-			foundScene = true
-		}
-	}
-	if !foundScene {
-		t.Error("recognition -> planner feedback missing")
-	}
-}
-
 func TestLoopsContaining(t *testing.T) {
 	s := NewADSStructure()
 	// The driver appears only in CL-2.

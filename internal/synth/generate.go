@@ -1,11 +1,12 @@
 package synth
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"avfda/internal/calib"
@@ -73,7 +74,16 @@ func Generate(cfg Config) (*Truth, error) {
 // profile draws from its own RNG, seeded from seed and the profile alone.
 func generate(seed int64, m model) (*Truth, error) {
 	t := &Truth{}
-	for _, p := range profiles() {
+	ps := profiles()
+	var nEvents, nMileage int
+	for _, p := range ps {
+		nEvents += max(p.stats.Disengagements, 0)
+		nMileage += max(p.cars, 0) * len(p.activeMonths)
+	}
+	t.Corpus.Disengagements = make([]schema.Disengagement, 0, nEvents)
+	t.Corpus.Mileage = make([]schema.MonthlyMileage, 0, nMileage)
+	t.Tags = make([]ontology.Tag, 0, nEvents)
+	for _, p := range ps {
 		rng := rand.New(rand.NewSource(profileSeed(seed, p.mfr, p.year)))
 		t.generateProfile(m, p, rng)
 	}
@@ -177,8 +187,8 @@ func (t *Truth) generateProfile(mdl model, p profile, rng *rand.Rand) {
 	// Mileage records and events. Category and modality decks are
 	// apportioned by largest remainder so the Table IV/V percentages are
 	// reproduced exactly up to rounding, then shuffled over events.
-	var events []schema.Disengagement
-	var tags []ontology.Tag
+	events := make([]schema.Disengagement, 0, nEvents)
+	tags := make([]ontology.Tag, 0, nEvents)
 	catDeck := buildCategoryDeck(nEvents, p.category, rng)
 	modDeck := buildModalityDeck(nEvents, p.modality, rng)
 	next := 0
@@ -208,24 +218,21 @@ func (t *Truth) generateProfile(mdl model, p profile, rng *rand.Rand) {
 		events[rng.Intn(len(events))].ReactionSeconds = calib.VWOutlierSeconds
 	}
 
-	// Deterministic ordering: by time, then vehicle.
-	type evTag struct {
-		ev  schema.Disengagement
-		tag ontology.Tag
+	// Deterministic ordering: by time, then vehicle. The stable sort
+	// moves indexes, not the events themselves.
+	order := make([]int32, len(events))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	pairs := make([]evTag, len(events))
-	for i := range events {
-		pairs[i] = evTag{events[i], tags[i]}
-	}
-	sort.SliceStable(pairs, func(a, b int) bool {
-		if !pairs[a].ev.Time.Equal(pairs[b].ev.Time) {
-			return pairs[a].ev.Time.Before(pairs[b].ev.Time)
+	slices.SortStableFunc(order, func(a, b int32) int {
+		if c := events[a].Time.Compare(events[b].Time); c != 0 {
+			return c
 		}
-		return pairs[a].ev.Vehicle < pairs[b].ev.Vehicle
+		return cmp.Compare(events[a].Vehicle, events[b].Vehicle)
 	})
-	for _, pr := range pairs {
-		t.Corpus.Disengagements = append(t.Corpus.Disengagements, pr.ev)
-		t.Tags = append(t.Tags, pr.tag)
+	for _, i := range order {
+		t.Corpus.Disengagements = append(t.Corpus.Disengagements, events[i])
+		t.Tags = append(t.Tags, tags[i])
 	}
 
 	// Accident exposure scales with vehicle mileage: cars that drive more

@@ -89,7 +89,10 @@ func TestGenerateAccidentCounts(t *testing.T) {
 	if got := len(tr.Corpus.Accidents); got != calib.TotalAccidents {
 		t.Fatalf("accidents = %d, want %d", got, calib.TotalAccidents)
 	}
-	byMfr := tr.Corpus.AccidentsBy()
+	byMfr := make(map[schema.Manufacturer]int)
+	for _, a := range tr.Corpus.Accidents {
+		byMfr[a.Manufacturer]++
+	}
 	for m, row := range calib.TableVI {
 		if got := byMfr[m]; got != row.Accidents {
 			t.Errorf("%s accidents = %d, want %d", m, got, row.Accidents)
@@ -335,11 +338,21 @@ func TestGenerateValidCorpus(t *testing.T) {
 		}
 	}
 	// Uber appears only as an accident.
-	if tr.Corpus.DisengagementsBy()[schema.UberATC] != 0 {
-		t.Error("Uber should have no disengagements")
+	count := func(m schema.Manufacturer) (events, accidents int) {
+		for _, d := range tr.Corpus.Disengagements {
+			if d.Manufacturer == m {
+				events++
+			}
+		}
+		for _, a := range tr.Corpus.Accidents {
+			if a.Manufacturer == m {
+				accidents++
+			}
+		}
+		return events, accidents
 	}
-	if tr.Corpus.AccidentsBy()[schema.UberATC] != 1 {
-		t.Error("Uber should have exactly one accident")
+	if events, accidents := count(schema.UberATC); events != 0 || accidents != 1 {
+		t.Errorf("Uber has %d disengagements and %d accidents, want 0 and 1", events, accidents)
 	}
 }
 
