@@ -240,7 +240,7 @@ func BenchmarkEngineQueries(b *testing.B) {
 		{"offset-page", func() error { _, err := eng.Events(Filter{}, Page{Offset: 2000, Limit: 50}); return err }},
 		{"mfr-page", func() error { _, err := eng.Events(Filter{Manufacturer: "bosch"}, page); return err }},
 		{"category-weather-page", func() error {
-			_, err := eng.Events(Filter{Category: "ML/Design", Weather: "rain"}, page)
+			_, err := eng.Events(Filter{Category: "ML/Design", Weather: "raining"}, page)
 			return err
 		}},
 		{"month-window", func() error { _, err := eng.Events(Filter{From: "2015-01", To: "2015-12"}, page); return err }},

@@ -55,9 +55,9 @@ func zeroQ(params string) bool {
 
 // compressible reports whether a content type is worth gzipping: the JSON
 // and text bodies every study endpoint emits. Binary snapshot streams
-// (application/octet-stream) pass through untouched — the v2 format's
-// varint postings and deduplicated strings don't compress enough to repay
-// burning CPU in the distribution path.
+// (application/octet-stream) pass through untouched, so a peer fetch costs
+// the sending backend no compression CPU. They would compress: the seed-1
+// snapshot, 545 KB, is 80 KB at gzip level 1.
 func compressible(contentType string) bool {
 	return strings.HasPrefix(contentType, "application/json") ||
 		strings.HasPrefix(contentType, "text/")

@@ -11,8 +11,8 @@ import (
 // TestViewResultsDoNotAliasSnapshot pins the View's ownership contract:
 // nothing an exported method returns points into the snapshot's bytes, so
 // a caller may keep any answer after Close unmaps them. Every exported
-// method is called through reflection, on the first and last row and on
-// every manufacturer, tag and category key, and every string and slice
+// method is called through reflection, on the first and last row of every
+// column and on every string id, and every string and slice
 // reachable from its results is checked against the mapping's address
 // range. A new method with a parameter kind the test cannot supply fails
 // the test until the test learns to call it.
@@ -30,10 +30,6 @@ func TestViewResultsDoNotAliasSnapshot(t *testing.T) {
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(v.data)))
 	hi := lo + uintptr(len(v.data))
 	rows := []int{0, v.NumRows() - 1}
-	keys := []string{"", "no such key"}
-	for i := 0; i < v.NumRows(); i++ {
-		keys = append(keys, v.Manufacturer(i), v.Tag(i), v.Category(i))
-	}
 
 	rv := reflect.ValueOf(v)
 	for i := 0; i < rv.NumMethod(); i++ {
@@ -49,9 +45,22 @@ func TestViewResultsDoNotAliasSnapshot(t *testing.T) {
 			for _, row := range rows {
 				calls = append(calls, []reflect.Value{reflect.ValueOf(row)})
 			}
-		case mt.NumIn() == 1 && mt.In(0).Kind() == reflect.String:
-			for _, k := range keys {
-				calls = append(calls, []reflect.Value{reflect.ValueOf(k)})
+		case mt.NumIn() == 2 && mt.In(0) == reflect.TypeFor[Column]() && mt.In(1).Kind() == reflect.Int:
+			for c := ColManufacturer; c <= ColModality; c++ {
+				for _, row := range rows {
+					calls = append(calls, []reflect.Value{reflect.ValueOf(c), reflect.ValueOf(row)})
+				}
+			}
+		case mt.NumIn() == 2 && mt.In(0) == reflect.TypeFor[Column]() && mt.In(1).Kind() == reflect.Int64:
+			// A (column, code) pair: every string id, and each enum
+			// column's codes on the first and last row.
+			for id := range v.NumStrings() {
+				calls = append(calls, []reflect.Value{reflect.ValueOf(ColManufacturer), reflect.ValueOf(int64(id))})
+			}
+			for c := ColTag; c <= ColModality; c++ {
+				for _, row := range rows {
+					calls = append(calls, []reflect.Value{reflect.ValueOf(c), reflect.ValueOf(v.Code(c, row))})
+				}
 			}
 		case mt.NumIn() == 2 && mt.In(0).Kind() == reflect.String && mt.In(1).Kind() == reflect.Int64:
 			// A (directory, seed) pair: the view writes itself out.

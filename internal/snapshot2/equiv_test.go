@@ -285,7 +285,38 @@ func TestViewAccessorsMatchEventsFrame(t *testing.T) {
 			if got, want := v.ReactionSeconds(i), ref.reaction[i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d row %d reactionSeconds: View %g, frame %g", seed, i, got, want)
 			}
+			if got, want := v.TimeUnix(i), ref.times[i].Unix(); got != want {
+				t.Fatalf("seed %d row %d TimeUnix: View %d, frame %d", seed, i, got, want)
+			}
 		}
+	}
+}
+
+// TestSelectMergesCaseVariants: manufacturer spellings that differ only in
+// case are separate string ids, and a filter matches all of them, in
+// ascending row order when their rows interleave.
+func TestSelectMergesCaseVariants(t *testing.T) {
+	db := snapshot2.TestDB(29, 120, 0)
+	spellings := []schema.Manufacturer{"Waymo", "WAYMO", "waymo"}
+	var want []int
+	for i := range db.Events {
+		if i%2 == 0 {
+			db.Events[i].Manufacturer = spellings[(i/2)%len(spellings)]
+			want = append(want, i)
+		} else if strings.EqualFold(string(db.Events[i].Manufacturer), "waymo") {
+			db.Events[i].Manufacturer = "Bosch"
+		}
+	}
+	eng, err := query.New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Select(query.Filter{Manufacturer: "waymo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Select(waymo) = %v, want %v", got, want)
 	}
 }
 

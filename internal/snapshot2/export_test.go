@@ -1,5 +1,14 @@
 package snapshot2
 
-// TestDB exposes testDB to the external snapshot2_test package, whose
-// tests import query (which imports snapshot2).
-var TestDB = testDB
+// Test helpers exposed to the external snapshot2_test package, whose tests
+// import query (which imports snapshot2).
+var (
+	TestDB             = testDB
+	Reseal             = reseal
+	TypedSnapshotError = typedSnapshotError
+)
+
+const (
+	Magic     = magic
+	HeaderLen = headerLen
+)

@@ -62,7 +62,7 @@ func Open(path string) (*View, error) {
 // mapping owns one mapped region, and the finalizer sits on it rather than
 // on the View. The View is the mapping's only referrer, so the two become
 // unreachable together; a finalizer on the View would keep the View and its
-// caches (the materialized database, decoded strings and postings) alive
+// caches (the materialized database and decoded strings) alive
 // through one more collection, while this small object is all that waits
 // for the unmap.
 type mapping struct{ data []byte }

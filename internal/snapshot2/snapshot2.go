@@ -17,7 +17,7 @@
 //
 //	offset  size  field
 //	0       8     magic "AVSNAP2\x00"
-//	8       2     format version (currently 2)
+//	8       2     format version (currently 3)
 //	10      8     payload length in bytes
 //	18      4     CRC-32C (Castagnoli) of the payload
 //	22      ...   payload
@@ -31,8 +31,6 @@
 //	string table  cumulative uint32 offsets + a deduplicated UTF-8 blob
 //	columns       one fixed-width section per column (uint32 string ids,
 //	              int64 scalars, float64 bit patterns, uint8 flag bytes)
-//	posting lists delta-encoded ascending row ids per distinct value of
-//	              the manufacturer/tag/category inverted indexes
 //
 // Encoding the same database always yields the same bytes, so
 // write→read→re-write round-trips are byte-identical (property-tested).
@@ -55,16 +53,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
-	"strings"
 
 	"avfda/internal/core"
 )
 
 // Version is the current snapshot2 format version. Readers accept exactly
 // this version; see the package comment for the compatibility policy.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // magic identifies a v2 snapshot file; eight bytes keep the header scalars
 // that follow naturally aligned, and it differs from the retired v1 magic
@@ -118,9 +113,6 @@ const (
 	secAcAVSpeed
 	secAcOtherSpeed
 	secAcFlags
-	secIdxMfr
-	secIdxTag
-	secIdxCategory
 	numSections = iota
 )
 
@@ -172,8 +164,7 @@ func Path(dir string, seed int64) string {
 
 // Encode serializes the database into the v2 columnar wire format.
 // Encoding is deterministic: the string table interns values in a fixed
-// traversal order and posting-list keys are sorted, so identical databases
-// encode to identical bytes.
+// traversal order, so identical databases encode to identical bytes.
 func Encode(db *core.DB) ([]byte, error) {
 	if db == nil {
 		return nil, errors.New("snapshot2: nil database")
@@ -268,13 +259,6 @@ func Encode(db *core.DB) ([]byte, error) {
 		acFlags[i] = flags
 	}
 
-	// Inverted indexes over the event columns, keyed the way query.Engine
-	// looks them up: lower-cased display value → ascending row ids. Index keys are interned after the row columns so row data
-	// dominates string-table locality.
-	idxMfr := e.encodePostings(db, func(ev *core.Event) string { return string(ev.Manufacturer) })
-	idxTag := e.encodePostings(db, func(ev *core.Event) string { return ev.Tag.String() })
-	idxCat := e.encodePostings(db, func(ev *core.Event) string { return ev.Category.String() })
-
 	// Meta + string table sections.
 	meta := make([]byte, 0, 5*8)
 	for _, n := range []int{nEv, nMl, nFl, nAc, len(e.strs)} {
@@ -301,7 +285,6 @@ func Encode(db *core.DB) ([]byte, error) {
 		u32Bytes(acMfr), u32Bytes(acVeh), i64Bytes(acYear), i64Bytes(acSec),
 		i64Bytes(acNsec), u32Bytes(acLoc), u32Bytes(acNarr), f64Bytes(acAV),
 		f64Bytes(acOther), acFlags,
-		idxMfr, idxTag, idxCat,
 	}
 
 	// Section directory: ids are 1-based and consecutive, offsets relative
@@ -350,69 +333,6 @@ func (e *encoder) intern(s string) uint32 {
 	e.strIndex[s] = id
 	e.strs = append(e.strs, s)
 	return id
-}
-
-// encodePostings builds one inverted-index section: lower-cased value →
-// delta-encoded ascending row ids, keys sorted so encoding is
-// deterministic.
-func (e *encoder) encodePostings(db *core.DB, value func(*core.Event) string) []byte {
-	// Group by raw value, then lower-case each distinct value once; values
-	// that fold to one key merge their lists back into ascending order.
-	raw := make(map[string][]int)
-	for i := range db.Events {
-		v := value(&db.Events[i])
-		raw[v] = append(raw[v], i)
-	}
-	vals := make([]string, 0, len(raw))
-	for v := range raw {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	lists := make(map[string][]int, len(raw))
-	for _, v := range vals {
-		k := strings.ToLower(v)
-		ids := raw[v]
-		if prev, ok := lists[k]; ok {
-			ids = append(prev, ids...)
-			slices.Sort(ids)
-		}
-		lists[k] = ids
-	}
-	keys := make([]string, 0, len(lists))
-	for k := range lists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	blobs := make([][]byte, len(keys))
-	var blobLen int
-	for i, k := range keys {
-		ids := lists[k]
-		var b []byte
-		prev := 0
-		for j, id := range ids {
-			delta := id - prev
-			if j == 0 {
-				delta = id
-			}
-			b = binary.AppendUvarint(b, uint64(delta))
-			prev = id
-		}
-		blobs[i] = b
-		blobLen += len(b)
-	}
-
-	out := make([]byte, 0, 4+len(keys)*12+blobLen)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(keys)))
-	for i, k := range keys {
-		out = binary.LittleEndian.AppendUint32(out, e.intern(k))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(lists[k])))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(blobs[i])))
-	}
-	for _, b := range blobs {
-		out = append(out, b...)
-	}
-	return out
 }
 
 // u32Bytes renders a uint32 column as little-endian bytes.

@@ -11,8 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -312,8 +310,8 @@ func sectionRange(t *testing.T, payload []byte, id uint32) (int, int) {
 }
 
 // TestCorruptPayloadBehindValidChecksum re-seals structurally invalid
-// payloads with a correct checksum: the directory, column, string-table,
-// and posting validators must each reject their own class of damage with a
+// payloads with a correct checksum: the directory, column, and
+// string-table validators must each reject their own class of damage with a
 // *FormatError — corruption can never surface later as a panic or a wrong
 // answer from an accessor.
 func TestCorruptPayloadBehindValidChecksum(t *testing.T) {
@@ -365,18 +363,6 @@ func TestCorruptPayloadBehindValidChecksum(t *testing.T) {
 			start, _ := sectionRange(t, p, secAcFlags)
 			p[start] = 0xFF
 		}},
-		{"posting count overrun", func(t *testing.T, p []byte) {
-			start, _ := sectionRange(t, p, secIdxMfr)
-			// First key header: {keyID, count, blobLen}; inflate the count.
-			binary.LittleEndian.PutUint32(p[start+4+4:], uint32(len(db.Events)+1))
-		}},
-		{"posting stream length", func(t *testing.T, p []byte) {
-			start, _ := sectionRange(t, p, secIdxMfr)
-			// Inflate the first key's declared stream length by one byte: the
-			// stream either overruns the section or carries a trailing byte.
-			blobLen := binary.LittleEndian.Uint32(p[start+4+8:])
-			binary.LittleEndian.PutUint32(p[start+4+8:], blobLen+1)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -389,78 +375,6 @@ func TestCorruptPayloadBehindValidChecksum(t *testing.T) {
 				t.Fatalf("got view=%v err=%v, want *FormatError", v, err)
 			}
 		})
-	}
-}
-
-// TestPostingsMatchHeapIndex cross-checks every stored inverted index
-// against one built on the heap from the database's events: identical
-// keys, identical ascending row ids, nil for unknown keys.
-func TestPostingsMatchHeapIndex(t *testing.T) {
-	db := testDB(23, 300, 10)
-	data, err := Encode(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewView(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexes := []struct {
-		name   string
-		value  func(*core.Event) string
-		lookup func(string) []int
-	}{
-		{"manufacturer", func(e *core.Event) string { return string(e.Manufacturer) }, v.ManufacturerIDs},
-		{"tag", func(e *core.Event) string { return e.Tag.String() }, v.TagIDs},
-		{"category", func(e *core.Event) string { return e.Category.String() }, v.CategoryIDs},
-	}
-	for _, idx := range indexes {
-		want := make(map[string][]int)
-		for i := range db.Events {
-			k := strings.ToLower(idx.value(&db.Events[i]))
-			want[k] = append(want[k], i)
-		}
-		keys := make([]string, 0, len(want))
-		for k := range want {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if got := idx.lookup(k); !reflect.DeepEqual(got, want[k]) {
-				t.Fatalf("%s[%q] = %v, want %v", idx.name, k, got, want[k])
-			}
-		}
-		if got := idx.lookup("no such key"); got != nil {
-			t.Fatalf("%s lookup of unknown key returned %v", idx.name, got)
-		}
-	}
-}
-
-// TestPostingsMergeCaseVariants: values that differ only in case share one
-// lower-cased posting key, and its list stays ascending when their rows
-// interleave.
-func TestPostingsMergeCaseVariants(t *testing.T) {
-	db := testDB(29, 120, 0)
-	spellings := []schema.Manufacturer{"Waymo", "WAYMO", "waymo"}
-	var want []int
-	for i := range db.Events {
-		if i%2 == 0 {
-			db.Events[i].Manufacturer = spellings[(i/2)%len(spellings)]
-			want = append(want, i)
-		} else if strings.EqualFold(string(db.Events[i].Manufacturer), "waymo") {
-			db.Events[i].Manufacturer = "Bosch"
-		}
-	}
-	data, err := Encode(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewView(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v.ManufacturerIDs("waymo"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ManufacturerIDs(waymo) = %v, want %v", got, want)
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 // deserialized heap.
 //
 // NewView validates the whole structure up front — checksum, section
-// tiling, string-table offsets, string ids, posting streams — so accessors
-// cannot fail on any row index in [0, NumRows()): corruption surfaces as a
-// typed error at open, never as a panic or wrong answer later.
+// tiling, column sizes, string-table offsets, string ids, value ranges —
+// so accessors cannot fail on any row index in [0, NumRows()): corruption
+// surfaces as a typed error at open, never as a panic or wrong answer later.
 //
 // A View is safe for concurrent use. Close (or garbage collection, for
 // views opened by Open) releases the mapping; the caller must not use
@@ -45,37 +45,8 @@ type View struct {
 	strBlob  []byte
 	strCache []atomic.Pointer[string]
 
-	idxMfr, idxTag, idxCategory map[string]*postingList
-
 	dbOnce sync.Once
 	db     *core.DB
-}
-
-// postingList is one inverted-index entry: the delta-encoded row-id stream
-// for a single value, decoded lazily on first lookup. The stream was fully
-// validated at open, so decoding cannot fail.
-type postingList struct {
-	once  sync.Once
-	count int
-	blob  []byte
-	ids   []int
-}
-
-// rows decodes (once) and returns the ascending row ids.
-func (p *postingList) rows() []int {
-	p.once.Do(func() {
-		ids := make([]int, p.count)
-		rest := p.blob
-		prev := 0
-		for i := range ids {
-			delta, n := binary.Uvarint(rest)
-			rest = rest[n:]
-			prev += int(delta)
-			ids[i] = prev
-		}
-		p.ids = ids
-	})
-	return p.ids
 }
 
 // NewView validates data as a complete v2 snapshot and returns a View
@@ -111,16 +82,6 @@ func NewView(data []byte) (*View, error) {
 		return nil, err
 	}
 	if err := v.validateColumns(); err != nil {
-		return nil, err
-	}
-	var err error
-	if v.idxMfr, err = v.parsePostings(secIdxMfr); err != nil {
-		return nil, err
-	}
-	if v.idxTag, err = v.parsePostings(secIdxTag); err != nil {
-		return nil, err
-	}
-	if v.idxCategory, err = v.parsePostings(secIdxCategory); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -261,90 +222,6 @@ func (v *View) validateColumns() error {
 	return nil
 }
 
-// parsePostings validates one inverted-index section and returns its
-// key → posting-list map. Keys must be in-table strings, strictly
-// ascending; every delta stream must decode to exactly its declared count
-// of strictly ascending in-range row ids; and the lists must partition the
-// event rows (every row appears in exactly one list).
-func (v *View) parsePostings(id uint32) (map[string]*postingList, error) {
-	b := v.sec(id)
-	if len(b) < 4 {
-		return nil, &FormatError{Reason: fmt.Sprintf("posting section %d truncated", id)}
-	}
-	nKeys64 := binary.LittleEndian.Uint32(b)
-	if uint64(nKeys64) > uint64(v.nEvents) {
-		return nil, &FormatError{Reason: fmt.Sprintf("posting section %d declares %d keys for %d rows", id, nKeys64, v.nEvents)}
-	}
-	nKeys := int(nKeys64)
-	if len(b) < 4+nKeys*12 {
-		return nil, &FormatError{Reason: fmt.Sprintf("posting section %d truncated in key headers", id)}
-	}
-	blobs := b[4+nKeys*12:]
-	out := make(map[string]*postingList, nKeys)
-	prevKey := ""
-	total, off := 0, 0
-	for k := 0; k < nKeys; k++ {
-		ent := b[4+k*12:]
-		keyID := binary.LittleEndian.Uint32(ent)
-		count := int(binary.LittleEndian.Uint32(ent[4:]))
-		blobLen := int(binary.LittleEndian.Uint32(ent[8:]))
-		if keyID >= uint32(v.nStrings) {
-			return nil, &FormatError{Reason: fmt.Sprintf("posting section %d key references string %d of %d", id, keyID, v.nStrings)}
-		}
-		key := v.str(keyID)
-		if k > 0 && key <= prevKey {
-			return nil, &FormatError{Reason: fmt.Sprintf("posting section %d keys out of order", id)}
-		}
-		prevKey = key
-		if count > v.nEvents-total {
-			return nil, &FormatError{Reason: fmt.Sprintf("posting section %d lists more rows than exist", id)}
-		}
-		if blobLen < 0 || blobLen > len(blobs)-off {
-			return nil, &FormatError{Reason: fmt.Sprintf("posting section %d stream overruns the section", id)}
-		}
-		blob := blobs[off : off+blobLen]
-		if err := checkDeltaStream(blob, count, v.nEvents); err != nil {
-			return nil, &FormatError{Reason: fmt.Sprintf("posting section %d key %q: %s", id, key, err)}
-		}
-		out[key] = &postingList{count: count, blob: blob}
-		total += count
-		off += blobLen
-	}
-	if off != len(blobs) {
-		return nil, &FormatError{Reason: fmt.Sprintf("posting section %d has trailing stream bytes", id)}
-	}
-	if total != v.nEvents {
-		return nil, &FormatError{Reason: fmt.Sprintf("posting section %d covers %d of %d rows", id, total, v.nEvents)}
-	}
-	return out, nil
-}
-
-// checkDeltaStream validates one delta-encoded row-id stream: exactly
-// count varints consuming the whole blob, decoding to strictly ascending
-// ids below n.
-func checkDeltaStream(blob []byte, count, n int) error {
-	rest := blob
-	prev := 0
-	for i := 0; i < count; i++ {
-		delta, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fmt.Errorf("bad varint at element %d", i)
-		}
-		rest = rest[w:]
-		if i > 0 && delta == 0 {
-			return fmt.Errorf("row ids not strictly ascending at element %d", i)
-		}
-		if delta > uint64(n) || prev+int(delta) >= n {
-			return fmt.Errorf("row id out of range at element %d", i)
-		}
-		prev += int(delta)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%d bytes beyond the declared stream", len(rest))
-	}
-	return nil
-}
-
 // str materializes string id (copying it out of the backing bytes) and
 // caches the copy. Concurrent first calls may both copy; both copies are
 // equal and either may win the cache slot.
@@ -382,7 +259,62 @@ func (v *View) timeAt(secSec, secNsec uint32, i int) time.Time {
 // NumRows returns the number of disengagement events.
 func (v *View) NumRows() int { return v.nEvents }
 
-// The event-row accessors below produce exactly the string forms
+// NumStrings returns the number of entries in the string table.
+func (v *View) NumStrings() int { return v.nStrings }
+
+// TimeUnix returns event i's timestamp in whole Unix seconds. The
+// nanoseconds Time adds are validated to [0, 1s), so Time(i) lies in
+// [TimeUnix(i), TimeUnix(i)+1).
+func (v *View) TimeUnix(i int) int64 { return v.i64(secEvTimeSec, i) }
+
+// Column names an event column that stores codes: the query engine
+// filters on a column's codes, and its display accessor renders them.
+type Column uint8
+
+// The code columns. The manufacturer stores string ids, below
+// NumStrings; the others store the raw value of their enum type.
+const (
+	ColManufacturer Column = iota
+	ColTag                 // ontology.Tag
+	ColCategory            // ontology.Category
+	ColRoad                // schema.RoadType
+	ColWeather             // schema.Weather
+	ColModality            // schema.Modality
+)
+
+// codeSecs maps each Column to its section.
+var codeSecs = [...]uint32{secEvMfr, secEvTag, secEvCategory, secEvRoad, secEvWeather, secEvModality}
+
+// Code returns event i's stored code in column c.
+func (v *View) Code(c Column, i int) int64 {
+	if c == ColManufacturer {
+		return int64(v.u32(secEvMfr, i))
+	}
+	return v.i64(codeSecs[c], i)
+}
+
+// Render returns the display string of code k in column c. A
+// manufacturer code must be a string id below NumStrings; an enum code
+// outside its type's defined values renders as its String method does,
+// e.g. "Tag(0)".
+func (v *View) Render(c Column, k int64) string {
+	switch c {
+	case ColManufacturer:
+		return v.str(uint32(k))
+	case ColTag:
+		return ontology.Tag(k).String()
+	case ColCategory:
+		return ontology.Category(k).String()
+	case ColRoad:
+		return schema.RoadType(k).String()
+	case ColWeather:
+		return schema.Weather(k).String()
+	default:
+		return schema.Modality(k).String()
+	}
+}
+
+// The display accessors below produce exactly the string forms
 // core.DB.EventsFrame renders (display names for enums, "YYYY-YYYY"
 // report years), so the engine's answers and CSV export agree.
 
@@ -404,49 +336,23 @@ func (v *View) Time(i int) time.Time { return v.timeAt(secEvTimeSec, secEvTimeNs
 func (v *View) Cause(i int) string { return v.str(v.u32(secEvCause, i)) }
 
 // Tag returns event i's fault-tag display name.
-func (v *View) Tag(i int) string { return ontology.Tag(v.i64(secEvTag, i)).String() }
+func (v *View) Tag(i int) string { return ontology.Tag(v.Code(ColTag, i)).String() }
 
 // Category returns event i's fault-category display name.
-func (v *View) Category(i int) string {
-	return ontology.Category(v.i64(secEvCategory, i)).String()
-}
+func (v *View) Category(i int) string { return ontology.Category(v.Code(ColCategory, i)).String() }
 
 // Modality returns event i's modality display name.
-func (v *View) Modality(i int) string {
-	return schema.Modality(v.i64(secEvModality, i)).String()
-}
+func (v *View) Modality(i int) string { return schema.Modality(v.Code(ColModality, i)).String() }
 
 // Road returns event i's road-type display name.
-func (v *View) Road(i int) string { return schema.RoadType(v.i64(secEvRoad, i)).String() }
+func (v *View) Road(i int) string { return schema.RoadType(v.Code(ColRoad, i)).String() }
 
 // Weather returns event i's weather display name.
-func (v *View) Weather(i int) string { return schema.Weather(v.i64(secEvWeather, i)).String() }
+func (v *View) Weather(i int) string { return schema.Weather(v.Code(ColWeather, i)).String() }
 
 // ReactionSeconds returns event i's driver reaction time (negative when
 // not reported).
 func (v *View) ReactionSeconds(i int) float64 { return v.f64(secEvReaction, i) }
-
-// ManufacturerIDs returns the ascending event rows whose lower-cased
-// manufacturer equals key, or nil for an unknown key.
-func (v *View) ManufacturerIDs(key string) []int { return lookup(v.idxMfr, key) }
-
-// TagIDs returns the ascending event rows whose lower-cased tag display
-// name equals key, or nil for an unknown key.
-func (v *View) TagIDs(key string) []int { return lookup(v.idxTag, key) }
-
-// CategoryIDs returns the ascending event rows whose lower-cased category
-// display name equals key, or nil for an unknown key.
-func (v *View) CategoryIDs(key string) []int { return lookup(v.idxCategory, key) }
-
-// lookup resolves one posting list; the returned slice is shared and must
-// be treated as read-only.
-func lookup(idx map[string]*postingList, key string) []int {
-	p := idx[key]
-	if p == nil {
-		return nil
-	}
-	return p.rows()
-}
 
 // Exposure summarizes the study's exposure (Tables VI-VII) straight from
 // the fleet, mileage, event and accident columns, keyed by string ids: no
