@@ -26,7 +26,7 @@ race:
 
 # The analyzer suite over the whole repository, the same single pass as
 # CI's lint job (which adds -gha only to render findings as annotations).
-# See DESIGN.md systems #21 and #25 for what each analyzer enforces.
+# See DESIGN.md system #21 for what each analyzer enforces.
 lint:
 	$(GO) run ./cmd/avlint ./...
 

@@ -131,8 +131,7 @@ func TestBrokenPackageExitsTwo(t *testing.T) {
 // TestJSONOutput pins the -json contract: exit 1 on findings, stdout is a
 // parseable object whose only key, "findings", is an array carrying
 // file/line/analyzer/message for each diagnostic — one per dirty-fixture
-// violation, covering the interprocedural resleak and module-scope
-// atomicmix alongside errsubstr.
+// violation, covering resleak and atomicmix alongside errsubstr.
 func TestJSONOutput(t *testing.T) {
 	dirty := filepath.Join(repoRoot(t), "cmd", "avlint", "testdata", "dirty")
 	var stdout, stderr bytes.Buffer

@@ -29,7 +29,6 @@ import (
 	"syscall"
 
 	"avfda/internal/core"
-	"avfda/internal/nlp"
 	"avfda/internal/ocr"
 	"avfda/internal/parse"
 	"avfda/internal/pipeline"
@@ -55,10 +54,6 @@ func run() error {
 	snapOut := flag.String("snapshot-out", "", "export the study snapshot (study-<seed>.avsnap2) into this directory")
 	flag.Parse()
 
-	if *in != "" {
-		return runFromDocuments(*in, *noExpand, *workers, *csvOut, *snapOut, *seed)
-	}
-
 	cfg := pipeline.DefaultConfig()
 	cfg.Synth = synth.Config{Seed: *seed}
 	cfg.OCR.SubstitutionRate = *noise
@@ -75,11 +70,23 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	res, err := pipeline.Run(ctx, cfg)
+	var res *pipeline.Result
+	var err error
+	if *in != "" {
+		// The seed only names the exported snapshot: the documents carry
+		// the data.
+		var inputs []parse.Input
+		if inputs, err = readDocuments(*in); err != nil {
+			return err
+		}
+		res, err = pipeline.RunOnDocuments(ctx, cfg, inputs)
+	} else {
+		res, err = pipeline.Run(ctx, cfg)
+	}
 	if err != nil {
 		return err
 	}
-	printResult(res, true)
+	printResult(res)
 	if err := writeCSVs(res.DB, *csvOut); err != nil {
 		return err
 	}
@@ -136,12 +143,12 @@ func writeCSVs(db *core.DB, dir string) error {
 	return nil
 }
 
-// runFromDocuments parses a document directory through Stages II-IV. The
-// seed only names the exported snapshot (the documents carry the data).
-func runFromDocuments(dir string, noExpand bool, workers int, csvOut, snapOut string, seed int64) error {
+// readDocuments reads every .txt document in dir, in name order, split
+// into lines.
+func readDocuments(dir string) ([]parse.Input, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
@@ -154,50 +161,19 @@ func runFromDocuments(dir string, noExpand bool, workers int, csvOut, snapOut st
 	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		inputs = append(inputs, parse.Input{
 			DocID: strings.TrimSuffix(name, ".txt"),
 			Lines: strings.Split(strings.TrimRight(string(raw), "\n"), "\n"),
 		})
 	}
-	corpus, parseRep, err := parse.ParseConcurrent(inputs, workers)
-	if err != nil {
-		return err
-	}
-	dict := nlp.SeedDictionary()
-	if !noExpand {
-		causes := make([]string, 0, len(corpus.Disengagements))
-		for _, d := range corpus.Disengagements {
-			causes = append(causes, d.Cause)
-		}
-		dict, _, err = nlp.Expand(dict, causes, nlp.DefaultOptions(), nlp.ExpandOptions{})
-		if err != nil {
-			return err
-		}
-	}
-	cls, err := nlp.NewClassifier(dict, nlp.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	db, err := core.Build(corpus, cls)
-	if err != nil {
-		return err
-	}
-	res := &pipeline.Result{
-		Recovered:      corpus,
-		DB:             db,
-		ParseReport:    parseRep,
-		DictionarySize: dict.Size(),
-	}
-	printResult(res, false)
-	if err := writeCSVs(db, csvOut); err != nil {
-		return err
-	}
-	return writeSnapshot(db, snapOut, seed)
+	return inputs, nil
 }
 
-func printResult(res *pipeline.Result, haveTruth bool) {
+// printResult prints the per-stage diagnostics; tag accuracy needs the
+// planted labels, so documents read with -in report none.
+func printResult(res *pipeline.Result) {
 	fmt.Println("== Stage II: digitization ==")
 	if res.OCR.Documents > 0 {
 		fmt.Printf("  %d documents, %d pages (%d manually transcribed)\n",
@@ -212,7 +188,7 @@ func printResult(res *pipeline.Result, haveTruth bool) {
 
 	fmt.Println("== Stage III: NLP ==")
 	fmt.Printf("  failure dictionary: %d phrases\n", res.DictionarySize)
-	if haveTruth {
+	if res.Truth != nil {
 		fmt.Printf("  tag accuracy: %.2f%%, category accuracy: %.2f%% (%d matched)\n",
 			100*res.Accuracy.TagAccuracy(), 100*res.Accuracy.CategoryAccuracy(), res.Accuracy.Matched)
 		if top := res.Accuracy.TopConfusions(3); len(top) > 0 {

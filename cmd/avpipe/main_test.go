@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"avfda/internal/core"
-	"avfda/internal/nlp"
+	"avfda/internal/ontology"
 	"avfda/internal/schema"
 )
 
@@ -25,11 +25,7 @@ func smallDB(t *testing.T) *core.DB {
 			ReactionSeconds: 0.8,
 		}},
 	}
-	cls, err := nlp.NewClassifier(nlp.SeedDictionary(), nlp.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := core.Build(corpus, cls)
+	db, err := core.BuildWithTags(corpus, []ontology.Tag{ontology.TagSoftware})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"avfda/internal/calib"
-	"avfda/internal/nlp"
-	"avfda/internal/ontology"
 	"avfda/internal/schema"
 	"avfda/internal/synth"
 )
@@ -33,44 +31,11 @@ func truthDB(t *testing.T) *DB {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, nil); err == nil {
+	if _, err := BuildWithTags(nil, nil); err == nil {
 		t.Error("nil corpus: want error")
-	}
-	cls, err := nlp.NewClassifier(nlp.SeedDictionary(), nlp.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(nil, cls); err == nil {
-		t.Error("nil corpus with classifier: want error")
-	}
-	if _, err := Build(&schema.Corpus{}, nil); err == nil {
-		t.Error("nil classifier: want error")
 	}
 	if _, err := BuildWithTags(&schema.Corpus{Disengagements: make([]schema.Disengagement, 2)}, nil); err == nil {
 		t.Error("misaligned tags: want error")
-	}
-}
-
-func TestBuildClassifiesEvents(t *testing.T) {
-	corpus := &schema.Corpus{
-		Disengagements: []schema.Disengagement{
-			{Manufacturer: schema.Nissan, ReportYear: schema.Report2016,
-				Time: schema.StudyStart, Cause: "Software module froze", ReactionSeconds: -1},
-		},
-	}
-	cls, err := nlp.NewClassifier(nlp.SeedDictionary(), nlp.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Build(corpus, cls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Events) != 1 || db.Events[0].Tag != ontology.TagSoftware {
-		t.Errorf("events = %+v", db.Events)
-	}
-	if db.Events[0].Category != ontology.CategorySystem {
-		t.Error("software should be a System fault")
 	}
 }
 

@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 
-	"avfda/internal/nlp"
 	"avfda/internal/ontology"
 	"avfda/internal/schema"
 )
@@ -30,26 +29,6 @@ type DB struct {
 	Accidents []schema.Accident
 	// Events joins each disengagement with its fault tag and category.
 	Events []Event
-}
-
-// Build classifies every disengagement cause in the corpus and assembles
-// the database.
-func Build(corpus *schema.Corpus, cls *nlp.Classifier) (*DB, error) {
-	if corpus == nil {
-		return nil, errors.New("core: nil corpus")
-	}
-	if cls == nil {
-		return nil, errors.New("core: nil classifier")
-	}
-	causes := make([]string, len(corpus.Disengagements))
-	for i, d := range corpus.Disengagements {
-		causes[i] = d.Cause
-	}
-	tags := make([]ontology.Tag, len(causes))
-	for i, r := range cls.ClassifyAll(causes) {
-		tags[i] = r.Tag
-	}
-	return BuildWithTags(corpus, tags)
 }
 
 // BuildWithTags assembles a database from pre-assigned tags (ground truth

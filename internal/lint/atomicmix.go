@@ -36,7 +36,7 @@ func runAtomicMix(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			callee, _ := calleeFunc(pass.Info, call)
+			callee := calleeFunc(pass.Info, call)
 			if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" {
 				return true
 			}

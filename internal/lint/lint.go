@@ -72,12 +72,6 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's facts for Files.
 	Info *types.Info
-	// Funcs indexes the source of every function the loader type-checked —
-	// this package's and its in-module dependencies' — for resleak's callee
-	// summaries. Nil when the package was constructed without the loader;
-	// FuncIndex methods are nil-safe and resleak then falls back to its
-	// conservative unknown-callee behavior.
-	Funcs *FuncIndex
 
 	diags *[]Diagnostic
 }
@@ -206,7 +200,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Funcs:    pkg.Funcs,
 			diags:    &pkgDiags,
 		}
 		if err := a.Run(pass); err != nil {
@@ -263,10 +256,9 @@ func (s allowSet) allowed(d Diagnostic) bool {
 
 // All returns the full analyzer suite in stable order: the generation-1
 // AST-level analyzers, the generation-2 flow-sensitive ones built on
-// internal/lint/cfg, the generation-3 interprocedural resource-leak check
-// built on the module-local call graph and function summaries, and the
-// AST-level atomicmix, which keeps raw sync/atomic calls out of non-test
-// code so every atomic is a typed value.
+// internal/lint/cfg (resleak, the resource-leak check, among them), and
+// the AST-level atomicmix, which keeps raw sync/atomic calls out of
+// non-test code so every atomic is a typed value.
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter, ErrSubstr, NonDeterm, ExhaustiveCategory,

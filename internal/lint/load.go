@@ -7,8 +7,9 @@
 //     by a single `go list -export -json std` invocation (the build cache
 //     serves it without network access).
 //   - In-module packages ("avfda/...") are type-checked from source,
-//     recursively and memoized, so analyzers see real types.Info for any
-//     dependency they care about (e.g. ontology.Category).
+//     recursively and memoized, so analyzers see real types for any
+//     dependency they care about (e.g. ontology.Category). Only analysis
+//     targets keep a types.Info.
 //   - Analyzer test fixtures live under testdata/src/<importpath> — the
 //     go/analysis analysistest convention — and resolve fixture-root
 //     imports first, so a fixture can stub "avfda/internal/ontology".
@@ -45,66 +46,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Funcs indexes every function declaration the loader type-checked from
-	// source — this package's and its in-module dependencies' — so the
-	// interprocedural resleak analyzer can summarize callee bodies. Shared
-	// by all packages of one LoadModule or LoadFixture call.
-	Funcs *FuncIndex
-}
-
-// FuncSource is one function declaration with the typing context it was
-// checked under.
-type FuncSource struct {
-	// Decl is the declaration; Decl.Body is non-nil (bodyless declarations
-	// are not indexed).
-	Decl *ast.FuncDecl
-	// Info holds the type-checker's facts for the declaring package.
-	Info *types.Info
-}
-
-// A FuncIndex maps function objects to their source declarations across
-// everything one loader type-checked from source. Functions that resolved
-// through compiled export data (the standard library) are absent — callers
-// treat a miss as an unknown callee and fall back to conservative
-// assumptions. Lookups are safe for concurrent use.
-type FuncIndex struct {
-	mu    sync.RWMutex
-	funcs map[*types.Func]FuncSource
-}
-
-func newFuncIndex() *FuncIndex {
-	return &FuncIndex{funcs: map[*types.Func]FuncSource{}}
-}
-
-// Source returns the declaration of fn, if the loader checked it from
-// source. Instantiated generics resolve through their origin.
-func (ix *FuncIndex) Source(fn *types.Func) (FuncSource, bool) {
-	if ix == nil || fn == nil {
-		return FuncSource{}, false
-	}
-	fn = fn.Origin()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	src, ok := ix.funcs[fn]
-	return src, ok
-}
-
-// record indexes every FuncDecl with a body in files, resolving each
-// through info's Defs.
-func (ix *FuncIndex) record(files []*ast.File, info *types.Info) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				ix.funcs[fn] = FuncSource{Decl: fd, Info: info}
-			}
-		}
-	}
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
@@ -182,10 +123,6 @@ type loader struct {
 	// map.
 	gcMu sync.Mutex
 	gc   types.Importer
-
-	// funcs indexes every source-checked function declaration (targets and
-	// in-module dependencies) for the interprocedural analyzers.
-	funcs *FuncIndex
 }
 
 func newLoader(fixtureRoot string) (*loader, error) {
@@ -200,7 +137,6 @@ func newLoader(fixtureRoot string) (*loader, error) {
 		variants:    map[string][]string{},
 		exports:     exports,
 		flights:     map[string]*importFlight{},
-		funcs:       newFuncIndex(),
 	}
 	l.gc = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
 		e, ok := l.exports[path]
@@ -270,26 +206,22 @@ func (l *loader) checkDir(path, dir string) (*types.Package, error) {
 }
 
 // checkSource type-checks files as the dependency package path (memoization
-// happens at the flight layer in Import). Dependencies keep full types.Info
-// and land in the function index: the interprocedural analyzers summarize
-// callee bodies in any in-module package, not just the analysis targets.
+// happens at the flight layer in Import). Analyzers read only their target
+// package's types.Info, so a dependency is checked without one.
 func (l *loader) checkSource(path string, files []string) (*types.Package, error) {
 	asts, err := l.parse(files)
 	if err != nil {
 		return nil, err
 	}
-	info := newInfo()
 	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, asts, info)
+	pkg, err := conf.Check(path, l.fset, asts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking dependency %s: %w", path, err)
 	}
-	l.funcs.record(asts, info)
 	return pkg, nil
 }
 
-// newInfo allocates the types.Info map set the analyzers and summaries
-// consume.
+// newInfo allocates the types.Info map set the analyzers consume.
 func newInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -324,7 +256,6 @@ func (l *loader) check(imp types.Importer, path, dir string, files []string) (*P
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	l.funcs.record(asts, info)
 	return &Package{
 		Path:  path,
 		Dir:   dir,
@@ -332,7 +263,6 @@ func (l *loader) check(imp types.Importer, path, dir string, files []string) (*P
 		Files: asts,
 		Types: tpkg,
 		Info:  info,
-		Funcs: l.funcs,
 	}, nil
 }
 
@@ -487,7 +417,7 @@ func (ti *testImporter) Import(path string) (*types.Package, error) {
 		return nil, err
 	}
 	conf := types.Config{Importer: ti}
-	pkg, err := conf.Check(path, ti.l.fset, asts, newInfo())
+	pkg, err := conf.Check(path, ti.l.fset, asts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking dependency %s for %s's tests: %w", path, ti.under, err)
 	}

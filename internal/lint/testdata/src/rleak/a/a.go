@@ -1,7 +1,7 @@
 // Package a exercises resleak: unclosed response bodies, files, snapshot
 // views, and pool borrows are flagged; deferred closes, error-edge nil
-// contracts, ownership returns, and interprocedural helper-closes and
-// acquirer-wrapper shapes are modeled.
+// contracts, ownership returns, and whole-value hand-offs to a helper are
+// accepted, and a helper that closes only part of a resource is not.
 package a
 
 import (
@@ -117,8 +117,8 @@ func viewClosed(dir string) (int, error) {
 	return v.NumRows(), nil
 }
 
-// drain is the relayResponse idiom: the helper owns the close, so its
-// summary releases operand 0 on every path.
+// drain is the relayResponse idiom: handed the whole response, the helper
+// owns the close.
 func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -134,31 +134,18 @@ func helperCloses(u string) error {
 	return nil
 }
 
-// openStudy is an acquirer wrapper: its summary says the caller owns the
-// returned view.
-func openStudy(dir string) (*snapshot2.View, error) {
-	return snapshot2.OpenSeed(dir, 42)
+// closeBody closes part of a response it was handed.
+func closeBody(b io.ReadCloser) {
+	b.Close()
 }
 
-// wrapperLeak leaks a resource only visible interprocedurally: without
-// openStudy's ReturnsResource summary nothing here looks like an
-// acquisition.
-func wrapperLeak(dir string) error {
-	v, err := openStudy(dir) // want "snapshot view acquired here is not closed/released on every path to return"
+// partialHandoff passes only the body to a helper: resp stays with this
+// function, which never closes it.
+func partialHandoff(u string) error {
+	resp, err := http.Get(u) // want "response body acquired here is not closed/released on every path to return"
 	if err != nil {
 		return err
 	}
-	_ = v.NumRows()
-	return nil
-}
-
-// wrapperClosed is the same acquisition with the obligation met.
-func wrapperClosed(dir string) error {
-	v, err := openStudy(dir)
-	if err != nil {
-		return err
-	}
-	defer v.Close()
-	_ = v.NumRows()
+	closeBody(resp.Body)
 	return nil
 }

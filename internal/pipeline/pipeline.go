@@ -75,8 +75,9 @@ func DefaultConfig() Config {
 }
 
 // StageTimings records per-stage wall-clock time for one pipeline run.
-// Stages that did not execute (Synth under RunOnCorpus, Expand when
-// dictionary expansion is disabled) stay zero.
+// Stages that did not execute (Synth under RunOnCorpus, Render and OCR
+// under RunOnDocuments, Expand when dictionary expansion is disabled) stay
+// zero.
 type StageTimings struct {
 	// Synth is Stage I corpus generation (Run only).
 	Synth time.Duration
@@ -213,7 +214,7 @@ type Result struct {
 	// Stages breaks the run's wall-clock time down per stage.
 	Stages StageTimings
 	// Elapsed is the sum of the recorded stage timings (Stages.Total())
-	// in both Run and RunOnCorpus.
+	// in Run, RunOnCorpus and RunOnDocuments.
 	Elapsed time.Duration
 }
 
@@ -243,16 +244,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // RunOnCorpus executes Stages II-IV on an existing normalized corpus: it
-// renders the corpus to documents, digitizes, parses, classifies, and
-// consolidates. Use this entry point for real (non-synthetic) data that
-// has already been transcribed into schema form. Result.Elapsed is the sum
-// of the Stage II-IV timings (Stages.Synth stays zero). The context governs
-// the whole run as in Run.
+// renders the corpus to documents, digitizes them, and hands the decoded
+// text to RunOnDocuments. Use this entry point for real (non-synthetic)
+// data that has already been transcribed into schema form. Result.Elapsed
+// is the sum of the Stage II-IV timings (Stages.Synth stays zero). The
+// context governs the whole run as in Run.
 func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Result, error) {
-	var st StageTimings
 	mark := time.Now()
 	docs := scandoc.Render(corpus)
-	st.Render = time.Since(mark)
+	renderElapsed := time.Since(mark)
 
 	engine, err := ocr.NewEngine(cfg.OCR)
 	if err != nil {
@@ -281,12 +281,30 @@ func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Resul
 	if ocrStats.Documents > 0 {
 		ocrStats.MeanConfidence = confSum / float64(ocrStats.Documents)
 	}
-	st.OCR = time.Since(mark)
+	ocrElapsed := time.Since(mark)
 
+	res, err := RunOnDocuments(ctx, cfg, inputs)
+	if err != nil {
+		return nil, err
+	}
+	res.OCR = ocrStats
+	res.Stages.Render = renderElapsed
+	res.Stages.OCR = ocrElapsed
+	res.Elapsed = res.Stages.Total()
+	return res, nil
+}
+
+// RunOnDocuments executes Stages II-IV from digitized text: it parses the
+// documents, classifies, and consolidates. Use this entry point for
+// documents already decoded to lines, such as the pages avgen writes.
+// Result.Elapsed is the sum of the parse, NLP and build timings; Result.OCR
+// stays zero. The context governs the whole run as in Run.
+func RunOnDocuments(ctx context.Context, cfg Config, inputs []parse.Input) (*Result, error) {
+	var st StageTimings
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: cancelled before stage II (parse): %w", err)
 	}
-	mark = time.Now()
+	mark := time.Now()
 	recovered, parseReport, err := parse.ParseConcurrent(inputs, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stage II (parse): %w", err)
@@ -335,7 +353,6 @@ func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Resul
 		Recovered:      recovered,
 		DB:             db,
 		ParseReport:    parseReport,
-		OCR:            ocrStats,
 		DictionarySize: dict.Size(),
 		Stages:         st,
 		Elapsed:        st.Total(),

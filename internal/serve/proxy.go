@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -219,10 +220,11 @@ func stripHopByHop(h http.Header) {
 	}
 }
 
-// clientIP is the host part of the request's remote address.
+// clientIP is the host part of the request's remote address, without the
+// brackets of an IPv6 literal; an address with no port is used whole.
 func clientIP(r *http.Request) string {
-	if i := strings.LastIndex(r.RemoteAddr, ":"); i >= 0 {
-		return r.RemoteAddr[:i]
+	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+		return host
 	}
 	return r.RemoteAddr
 }

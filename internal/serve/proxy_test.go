@@ -159,6 +159,38 @@ func TestProxyRoutesBySeed(t *testing.T) {
 	}
 }
 
+// TestProxyForwardedFor pins the X-Forwarded-For the proxy sends: the
+// client's address without its port (and without an IPv6 literal's
+// brackets), appended to any chain the request already carries.
+func TestProxyForwardedFor(t *testing.T) {
+	p, _ := newEchoProxy(t, 1, 1)
+	for _, tc := range []struct {
+		remote, prior, want string
+	}{
+		{"192.0.2.7:5123", "", "192.0.2.7"},
+		{"[2001:db8::1]:443", "", "2001:db8::1"},
+		{"192.0.2.7:5123", "198.51.100.2, 203.0.113.9", "198.51.100.2, 203.0.113.9, 192.0.2.7"},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/studies/1/disengagements?limit=1", nil)
+		req.RemoteAddr = tc.remote
+		if tc.prior != "" {
+			req.Header.Set("X-Forwarded-For", tc.prior)
+		}
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: code = %d (%s)", tc.remote, rec.Code, rec.Body.String())
+		}
+		var got map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got["forwarded"] != tc.want {
+			t.Errorf("remote %s, prior %q: X-Forwarded-For = %q, want %q", tc.remote, tc.prior, got["forwarded"], tc.want)
+		}
+	}
+}
+
 // TestProxyHeaderPassthrough: content negotiation crosses the proxy
 // untouched in both directions — the backend sees Accept-Encoding, the
 // client sees the backend's headers.

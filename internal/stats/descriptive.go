@@ -2,8 +2,8 @@
 // everything the paper's Stage-IV analysis needs: descriptive statistics and
 // quantiles, ordinary least squares regression, correlation with p-values,
 // parametric distributions with maximum-likelihood fitting (exponential,
-// Weibull, exponentiated Weibull), histogram and kernel density estimation,
-// Kolmogorov–Smirnov goodness of fit, and bootstrap confidence intervals.
+// Weibull, exponentiated Weibull), density histograms, and
+// Kolmogorov–Smirnov goodness of fit.
 //
 // Go's ecosystem lacks a pandas/scipy equivalent; this package implements
 // the required subset with numerically careful algorithms (compensated

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Histogram is a density-normalized histogram: the area under the bars
 // integrates to 1, matching the PDF overlays in the paper's Figs. 11–12.
@@ -87,68 +84,4 @@ func FreedmanDiaconisBins(xs []float64) int {
 		bins = 200
 	}
 	return bins
-}
-
-// KDE is a Gaussian kernel density estimator.
-type KDE struct {
-	xs        []float64
-	bandwidth float64
-}
-
-// NewKDE builds a Gaussian KDE over xs. A non-positive bandwidth selects
-// Silverman's rule of thumb.
-func NewKDE(xs []float64, bandwidth float64) (*KDE, error) {
-	if len(xs) < 2 {
-		return nil, ErrInsufficient
-	}
-	data := make([]float64, len(xs))
-	copy(data, xs)
-	if bandwidth <= 0 {
-		sd, err := StdDev(data)
-		if err != nil {
-			return nil, err
-		}
-		q1, _ := Quantile(data, 0.25)
-		q3, _ := Quantile(data, 0.75)
-		iqr := q3 - q1
-		sigma := sd
-		if iqr > 0 && iqr/1.349 < sigma {
-			sigma = iqr / 1.349
-		}
-		if sigma <= 0 {
-			return nil, errors.New("stats: KDE requires non-constant data")
-		}
-		bandwidth = 0.9 * sigma * math.Pow(float64(len(data)), -0.2)
-	}
-	return &KDE{xs: data, bandwidth: bandwidth}, nil
-}
-
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
-// PDF evaluates the density estimate at x.
-func (k *KDE) PDF(x float64) float64 {
-	const invSqrt2Pi = 0.3989422804014327
-	var sum float64
-	for _, xi := range k.xs {
-		z := (x - xi) / k.bandwidth
-		sum += math.Exp(-z * z / 2)
-	}
-	return sum * invSqrt2Pi / (float64(len(k.xs)) * k.bandwidth)
-}
-
-// Evaluate samples the density on a regular grid of n points over
-// [lo, hi] and returns the grid and densities.
-func (k *KDE) Evaluate(lo, hi float64, n int) (grid, dens []float64) {
-	if n < 2 {
-		n = 2
-	}
-	grid = make([]float64, n)
-	dens = make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := 0; i < n; i++ {
-		grid[i] = lo + float64(i)*step
-		dens[i] = k.PDF(grid[i])
-	}
-	return grid, dens
 }
