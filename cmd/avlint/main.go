@@ -14,8 +14,7 @@
 // -json switches stdout to a machine-readable JSON object with a
 // "findings" array, and -gha to GitHub Actions workflow commands
 // (::error file=...) so CI annotates the offending lines in pull requests.
-// Loading and analysis use GOMAXPROCS workers; wall time is reported on
-// stderr.
+// Analysis uses GOMAXPROCS workers; wall time is reported on stderr.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when loading or analysis itself failed — a package that

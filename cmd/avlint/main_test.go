@@ -174,6 +174,34 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
+// TestTestVariantImports pins that an external test package is checked as
+// go test builds it: variantsfixture/a_test calls b.Use(a.NewT()), where
+// NewT lives in a's export_test.go, which type-checks only if b is checked
+// against the test variant of a. The fixture's one errsubstr finding shows
+// the external test package was analyzed, not just loaded.
+func TestTestVariantImports(t *testing.T) {
+	variants := filepath.Join(repoRoot(t), "cmd", "avlint", "testdata", "variants")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-C", variants, "-json", "./..."}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("variants fixture exited %d, want 1\nstderr: %s", code, stderr.String())
+	}
+	var report jsonReport
+	if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
+		t.Fatalf("stdout is not a JSON object: %v\n%s", err, stdout.String())
+	}
+	// go test runs in cmd/avlint, so the path prints relative to it.
+	want := jsonFinding{File: filepath.Join("testdata", "variants", "a", "a_test.go"), Line: 19, Column: 5, Analyzer: "errsubstr"}
+	if len(report.Findings) != 1 {
+		t.Fatalf("got %d findings, want 1: %+v", len(report.Findings), report.Findings)
+	}
+	got := report.Findings[0]
+	got.Message = ""
+	if got != want {
+		t.Errorf("finding = %+v, want %+v", got, want)
+	}
+}
+
 // TestJSONOutputCleanTree pins that a clean tree still emits a valid
 // object with an empty (non-null) findings array, so CI consumers can
 // always unmarshal stdout.
@@ -230,40 +258,43 @@ func TestEscapeWorkflowCommand(t *testing.T) {
 	}
 }
 
-// TestSequentialMatchesParallel pins scheduling-independence: linting the
-// repository with GOMAXPROCS 1 and GOMAXPROCS 8, which size the loading and
-// analysis worker pools, must produce byte-identical packages and
-// diagnostics.
+// TestSequentialMatchesParallel pins scheduling-independence: analyzing
+// the repository with GOMAXPROCS 1 and GOMAXPROCS 8, which size lint.Run's
+// worker pool, must produce byte-identical diagnostics, and two loads must
+// return the same packages in the same order.
 func TestSequentialMatchesParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the repository twice; skipped in -short mode")
 	}
 	root := repoRoot(t)
+	pkgs, err := lint.LoadModule(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := lint.LoadModule(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != len(again) {
+		t.Fatalf("package counts differ: %d, then %d", len(pkgs), len(again))
+	}
+	for i := range pkgs {
+		if pkgs[i].Path != again[i].Path {
+			t.Fatalf("package order differs at %d: %q vs %q", i, pkgs[i].Path, again[i].Path)
+		}
+	}
+
 	analyzers := lint.All()
-	lintWith := func(procs int) ([]*lint.Package, []lint.Diagnostic) {
+	runWith := func(procs int) []lint.Diagnostic {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		pkgs, err := lint.LoadModule(root, "./...")
-		if err != nil {
-			t.Fatal(err)
-		}
 		diags, err := lint.Run(pkgs, analyzers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pkgs, diags
+		return diags
 	}
-	seqPkgs, seq := lintWith(1)
-	parPkgs, par := lintWith(8)
-
-	if len(seqPkgs) != len(parPkgs) {
-		t.Fatalf("package counts differ: sequential %d, parallel %d", len(seqPkgs), len(parPkgs))
-	}
-	for i := range seqPkgs {
-		if seqPkgs[i].Path != parPkgs[i].Path {
-			t.Fatalf("package order differs at %d: %q vs %q", i, seqPkgs[i].Path, parPkgs[i].Path)
-		}
-	}
+	seq, par := runWith(1), runWith(8)
 	if len(seq) != len(par) {
 		t.Fatalf("diagnostic counts differ: sequential %d, parallel %d", len(seq), len(par))
 	}

@@ -51,7 +51,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	seed := flag.Int64("seed", 1, "study seed")
 	snapDir := flag.String("snapshot-dir", "", "load the study from this snapshot directory instead of rebuilding")
 	mfr := flag.String("mfr", "", "filter: manufacturer name")
@@ -82,10 +82,13 @@ func run() error {
 		return err
 	}
 
-	eng, database, err := loadEngine(*snapDir, *seed)
+	eng, database, release, err := loadEngine(*snapDir, *seed)
 	if err != nil {
 		return err
 	}
+	// Output, CSV export's database reads included, is written before the
+	// release unmaps a mapped study.
+	defer func() { err = errors.Join(err, release()) }()
 
 	if *accidents {
 		page, err := eng.Accidents(f, query.Page{Limit: *limit})
@@ -150,31 +153,33 @@ func checkLimit(limit int) error {
 // (mapped, zero-copy) when a directory is given, then the pipeline. A
 // missing snapshot falls back to the build; a corrupt or incompatible one
 // is surfaced as snapshot2's typed error rather than silently rebuilt. The
-// returned function gives the study's database for CSV export: the one
-// the build produced, or a mapped study's decoded from its View.
-func loadEngine(snapDir string, seed int64) (*query.Engine, func() (*core.DB, error), error) {
+// first returned function gives the study's database for CSV export: the
+// one the build produced, or a mapped study's decoded from its View. The
+// second releases the study once output is written: it unmaps a mapped
+// View and does nothing for a build.
+func loadEngine(snapDir string, seed int64) (*query.Engine, func() (*core.DB, error), func() error, error) {
 	if snapDir != "" {
 		// if/else rather than switch so the resleak analyzer can follow
 		// the err-nil edges.
 		view, err := snapshot2.OpenSeed(snapDir, seed)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "mapped snapshot %s\n", snapshot2.Path(snapDir, seed))
-			return query.NewFromView(view), view.Database, nil
+			return query.NewFromView(view), view.Database, view.Close, nil
 		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "no snapshot for seed %d in %s; building\n", seed, snapDir)
 	}
 	study, err := avfda.NewStudy(avfda.Options{Seed: seed})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	db := study.DB()
 	eng, err := query.New(db)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return eng, func() (*core.DB, error) { return db, nil }, nil
+	return eng, func() (*core.DB, error) { return db, nil }, func() error { return nil }, nil
 }
 
 // writeCSV emits the events the filter matches as CSV: the rows of the

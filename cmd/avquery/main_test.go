@@ -289,16 +289,55 @@ func TestLoadEngineMapsSnapshot(t *testing.T) {
 	if _, err := snapshot2.WriteSeed(dir, 7, db); err != nil {
 		t.Fatal(err)
 	}
-	eng, _, err := loadEngine(dir, 7)
+	eng, _, release, err := loadEngine(dir, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	if eng.Len() != len(db.Events) {
 		t.Errorf("engine events = %d, want %d", eng.Len(), len(db.Events))
 	}
 	n, err := eng.Count(query.Filter{Manufacturer: string(schema.Waymo)})
 	if err != nil || n != 2 {
 		t.Errorf("Waymo count = %d, %v; want 2", n, err)
+	}
+}
+
+// TestLoadEngineReleaseUnmaps: the release loadEngine returns for a
+// mapped snapshot unmaps the file, so avquery does not leave it to exit or
+// the View's finalizer.
+func TestLoadEngineReleaseUnmaps(t *testing.T) {
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("needs /proc/self/maps to count mappings")
+	}
+	dir := t.TempDir()
+	if _, err := snapshot2.WriteSeed(dir, 7, snapshotFixture()); err != nil {
+		t.Fatal(err)
+	}
+	mappings := func() int {
+		t.Helper()
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(maps), dir+string(os.PathSeparator))
+	}
+	eng, database, release, err := loadEngine(dir, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := mappings(); n == 0 {
+		t.Fatal("snapshot is not mapped after loadEngine")
+	}
+	var csv bytes.Buffer
+	if err := writeCSV(&csv, eng, database, query.Filter{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := release(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mappings(); n != 0 {
+		t.Errorf("snapshot still mapped %d time(s) after release", n)
 	}
 }
 
@@ -319,7 +358,7 @@ func TestLoadEngineCorruptSnapshotIsTypedError(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, _, err := loadEngine(dir, 7)
+	eng, _, _, err := loadEngine(dir, 7)
 	var ce *snapshot2.ChecksumError
 	if !errors.As(err, &ce) {
 		t.Fatalf("loadEngine over a corrupt snapshot: err = %v, want *snapshot2.ChecksumError", err)
@@ -371,10 +410,11 @@ func TestCheckFilter(t *testing.T) {
 // built study and for the same study mapped from -snapshot-dir.
 func TestCSVFreshMatchesSnapshot(t *testing.T) {
 	const seed = 3
-	fresh, freshDB, err := loadEngine("", seed)
+	fresh, freshDB, releaseFresh, err := loadEngine("", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer releaseFresh()
 	db, err := freshDB()
 	if err != nil {
 		t.Fatal(err)
@@ -383,10 +423,11 @@ func TestCSVFreshMatchesSnapshot(t *testing.T) {
 	if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
 		t.Fatal(err)
 	}
-	mapped, mappedDB, err := loadEngine(dir, seed)
+	mapped, mappedDB, releaseMapped, err := loadEngine(dir, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer releaseMapped()
 	for _, f := range []query.Filter{
 		{},
 		{Manufacturer: "Waymo", Tag: "Planner"},

@@ -27,9 +27,9 @@
 // re-verified on receipt) before falling back to a pipeline build, so a
 // restarted shard warm-starts from the fleet instead of rebuilding.
 //
-// The first request for a seed builds that study on one core (about a
-// tenth of a second), so a cold build leaves the other cores to warm
-// reads; builds of different seeds run side by side. A build is shared by
+// The first request for a seed builds that study on one core (about 60 ms
+// sequentially), so a cold build leaves the other cores to warm reads;
+// builds of different seeds run side by side. A build is shared by
 // every concurrent request for the seed and cached for later ones. With
 // -snapshot-dir, a cache miss first maps the directory's
 // study-<seed>.avsnap2 columnar snapshot (zero-copy; written by avpipe

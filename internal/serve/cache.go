@@ -152,8 +152,8 @@ type CacheStats struct {
 // Cache is a seed-keyed LRU of built studies with an optional second tier:
 // a directory of persisted v2 study snapshots. A miss walks the tiers from
 // cheapest to dearest — map the seed's v2 columnar snapshot (microseconds,
-// zero deserialization), pull it from a peer, run the pipeline (hundreds
-// of milliseconds) — and a successful build is written through as v2 so
+// zero deserialization), pull it from a peer, run the pipeline (tens of
+// milliseconds) — and a successful build is written through as v2 so
 // the next cold process or post-eviction Get warm-starts. Corrupt or
 // stale-version snapshots are never trusted: they fail snapshot2's typed
 // checksum/version/format checks, count as rejects, and are overwritten by
