@@ -30,10 +30,14 @@ race:
 lint:
 	$(GO) run ./cmd/avlint ./...
 
-# Short fuzz smoke over the snapshot reader: arbitrary bytes must yield a
+# Short fuzz smokes. The snapshot reader: arbitrary bytes must yield a
 # typed error or a valid view, never a panic or a fault on a mapped page.
+# The JSON string writer of the disengagement bodies: every string must
+# encode byte-identically to encoding/json. go test -fuzz takes one target
+# per run, hence two commands.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot2Read$$' -fuzztime $(FUZZ_TIME) ./internal/snapshot2
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONString$$' -fuzztime $(FUZZ_TIME) ./internal/query
 
 # Benchmark smoke: run the key go test benchmarks once so they cannot
 # bit-rot. It checks that they compile and run, and measures nothing;

@@ -8,11 +8,14 @@
 //     variant `go test` builds ("q [p.test]"), whose ImportMap names the
 //     variants it imports. The loader walks that list once on one
 //     goroutine and type-checks every non-standard entry from source
-//     exactly once; an import resolves through the entry's ImportMap to an
-//     entry already checked. Only analysis targets keep a types.Info.
+//     exactly once, skipping a plain package that its test variant
+//     supersedes and no entry imports (a command with tests); an import
+//     resolves through the entry's ImportMap to an entry already checked.
+//     Only analysis targets keep a types.Info.
 //   - Standard-library imports resolve through compiled export data located
 //     by a single `go list -export -json std` invocation (the build cache
-//     serves it without network access).
+//     serves it without network access), which runs beside the module
+//     listing.
 //   - Analyzer test fixtures live under testdata/src/<importpath> — the
 //     go/analysis analysistest convention — and resolve fixture-root
 //     imports first, so a fixture can stub "avfda/internal/ontology".
@@ -60,6 +63,8 @@ type listedPkg struct {
 	Standard bool
 	// GoFiles of an in-package test variant include its _test.go files.
 	GoFiles []string
+	// Imports lists the entries this entry imports, variants resolved.
+	Imports []string
 	// ImportMap maps an import path to the variant this entry imports.
 	ImportMap map[string]string
 	// Export is the compiled export-data file (the std listing only).
@@ -158,27 +163,38 @@ func (l *loader) check(imp types.Importer, path, dir string, files []string, wit
 // fails to type-check always surfaces as an error (the first such, in that
 // order) — never as a silently missing package.
 func LoadModule(dir string, patterns ...string) ([]*Package, error) {
-	l, err := newLoader()
+	// The std listing newLoader waits for is independent of the module
+	// listing: run the two subprocesses together. newLoader runs on every
+	// path, so the listing goroutine has ended when LoadModule returns.
+	go stdExports()
+	listed, err := goList(dir, append([]string{"-deps", "-test", "-json=ImportPath,Dir,ForTest,DepOnly,Standard,GoFiles,Imports,ImportMap"}, patterns...))
+	l, lerr := newLoader()
 	if err != nil {
 		return nil, err
 	}
-	listed, err := goList(dir, append([]string{"-deps", "-test", "-json=ImportPath,Dir,ForTest,DepOnly,Standard,GoFiles,ImportMap"}, patterns...))
-	if err != nil {
-		return nil, err
+	if lerr != nil {
+		return nil, lerr
 	}
 	// tested holds the packages with an in-package test variant, which
-	// replaces the plain package as the analysis target.
-	tested := map[string]bool{}
+	// replaces the plain package as the analysis target; imported holds
+	// every entry some entry imports.
+	tested, imported := map[string]bool{}, map[string]bool{}
 	for _, lp := range listed {
 		if path, _, _ := strings.Cut(lp.ImportPath, " "); path == lp.ForTest {
 			tested[path] = true
+		}
+		for _, imp := range lp.Imports {
+			imported[imp] = true
 		}
 	}
 	checked := map[string]*types.Package{}
 	var pkgs []*Package
 	for _, lp := range listed {
-		// The "p.test" entries are the generated test mains.
-		if lp.Standard || (lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test")) {
+		// The "p.test" entries are the generated test mains. A plain
+		// package superseded by its test variant that nothing imports (a
+		// command with tests) would be checked for no one.
+		if lp.Standard || (lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test")) ||
+			(tested[lp.ImportPath] && !imported[lp.ImportPath]) {
 			continue
 		}
 		imp := importerFunc(func(path string) (*types.Package, error) {

@@ -20,9 +20,12 @@
 // of integer compares over the rows, and an unset predicate costs nothing.
 // Events, Count, and GroupCount stream matches through that plan without
 // building a row-id slice; Events materializes only the rows inside its
-// page, and a filter with nothing set reads its page directly. SelectScan
-// is the string-comparing reference implementation the tests hold every
-// answer equal to.
+// page, and a filter with nothing set reads its page directly.
+// AppendEventsJSON walks the same page and writes it as JSON straight
+// from the columns, byte-identical to encoding/json over Events; it is how
+// the serving layer writes disengagement pages. SelectScan is the
+// string-comparing reference implementation the tests hold every answer
+// equal to.
 package query
 
 import (
@@ -32,6 +35,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"avfda/internal/core"
@@ -202,6 +206,9 @@ type GroupCount struct {
 // methods are read-only and safe for concurrent use.
 type Engine struct {
 	v *snapshot2.View
+	// clean records, per string id, that the string needs no JSON
+	// escaping (see appendString); it is filled lazily.
+	clean []atomic.Bool
 }
 
 // New encodes db in the snapshot2 layout and builds an engine over a View
@@ -218,13 +225,15 @@ func New(db *core.DB) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	return &Engine{v: v}, nil
+	return NewFromView(v), nil
 }
 
 // NewFromView builds an engine over an open View, typically a mapped
 // study file. The caller keeps ownership of v: the engine must not be used
 // after v is closed.
-func NewFromView(v *snapshot2.View) *Engine { return &Engine{v: v} }
+func NewFromView(v *snapshot2.View) *Engine {
+	return &Engine{v: v, clean: make([]atomic.Bool, v.NumStrings())}
+}
 
 // WriteSeed persists the study the engine reads as the canonical v2 file
 // for seed under dir and returns its payload checksum
@@ -440,37 +449,48 @@ func window(total int, p Page) (start, end int) {
 	return start, end
 }
 
-// Events returns one page of matching events plus the match total. An
-// offset at or past the total yields an empty (non-nil) page. Matches
-// stream through the plan: only the rows inside the page are
-// materialized, and a filter with nothing set reads its page directly.
-func (e *Engine) Events(f Filter, pg Page) (EventPage, error) {
+// pageRows is the one walk behind Events and AppendEventsJSON: it plans f
+// and calls fn with each matching row inside pg, in ascending order. It
+// returns the match total and pg with its offset clamped to >= 0. Matches
+// stream through the plan, so only the page's rows reach fn, and a filter
+// with nothing set reads its page directly.
+func (e *Engine) pageRows(f Filter, pg Page, fn func(i int)) (int, Page, error) {
 	p, err := e.plan(f)
+	if err != nil {
+		return 0, pg, err
+	}
+	pg.Offset = max(pg.Offset, 0)
+	if p.all() {
+		start, end := window(e.Len(), pg)
+		for i := start; i < end; i++ {
+			fn(i)
+		}
+		return e.Len(), pg, nil
+	}
+	total := 0
+	e.each(&p, func(i int) {
+		if k := total - pg.Offset; k >= 0 && (pg.Limit <= 0 || k < pg.Limit) {
+			fn(i)
+		}
+		total++
+	})
+	return total, pg, nil
+}
+
+// Events returns one page of matching events plus the match total. An
+// offset at or past the total yields an empty (non-nil) page. Only the
+// rows inside the page are materialized.
+func (e *Engine) Events(f Filter, pg Page) (EventPage, error) {
+	rows := []Event{}
+	if pg.Limit > 0 {
+		start, end := window(e.Len(), Page{Offset: max(pg.Offset, 0), Limit: pg.Limit})
+		rows = make([]Event, 0, end-start)
+	}
+	total, pg, err := e.pageRows(f, pg, func(i int) { rows = append(rows, e.event(i)) })
 	if err != nil {
 		return EventPage{}, err
 	}
-	pg.Offset = max(pg.Offset, 0)
-	page := EventPage{Offset: pg.Offset, Limit: pg.Limit}
-	if p.all() {
-		start, end := window(e.Len(), pg)
-		page.Total = e.Len()
-		page.Events = make([]Event, 0, end-start)
-		for i := start; i < end; i++ {
-			page.Events = append(page.Events, e.event(i))
-		}
-		return page, nil
-	}
-	page.Events = []Event{}
-	if room := e.Len() - pg.Offset; pg.Limit > 0 && room > 0 {
-		page.Events = make([]Event, 0, min(pg.Limit, room))
-	}
-	e.each(&p, func(i int) {
-		if k := page.Total - pg.Offset; k >= 0 && (pg.Limit <= 0 || k < pg.Limit) {
-			page.Events = append(page.Events, e.event(i))
-		}
-		page.Total++
-	})
-	return page, nil
+	return EventPage{Total: total, Offset: pg.Offset, Limit: pg.Limit, Events: rows}, nil
 }
 
 // AccidentPage is one page of matching accident reports plus the match

@@ -11,9 +11,12 @@ import (
 // gzipLevel is the level of every gzip body the server writes. At every
 // other level, compress/flate's Reset clears 640 KB of hash tables
 // (hashHead, hashPrev), which costs more than deflating a typical 2 KB
-// JSON answer. BestSpeed skips that: on 2 vCPU a 1000-row page costs
-// ~2.7 ms instead of ~4.8 ms to serve and gzips to 30.2 KB instead of
-// 21.5 KB; a 50-row page to 2.3 KB instead of 2.0 KB.
+// JSON answer. BestSpeed skips that. With disengagement pages written
+// from the columns (query.Engine.AppendEventsJSON), BenchmarkServeRoutes
+// on 2 vCPU serves a 1000-row page in 2.4–2.7 ms instead of 5.3–6.0 ms
+// and gzips it to 30.2 KB instead of 21.5 KB; a 50-row page takes
+// 143–160 µs instead of 296–307 µs, at 2.3 KB instead of 2.0 KB. gzip is
+// now most of a large page's cost.
 const gzipLevel = gzip.BestSpeed
 
 // gzipWriters pools compressors so the per-response cost is a Reset, not

@@ -36,10 +36,15 @@
 // Study responses carry HTTP validators when the study is snapshot-backed:
 // an ETag derived from the v2 snapshot's CRC-32C (identical on every node
 // serving the seed, see etag.go) and a Cache-Control window, so repeated
-// conditional requests short-circuit to 304 before any query work. Bodies
-// are gzipped at BestSpeed when the client negotiates it. The reliability
-// and table answers, which take no parameters, are rendered and gzipped
-// once per resident study and then served from memory (memo.go).
+// conditional requests short-circuit to 304 before any query work. Every
+// JSON body is rendered before its header is sent, so a value JSON cannot
+// carry (a NaN, a year past 9999) is a 500, never a 200 with a cut body.
+// Disengagement pages are written straight from the study's columns
+// (query.Engine.AppendEventsJSON), the other bodies by encoding/json.
+// Bodies are gzipped at BestSpeed when the client negotiates it, which is
+// most of a large page's cost (gzip.go). The reliability and table
+// answers, which take no parameters, are rendered and gzipped once per
+// resident study and then served from memory (memo.go).
 package serve
 
 import (
@@ -55,6 +60,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"avfda/internal/core"
@@ -231,11 +237,37 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// bodies pools the buffers JSON bodies are rendered into.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeRendered renders a JSON body into a pooled buffer and only then
+// writes it, with the given status, its Content-Type and its length (which
+// the gzip writer drops when it compresses). A body that fails to render
+// is never half sent: the response is the error envelope instead, with
+// writeQueryError's status.
+func writeRendered(w http.ResponseWriter, code int, render func(dst []byte) ([]byte, error)) {
+	buf := bodies.Get().(*[]byte)
+	defer bodies.Put(buf)
+	body, err := render((*buf)[:0])
+	*buf = body[:0]
+	if err != nil {
+		writeQueryError(w, err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
+}
+
 // writeJSON encodes v with the given status.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = encodeJSON(w, v)
+	writeRendered(w, code, func(dst []byte) ([]byte, error) {
+		b := bytes.NewBuffer(dst)
+		err := encodeJSON(b, v)
+		return b.Bytes(), err
+	})
 }
 
 // encodeJSON writes v as every JSON body is written: HTML characters
@@ -456,14 +488,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.WriteText(w, s.cache.Stats())
 }
 
-// handleDisengagements lists filtered, paginated disengagement events.
+// handleDisengagements lists filtered, paginated disengagement events,
+// written straight from the study's columns (query.Engine.AppendEventsJSON).
 func handleDisengagements(w http.ResponseWriter, _ *http.Request, study *Study, req listRequest) {
-	res, err := study.Engine.Events(req.filter, req.page)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeRendered(w, http.StatusOK, func(dst []byte) ([]byte, error) {
+		return study.Engine.AppendEventsJSON(dst, req.filter, req.page)
+	})
 }
 
 // AccidentPage is one page of accident reports, as produced by the shared

@@ -140,6 +140,77 @@ func TestDisengagementsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnencodableRowsAnswer500 checks that a page holding a value JSON
+// cannot carry (a NaN reaction time, an event past year 9999, an
+// infinite accident speed) answers 500 with the error envelope and no
+// validator, never a 200 with an empty or cut body, and that the pages
+// around it still answer 200 with their length. It runs on a fresh build
+// and on a mapped snapshot with a valid CRC, which opens cleanly because
+// the open checks no float values and no seconds ranges.
+func TestUnencodableRowsAnswer500(t *testing.T) {
+	db := testDB(t)
+	db.Events[0].ReactionSeconds = math.NaN()
+	db.Events[1].Time = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	db.Accidents[0].AVSpeedMPH = math.Inf(1)
+	dir := t.TempDir()
+	if _, err := snapshot2.WriteSeed(dir, 1, db); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(Config{Build: func(int64) (*Study, error) {
+		engine, err := query.New(db)
+		return &Study{DB: db, Engine: engine}, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := New(Config{Build: func(int64) (*Study, error) { return nil, errors.New("no builds") }, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Server{"fresh": fresh, "mapped": mapped} {
+		for _, tc := range []struct {
+			path string
+			code int
+		}{
+			{"disengagements?limit=1", http.StatusInternalServerError},
+			{"disengagements?offset=1&limit=1", http.StatusInternalServerError},
+			{"disengagements", http.StatusInternalServerError},
+			{"disengagements?offset=2", http.StatusOK},
+			{"accidents?limit=1", http.StatusInternalServerError},
+			{"accidents?offset=1", http.StatusOK},
+		} {
+			for _, enc := range []string{"", "gzip"} {
+				req := httptest.NewRequest(http.MethodGet, "/v1/studies/1/"+tc.path, nil)
+				req.Header.Set("Accept-Encoding", enc)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				what := fmt.Sprintf("%s %s (Accept-Encoding %q)", name, tc.path, enc)
+				if rec.Code != tc.code {
+					t.Fatalf("%s: code %d, want %d (%s)", what, rec.Code, tc.code, rec.Body.String())
+				}
+				if tc.code != http.StatusOK {
+					var e apiError
+					if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+						t.Fatalf("%s: body %q is not an error envelope (%v)", what, rec.Body.String(), err)
+					}
+					if etag := rec.Header().Get("ETag"); etag != "" {
+						t.Errorf("%s: error response carries ETag %s", what, etag)
+					}
+					continue
+				}
+				if enc == "" {
+					if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+						t.Errorf("%s: Content-Length %q, body %s bytes", what, got, want)
+					}
+					if !json.Valid(rec.Body.Bytes()) {
+						t.Errorf("%s: body %q is not JSON", what, rec.Body.String())
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAccidents(t *testing.T) {
 	s := newTestServer(t, nil, 0, 0)
 	code, body := get(t, s, "/v1/studies/1/accidents?mfr=Bosch")

@@ -62,6 +62,14 @@ func TestViewResultsDoNotAliasSnapshot(t *testing.T) {
 					calls = append(calls, []reflect.Value{reflect.ValueOf(c), reflect.ValueOf(v.Code(c, row))})
 				}
 			}
+		case mt.NumIn() == 2 && mt.In(0) == reflect.TypeFor[[]byte]() && mt.In(1).Kind() == reflect.Uint32:
+			// A (dst, string id) pair: every string id, appended to a
+			// nil and to a non-empty heap slice.
+			for id := range v.NumStrings() {
+				for _, dst := range [][]byte{nil, []byte("x")} {
+					calls = append(calls, []reflect.Value{reflect.ValueOf(dst), reflect.ValueOf(uint32(id))})
+				}
+			}
 		case mt.NumIn() == 2 && mt.In(0).Kind() == reflect.String && mt.In(1).Kind() == reflect.Int64:
 			// A (directory, seed) pair: the view writes itself out.
 			calls = [][]reflect.Value{{reflect.ValueOf(t.TempDir()), reflect.ValueOf(int64(7))}}

@@ -366,6 +366,64 @@ func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
 	}
 }
 
+// TestEventsJSONMatchesEncoder holds the disengagement bodies avserve
+// writes, Engine.AppendEventsJSON, byte-identical to a json.Encoder with
+// SetEscapeHTML(false) over Engine.Events, on calibrated studies through
+// a fresh build's heap View and a mapped file: the 250 equivalence
+// filters, each with a random page from one row to the largest the
+// server allows, some past the last match.
+func TestEventsJSONMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, seed := range []int64{1, 41} {
+		db := calibratedDB(t, seed)
+		fresh, err := query.New(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
+			t.Fatal(err)
+		}
+		v, err := snapshot2.OpenSeed(dir, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped := query.NewFromView(v)
+		var buf []byte
+		for _, q := range equivalenceQueries() {
+			page := query.Page{Offset: rng.Intn(len(db.Events) + 100), Limit: 1 + rng.Intn(1000)}
+			if rng.Intn(2) == 0 {
+				page.Offset = rng.Intn(60)
+			}
+			for _, eng := range []struct {
+				name string
+				e    *query.Engine
+			}{{"fresh", fresh}, {"mapped", mapped}} {
+				res, err := eng.e.Events(q.f, page)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				enc := json.NewEncoder(&want)
+				enc.SetEscapeHTML(false)
+				if err := enc.Encode(res); err != nil {
+					t.Fatal(err)
+				}
+				if buf, err = eng.e.AppendEventsJSON(buf[:0], q.f, page); err != nil {
+					t.Fatalf("seed %d %s %+v %+v: %v", seed, eng.name, q.f, page, err)
+				}
+				if !bytes.Equal(buf, want.Bytes()) {
+					t.Fatalf("seed %d %s filter %+v page %+v: bodies diverge\n got %.300s\nwant %.300s",
+						seed, eng.name, q.f, page, buf, want.Bytes())
+				}
+			}
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSnapshotV2QueryEquivalence is the contract behind serving every
 // study through a View: an engine over a fresh build's heap bytes (New)
 // and one over the mapped snapshot file (NewFromView) both answer every

@@ -335,6 +335,21 @@ func (v *View) Time(i int) time.Time { return v.timeAt(secEvTimeSec, secEvTimeNs
 // Cause returns event i's raw cause text.
 func (v *View) Cause(i int) string { return v.str(v.u32(secEvCause, i)) }
 
+// VehicleID returns the string id of event i's vehicle.
+func (v *View) VehicleID(i int) uint32 { return v.u32(secEvVehicle, i) }
+
+// CauseID returns the string id of event i's cause text.
+func (v *View) CauseID(i int) uint32 { return v.u32(secEvCause, i) }
+
+// AppendString appends the bytes of string id, which must be below
+// NumStrings, to dst and returns the extended slice. The bytes are copied,
+// so the result aliases the snapshot only where dst already did.
+func (v *View) AppendString(dst []byte, id uint32) []byte {
+	start := binary.LittleEndian.Uint32(v.strOff[4*id:])
+	end := binary.LittleEndian.Uint32(v.strOff[4*(id+1):])
+	return append(dst, v.strBlob[start:end]...)
+}
+
 // Tag returns event i's fault-tag display name.
 func (v *View) Tag(i int) string { return ontology.Tag(v.Code(ColTag, i)).String() }
 
