@@ -159,13 +159,12 @@ func checkLimit(limit int) error {
 // View and does nothing for a build.
 func loadEngine(snapDir string, seed int64) (*query.Engine, func() (*core.DB, error), func() error, error) {
 	if snapDir != "" {
-		// if/else rather than switch so the resleak analyzer can follow
-		// the err-nil edges.
 		view, err := snapshot2.OpenSeed(snapDir, seed)
-		if err == nil {
+		switch {
+		case err == nil:
 			fmt.Fprintf(os.Stderr, "mapped snapshot %s\n", snapshot2.Path(snapDir, seed))
 			return query.NewFromView(view), view.Database, view.Close, nil
-		} else if !errors.Is(err, fs.ErrNotExist) {
+		case !errors.Is(err, fs.ErrNotExist):
 			return nil, nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "no snapshot for seed %d in %s; building\n", seed, snapDir)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"avfda/internal/calib"
 	"avfda/internal/ontology"
 	"avfda/internal/reliability"
@@ -26,37 +28,56 @@ func (db *DB) FleetSummary() []FleetRow {
 		m schema.Manufacturer
 		y schema.ReportYear
 	}
-	rows := make(map[key]*FleetRow)
-	get := func(m schema.Manufacturer, y schema.ReportYear) *FleetRow {
-		k := key{m, y}
-		r := rows[k]
-		if r == nil {
-			r = &FleetRow{Manufacturer: m, ReportYear: y, Cars: -1}
-			rows[k] = r
-		}
-		return r
-	}
+	rows := newGroups(func(k key) *FleetRow { return &FleetRow{Manufacturer: k.m, ReportYear: k.y, Cars: -1} })
 	for _, f := range db.Fleets {
-		get(f.Manufacturer, f.ReportYear).Cars = f.Cars
+		rows.get(key{f.Manufacturer, f.ReportYear}).Cars = f.Cars
 	}
 	for _, m := range db.Mileage {
-		get(m.Manufacturer, m.ReportYear).Miles += m.Miles
+		rows.get(key{m.Manufacturer, m.ReportYear}).Miles += m.Miles
 	}
 	for _, e := range db.Events {
-		get(e.Manufacturer, e.ReportYear).Disengagements++
+		rows.get(key{e.Manufacturer, e.ReportYear}).Disengagements++
 	}
 	for _, a := range db.Accidents {
-		get(a.Manufacturer, a.ReportYear).Accidents++
+		rows.get(key{a.Manufacturer, a.ReportYear}).Accidents++
 	}
 	var out []FleetRow
 	for _, m := range schema.AllManufacturers() {
 		for _, y := range schema.ReportYears() {
-			if r, ok := rows[key{m, y}]; ok {
+			if r, ok := rows.m[key{m, y}]; ok {
 				out = append(out, *r)
 			}
 		}
 	}
 	return out
+}
+
+// groups accumulates one *V per key K, created by mk on first use. Rows
+// arrive grouped by report, so get keeps the last key beside the map and
+// most rows skip the lookup.
+type groups[K comparable, V any] struct {
+	m     map[K]*V
+	mk    func(K) *V
+	lastK K
+	last  *V
+}
+
+func newGroups[K comparable, V any](mk func(K) *V) *groups[K, V] {
+	return &groups[K, V]{m: make(map[K]*V), mk: mk}
+}
+
+// get returns the accumulator for k.
+func (g *groups[K, V]) get(k K) *V {
+	if g.last != nil && k == g.lastK {
+		return g.last
+	}
+	v := g.m[k]
+	if v == nil {
+		v = g.mk(k)
+		g.m[k] = v
+	}
+	g.lastK, g.last = k, v
+	return v
 }
 
 // CategoryRow is one row of Table IV: a manufacturer's disengagements by
@@ -72,13 +93,9 @@ type CategoryRow struct {
 
 // CategoryBreakdown reproduces Table IV over the analysis manufacturers.
 func (db *DB) CategoryBreakdown() []CategoryRow {
-	counts := make(map[schema.Manufacturer]*CategoryRow)
+	counts := newGroups(func(m schema.Manufacturer) *CategoryRow { return &CategoryRow{Manufacturer: m} })
 	for _, e := range db.Events {
-		r := counts[e.Manufacturer]
-		if r == nil {
-			r = &CategoryRow{Manufacturer: e.Manufacturer}
-			counts[e.Manufacturer] = r
-		}
+		r := counts.get(e.Manufacturer)
 		r.Total++
 		switch e.Category {
 		case ontology.CategoryMLDesign:
@@ -94,8 +111,8 @@ func (db *DB) CategoryBreakdown() []CategoryRow {
 		}
 	}
 	var out []CategoryRow
-	for _, m := range db.AnalysisManufacturers() {
-		r := counts[m]
+	for _, m := range schema.AnalysisManufacturers() {
+		r := counts.m[m]
 		if r == nil || r.Total == 0 {
 			continue
 		}
@@ -160,13 +177,9 @@ type ModalityRow struct {
 
 // ModalityBreakdown reproduces Table V.
 func (db *DB) ModalityBreakdown() []ModalityRow {
-	counts := make(map[schema.Manufacturer]*ModalityRow)
+	counts := newGroups(func(m schema.Manufacturer) *ModalityRow { return &ModalityRow{Manufacturer: m} })
 	for _, e := range db.Events {
-		r := counts[e.Manufacturer]
-		if r == nil {
-			r = &ModalityRow{Manufacturer: e.Manufacturer}
-			counts[e.Manufacturer] = r
-		}
+		r := counts.get(e.Manufacturer)
 		r.Total++
 		switch e.Modality {
 		case schema.ModalityAutomatic:
@@ -178,8 +191,8 @@ func (db *DB) ModalityBreakdown() []ModalityRow {
 		}
 	}
 	var out []ModalityRow
-	for _, m := range db.AnalysisManufacturers() {
-		r := counts[m]
+	for _, m := range schema.AnalysisManufacturers() {
+		r := counts.m[m]
 		if r == nil || r.Total == 0 {
 			continue
 		}
@@ -323,7 +336,12 @@ type CrossDomainRow struct {
 
 // CrossDomainTable reproduces Table VIII from the Table VII APM column.
 func (db *DB) CrossDomainTable() ([]CrossDomainRow, error) {
-	rel, err := db.ReliabilityVsHuman()
+	return db.Exposure().CrossDomainTable()
+}
+
+// CrossDomainTable reproduces Table VIII from the exposure summary.
+func (x *Exposure) CrossDomainTable() ([]CrossDomainRow, error) {
+	rel, err := x.ReliabilityVsHuman()
 	if err != nil {
 		return nil, err
 	}
@@ -342,6 +360,87 @@ func (db *DB) CrossDomainTable() ([]CrossDomainRow, error) {
 			VsAirline:       cd.VsAirline,
 			VsSurgicalRobot: cd.VsSurgicalRobot,
 		})
+	}
+	return out, nil
+}
+
+// ReliabilityMetric is one manufacturer's reliability summary as the
+// serving layer reports it: fleet exposure plus the paper's DPM/DPA/APM
+// chain (Tables VI-VII). Fields that the data cannot support (no
+// accidents, no per-car mileage) are negative, matching this package's
+// convention for the paper's dashes.
+type ReliabilityMetric struct {
+	Manufacturer string  `json:"manufacturer"`
+	Miles        float64 `json:"miles"`
+	Events       int     `json:"disengagements"`
+	Accidents    int     `json:"accidents"`
+	// DPM is the fleet-level disengagements-per-mile rate (Events/Miles);
+	// negative when no miles were reported.
+	DPM float64 `json:"dpm"`
+	// MedianDPM is the Table VII median per-car DPM; negative when no
+	// vehicle-attributed mileage exists.
+	MedianDPM float64 `json:"medianDPM"`
+	// DPA is disengagements per accident (Table VI); negative without
+	// accidents or without disengagements.
+	DPA float64 `json:"dpa"`
+	// MedianAPM is the Table VII accidents-per-mile estimate
+	// (MedianDPM/DPA); negative when either input is absent.
+	MedianAPM float64 `json:"medianAPM"`
+	// RelToHuman is MedianAPM relative to the human-driver accident rate;
+	// negative when MedianAPM is absent.
+	RelToHuman float64 `json:"relToHuman"`
+}
+
+// ReliabilityResponse is the metrics/reliability payload: one
+// ReliabilityMetric per manufacturer.
+type ReliabilityResponse struct {
+	Manufacturers []ReliabilityMetric `json:"manufacturers"`
+}
+
+// Reliability computes the reliability metrics of every manufacturer
+// present in the study, in the paper's canonical order, from the study's
+// exposure summary.
+func Reliability(x *Exposure) ([]ReliabilityMetric, error) {
+	if x == nil {
+		return nil, errors.New("core: nil exposure")
+	}
+	dpaBy := make(map[schema.Manufacturer]float64)
+	for _, r := range x.AccidentSummary() {
+		dpaBy[r.Manufacturer] = r.DPA
+	}
+	rel, err := x.ReliabilityVsHuman()
+	if err != nil {
+		return nil, err
+	}
+	relBy := make(map[schema.Manufacturer]ReliabilityRow, len(rel))
+	for _, r := range rel {
+		relBy[r.Manufacturer] = r
+	}
+	var out []ReliabilityMetric
+	for _, m := range x.Makers {
+		row := ReliabilityMetric{
+			Manufacturer: string(m.Manufacturer),
+			Miles:        m.Miles,
+			Events:       m.Events,
+			Accidents:    m.Accidents,
+			DPM:          -1,
+			MedianDPM:    -1,
+			DPA:          -1,
+			MedianAPM:    -1,
+			RelToHuman:   -1,
+		}
+		if row.Miles > 0 {
+			row.DPM = float64(row.Events) / row.Miles
+		}
+		if dpa, ok := dpaBy[m.Manufacturer]; ok {
+			row.DPA = dpa
+		}
+		if r, ok := relBy[m.Manufacturer]; ok {
+			row.MedianDPM = r.MedianDPM
+			row.MedianAPM = r.MedianAPM
+			row.RelToHuman = r.RelToHuman
+		}
+		out = append(out, row)
 	}
 	return out, nil
 }

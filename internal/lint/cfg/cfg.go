@@ -38,7 +38,9 @@
 // driver exposes this through Flow.Branch, letting an analysis refine the
 // state per edge — the load-bearing case is the `if err != nil { return }`
 // idiom, where a resource paired with err is nil (and needs no release) on
-// the error edge. Switch and select dispatch is not modeled as branch
+// the error edge. A tagless switch (`switch { case err == nil: ... }`) is
+// the if-else chain it evaluates, one Branch per case expression. Tagged
+// switch, type switch and select dispatch is not modeled as branch
 // conditions; analyses see the unrefined join there.
 package cfg
 
@@ -322,9 +324,11 @@ func (b *builder) switchStmt(s *ast.SwitchStmt, label string) {
 		b.stmt(s.Init)
 	}
 	b.reach()
-	if s.Tag != nil {
-		b.add(s.Tag)
+	if s.Tag == nil {
+		b.condSwitch(s, label)
+		return
 	}
+	b.add(s.Tag)
 	cond := b.cur
 	after := b.newBlock()
 	b.pushTargets(label, after, nil)
@@ -333,6 +337,40 @@ func (b *builder) switchStmt(s *ast.SwitchStmt, label string) {
 			blk.Nodes = append(blk.Nodes, e)
 		}
 	})
+	b.popTargets()
+	b.cur = after
+}
+
+// condSwitch wires a tagless switch as the if-else chain it evaluates:
+// each case expression, in source order, ends a test block whose Branch
+// enters its clause when true and tests the next expression when false;
+// the last test's false edge enters the default clause, or after without
+// one.
+func (b *builder) condSwitch(s *ast.SwitchStmt, label string) {
+	after := b.newBlock()
+	b.pushTargets(label, after, nil)
+	clauses := s.Body.List
+	blocks := make([]*Block, len(clauses))
+	for i := range clauses {
+		blocks[i] = b.newBlock()
+	}
+	test, dflt := b.cur, after
+	for i, cl := range clauses {
+		cc := cl.(*ast.CaseClause)
+		if cc.List == nil {
+			dflt = blocks[i]
+		}
+		for _, e := range cc.List {
+			test.Nodes = append(test.Nodes, e)
+			next := b.newBlock()
+			b.edge(test, blocks[i])
+			b.edge(test, next)
+			test.Branch = &Branch{Cond: e, True: blocks[i], False: next}
+			test = next
+		}
+	}
+	b.edge(test, dflt)
+	b.clauseBodies(clauses, blocks, after)
 	b.popTargets()
 	b.cur = after
 }
@@ -372,6 +410,12 @@ func (b *builder) caseClauses(clauses []ast.Stmt, cond, after *Block, head func(
 	if !hasDefault {
 		b.edge(cond, after)
 	}
+	b.clauseBodies(clauses, blocks, after)
+}
+
+// clauseBodies builds each case clause's body into its block, fallthrough
+// edging to the next clause's block and the end of each body to after.
+func (b *builder) clauseBodies(clauses []ast.Stmt, blocks []*Block, after *Block) {
 	for i, cl := range clauses {
 		cc, ok := cl.(*ast.CaseClause)
 		if !ok {

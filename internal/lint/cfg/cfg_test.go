@@ -320,6 +320,44 @@ func TestSwitchFallthrough(t *testing.T) {
 	}
 }
 
+// TestTaglessSwitchBranches: a tagless switch is the if-else chain it
+// evaluates, one Branch per case expression in source order, the last
+// false edge entering the default clause wherever it is written.
+func TestTaglessSwitchBranches(t *testing.T) {
+	g := build(t, `
+		switch {
+		default:
+			d()
+		case x, y:
+			a()
+		case z:
+			b()
+		}
+	`)
+	var conds []string
+	var dBlk, lastFalse *Block
+	for _, blk := range g.Blocks {
+		if blk.Branch != nil {
+			conds = append(conds, blk.Branch.Cond.(*ast.Ident).Name)
+			lastFalse = blk.Branch.False
+		}
+		for _, n := range blk.Nodes {
+			if callName(n) == "d" {
+				dBlk = blk
+			}
+		}
+	}
+	if fmt.Sprint(conds) != "[x y z]" {
+		t.Fatalf("branch conditions = %v, want [x y z]", conds)
+	}
+	if dBlk == nil || lastFalse == nil || len(lastFalse.Succs) != 1 || lastFalse.Succs[0] != dBlk {
+		t.Error("the last case's false edge does not lead to the default clause")
+	}
+	if got := atExit(g, callsOnPaths(g)); fmt.Sprint(got) != "[a b d]" {
+		t.Errorf("calls reaching exit = %v, want [a b d]", got)
+	}
+}
+
 func TestSelectClausesBranch(t *testing.T) {
 	g := build(t, `
 		select {

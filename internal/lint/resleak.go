@@ -17,7 +17,8 @@ import (
 // the whole value to a callee (drain(resp), relayResponse(w, resp, ...)),
 // after which the callee owns it. Passing part of it (closeBody(resp.Body))
 // is not a hand-off, so the acquirer must still close it. The `resp, err
-// := http.Get(u); if err != nil { return err }` contract is modeled: on
+// := http.Get(u); if err != nil { return err }` contract is modeled, also
+// as a case of a tagless switch (`switch { case err == nil: ... }`): on
 // the error edge the resource is nil and owes no Close.
 //
 // Known false negatives (deliberate, to keep the clean-tree guarantee

@@ -117,6 +117,32 @@ func viewClosed(dir string) (int, error) {
 	return v.NumRows(), nil
 }
 
+// viewSwitch is avquery's shape: a tagless switch on the error, the view
+// returned on the err == nil case and nil on the other error cases.
+func viewSwitch(dir string) (*snapshot2.View, error) {
+	v, err := snapshot2.OpenSeed(dir, 42)
+	switch {
+	case err == nil:
+		return v, nil
+	case err.Error() != "":
+		return nil, err
+	}
+	return nil, nil
+}
+
+// viewSwitchLeak drops the view on a case that a switch on the error
+// reaches with err == nil.
+func viewSwitchLeak(dir string, quiet bool) error {
+	v, err := snapshot2.OpenSeed(dir, 42) // want "snapshot view acquired here is not closed/released on every path to return"
+	switch {
+	case err != nil:
+		return err
+	case quiet:
+		return nil
+	}
+	return v.Close()
+}
+
 // drain is the relayResponse idiom: handed the whole response, the helper
 // owns the close.
 func drain(resp *http.Response) {

@@ -65,7 +65,7 @@ func DefaultOptions() Options {
 }
 
 // Classifier assigns fault tags to disengagement cause texts by keyword
-// voting against a failure dictionary.
+// voting against a failure dictionary. It is safe for concurrent use.
 type Classifier struct {
 	tok  *Tokenizer
 	opts Options
@@ -91,6 +91,13 @@ type Result struct {
 // normalized through the classifier's tokenizer, so stemming configuration
 // applies consistently to both dictionary and inputs.
 func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
+	return newClassifier(dict, opts, nil)
+}
+
+// newClassifier is NewClassifier normalizing the dictionary through a
+// tokenizer that memoizes its stems in stems, or in a map of its own when
+// stems is nil.
+func newClassifier(dict *Dictionary, opts Options, stems map[string]string) (*Classifier, error) {
 	if dict == nil {
 		return nil, errors.New("nlp: nil dictionary")
 	}
@@ -105,6 +112,7 @@ func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
 		opts:  opts,
 		index: make(map[string][]int),
 	}
+	tok := c.tok.withStems(stems)
 	add := func(kw string, rank int) {
 		if ranks := c.index[kw]; len(ranks) == 0 || ranks[len(ranks)-1] != rank {
 			c.index[kw] = append(ranks, rank)
@@ -115,7 +123,7 @@ func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
 	// lets add drop a keyword repeated within one tag.
 	for rank, tag := range tagPriority {
 		for _, phrase := range dict.Phrases(tag) {
-			toks := c.tok.Tokens(phrase)
+			toks := tok.Tokens(phrase)
 			for _, t := range toks {
 				add(t, rank)
 			}
@@ -125,7 +133,7 @@ func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
 		}
 		// Mined phrases vote only as exact bigrams (see Dictionary).
 		for _, phrase := range dict.BigramOnlyPhrases(tag) {
-			for _, bg := range bigrams(c.tok.Tokens(phrase)) {
+			for _, bg := range bigrams(tok.Tokens(phrase)) {
 				add(bg, rank)
 			}
 		}
@@ -135,8 +143,11 @@ func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
 
 // Classify maps one cause text to a fault tag and category. Texts sharing
 // no keyword with any tag return Unknown-T / Unknown-C with score 0.
-func (c *Classifier) Classify(text string) Result {
-	toks := c.tok.Tokens(text)
+func (c *Classifier) Classify(text string) Result { return c.classify(c.tok, text) }
+
+// classify is Classify tokenizing through tok.
+func (c *Classifier) classify(tok *Tokenizer, text string) Result {
+	toks := tok.Tokens(text)
 	return c.vote(toks, bigrams(toks))
 }
 
@@ -196,8 +207,10 @@ func (c *Classifier) vote(tokens, pairs []string) Result {
 
 // ClassifyAll maps each text through Classify, in input order. Each
 // distinct text is classified once; its duplicates get copies of that
-// result, each with its own Matched slice.
+// result, each with its own Matched slice. Stems are memoized for the
+// call.
 func (c *Classifier) ClassifyAll(texts []string) []Result {
+	tok := c.tok.withStems(nil)
 	out := make([]Result, len(texts))
 	first := make(map[string]int)
 	for i, t := range texts {
@@ -207,7 +220,7 @@ func (c *Classifier) ClassifyAll(texts []string) []Result {
 			continue
 		}
 		first[t] = i
-		out[i] = c.Classify(t)
+		out[i] = c.classify(tok, t)
 	}
 	return out
 }
@@ -263,7 +276,8 @@ func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (
 		tokens, bigrams []string
 		n               int
 	}
-	tok := &Tokenizer{Stem: opts.Stem}
+	// One stem memo serves the corpus and every pass's dictionary.
+	tok := (&Tokenizer{Stem: opts.Stem}).withStems(nil)
 	var texts []distinct
 	slot := make(map[string]int)
 	for _, text := range corpus {
@@ -279,7 +293,7 @@ func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (
 	out := dict.Clone()
 	added := 0
 	for pass := 0; pass < eo.Passes; pass++ {
-		cls, err := NewClassifier(out, opts)
+		cls, err := newClassifier(out, opts, tok.stems)
 		if err != nil {
 			return nil, 0, err
 		}

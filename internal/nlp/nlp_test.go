@@ -3,6 +3,7 @@ package nlp
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -332,6 +333,70 @@ func TestClassifyAllConcurrentMatchesSequential(t *testing.T) {
 	}
 	if got := cls.ClassifyAllConcurrent(nil, 4); len(got) != 0 {
 		t.Errorf("nil input returned %d results", len(got))
+	}
+}
+
+// TestStemMemoMatchesPorterStem: a tokenizer memoizing its stems returns
+// what PorterStem returns, on first use of a word and on every repeat.
+func TestStemMemoMatchesPorterStem(t *testing.T) {
+	plain := &Tokenizer{Stem: true}
+	memo := plain.withStems(nil)
+	texts := []string{
+		"Planner failed to anticipate the merging vehicles",
+		"planning failures; planners failing", "PERCEPTION rec0gnition errors",
+		"Planner failed to anticipate the merging vehicles", "",
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, text := range texts {
+			if got, want := memo.Tokens(text), plain.Tokens(text); !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d %q: memoized %v, want %v", pass, text, got, want)
+			}
+		}
+	}
+	if len(memo.stems) == 0 {
+		t.Error("the memo recorded no stems")
+	}
+}
+
+// TestClassifierConcurrentUse: goroutines sharing one classifier, each
+// calling Classify and ClassifyAll, get the sequential answers (run under
+// -race: ClassifyAll's stem memo is its own, and Classify keeps none).
+func TestClassifierConcurrentUse(t *testing.T) {
+	cls, err := NewClassifier(SeedDictionary(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := []string{
+		"watchdog error", "Software module froze during merge",
+		"LIDAR failed to localize in time", "Incorrect behavior prediction at crosswalk",
+		"network dropout on the cellular link", "watchdog error",
+	}
+	want := make([]Result, len(texts))
+	for i, s := range texts {
+		want[i] = cls.Classify(s)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := cls.ClassifyAll(texts); !reflect.DeepEqual(got, want) {
+					errs <- "ClassifyAll differs from sequential Classify"
+					return
+				}
+				if got := cls.Classify(texts[i%len(texts)]); !reflect.DeepEqual(got, want[i%len(texts)]) {
+					errs <- "concurrent Classify differs from sequential Classify"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -36,6 +36,23 @@ type Tokenizer struct {
 	Stem bool
 	// stopwords to drop; nil uses the package default set.
 	stopwords map[string]struct{}
+	// stems, when non-nil, memoizes PorterStem: word to stem. Cause
+	// texts repeat a few hundred words, but OCR noise makes the set of
+	// words unbounded, so a memo lives for one batch (an Expand, a
+	// classifier's dictionary, a ClassifyAll) and a Tokenizer holding
+	// one is not safe for concurrent use.
+	stems map[string]string
+}
+
+// withStems returns a copy of t that memoizes its stems in stems, or in a
+// fresh map when stems is nil.
+func (t *Tokenizer) withStems(stems map[string]string) *Tokenizer {
+	if stems == nil {
+		stems = make(map[string]string)
+	}
+	c := *t
+	c.stems = stems
+	return &c
 }
 
 // Tokens lowercases text, splits it on non-alphanumeric runes, drops
@@ -57,11 +74,24 @@ func (t *Tokenizer) Tokens(text string) []string {
 			continue
 		}
 		if t.Stem {
-			f = PorterStem(f)
+			f = t.stem(f)
 		}
 		out = append(out, f)
 	}
 	return out
+}
+
+// stem returns PorterStem(word), through the memo when t has one.
+func (t *Tokenizer) stem(word string) string {
+	if t.stems == nil {
+		return PorterStem(word)
+	}
+	s, ok := t.stems[word]
+	if !ok {
+		s = PorterStem(word)
+		t.stems[word] = s
+	}
+	return s
 }
 
 // bigrams joins each adjacent pair of toks with a space, in order and with

@@ -26,14 +26,14 @@ func TestStudyCRCGolden(t *testing.T) {
 		crc     uint32
 		content string
 	}{
-		{1, 0xbdf89de7, "d94b80f6d112b37e379f607fe539cbc12e18c932c5f94849ebff5ff2f9a2cbea"},
-		{2, 0x2a3a40c4, "90806de8ea01fc14b75c6f1061ff22cb774121ffa65d416fc1d168c169199590"},
-		{3, 0x9e7b279b, "04c7e36bce5804836c4e6edbb440ed8d055557de9d9588c0f604cfaed26fe9dc"},
-		{7, 0xeb6d4c61, "95f11ea1c35119e49aa51422e163d6a2603bc1d5f00c319758e8fdbb9957d570"},
-		{41, 0x1b1136c1, "b5d0a39228a8f6ed8354f61fc0e24e86310d75752c1cb1b50da6a5835179a7a7"},
-		{100, 0x1b068018, "310bb4247af4ec00190315972037811772dc20a6d7b856dfbb6739ccb92124d2"},
-		{500, 0x0b755245, "4a66c09aad5f5b4a948e95a5215617f3e6e4186fa95775a8afa90470edd4ea9a"},
-		{1000, 0xe66bd416, "34b24aa9d24c57ba514fe74a89dabf236b4f9caed5230103c9f8ef491bdd10f0"},
+		{1, 0xea4536d1, "d94b80f6d112b37e379f607fe539cbc12e18c932c5f94849ebff5ff2f9a2cbea"},
+		{2, 0x69a4aebb, "90806de8ea01fc14b75c6f1061ff22cb774121ffa65d416fc1d168c169199590"},
+		{3, 0x3f2ad055, "04c7e36bce5804836c4e6edbb440ed8d055557de9d9588c0f604cfaed26fe9dc"},
+		{7, 0x4c687095, "95f11ea1c35119e49aa51422e163d6a2603bc1d5f00c319758e8fdbb9957d570"},
+		{41, 0xf248ab61, "b5d0a39228a8f6ed8354f61fc0e24e86310d75752c1cb1b50da6a5835179a7a7"},
+		{100, 0x0f0c7cb3, "310bb4247af4ec00190315972037811772dc20a6d7b856dfbb6739ccb92124d2"},
+		{500, 0x7452cf2f, "4a66c09aad5f5b4a948e95a5215617f3e6e4186fa95775a8afa90470edd4ea9a"},
+		{1000, 0x28dfc6a7, "34b24aa9d24c57ba514fe74a89dabf236b4f9caed5230103c9f8ef491bdd10f0"},
 	}
 	dir := t.TempDir()
 	for _, g := range golden {

@@ -242,6 +242,14 @@ func (e *Engine) WriteSeed(dir string, seed int64) (uint32, error) {
 	return e.v.WriteSeed(dir, seed)
 }
 
+// Answer returns the status and content type of the study's stored answer
+// in slot s (snapshot2.View.Answer).
+func (e *Engine) Answer(s snapshot2.Slot) (status int, contentType string) { return e.v.Answer(s) }
+
+// AppendAnswer appends the body of the study's stored answer in slot s to
+// dst (snapshot2.View.AppendAnswer).
+func (e *Engine) AppendAnswer(dst []byte, s snapshot2.Slot) []byte { return e.v.AppendAnswer(dst, s) }
+
 // Len returns the total number of events in the engine.
 func (e *Engine) Len() int { return e.v.NumRows() }
 

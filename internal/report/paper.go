@@ -116,13 +116,16 @@ func TableV(db *core.DB) string {
 }
 
 // TableVI renders the accident summary vs the paper.
-func TableVI(db *core.DB) string {
+func TableVI(db *core.DB) string { return tableVI(db.Exposure()) }
+
+// tableVI renders Table VI from the study's exposure summary.
+func tableVI(x *core.Exposure) string {
 	t := Table{
 		Title:   "Table VI — Accidents reported by manufacturers",
 		Headers: []string{"Manufacturer", "Accidents", "Fraction %", "DPA", "paper(Acc)", "paper(DPA)"},
 		Aligns:  []Align{Left, Right, Right, Right, Right, Right},
 	}
-	for _, r := range db.AccidentSummary() {
+	for _, r := range x.AccidentSummary() {
 		paper := calib.TableVI[r.Manufacturer]
 		t.AddRow(string(r.Manufacturer), r.Accidents,
 			fmt.Sprintf("%.2f", r.FractionPct), Dash(r.DPA, "%.0f"),
@@ -132,8 +135,11 @@ func TableVI(db *core.DB) string {
 }
 
 // TableVII renders AV-vs-human reliability vs the paper.
-func TableVII(db *core.DB) (string, error) {
-	rows, err := db.ReliabilityVsHuman()
+func TableVII(db *core.DB) (string, error) { return tableVII(db.Exposure()) }
+
+// tableVII renders Table VII from the study's exposure summary.
+func tableVII(x *core.Exposure) (string, error) {
+	rows, err := x.ReliabilityVsHuman()
 	if err != nil {
 		return "", err
 	}
@@ -158,8 +164,11 @@ func TableVII(db *core.DB) (string, error) {
 }
 
 // TableVIII renders the cross-domain comparison vs the paper.
-func TableVIII(db *core.DB) (string, error) {
-	rows, err := db.CrossDomainTable()
+func TableVIII(db *core.DB) (string, error) { return tableVIII(db.Exposure()) }
+
+// tableVIII renders Table VIII from the study's exposure summary.
+func tableVIII(x *core.Exposure) (string, error) {
+	rows, err := x.CrossDomainTable()
 	if err != nil {
 		return "", err
 	}

@@ -10,6 +10,7 @@ package scandoc
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -329,8 +330,51 @@ func writeTime(sb *strings.Builder, t time.Time, layout string) {
 // writeFloat writes v with prec decimals, as fmt's %.<prec>f does.
 func writeFloat(sb *strings.Builder, v float64, prec int) {
 	var buf [32]byte
-	sb.Write(strconv.AppendFloat(buf[:0], v, 'f', prec, 64))
+	sb.Write(appendFloat(buf[:0], v, prec))
 }
+
+// appendFloat appends v with prec decimals: the bytes of
+// strconv.AppendFloat(dst, v, 'f', prec, 64). strconv rounds a fixed
+// precision through its slow multiprecision path. For prec up to 3 and
+// |v| < 2^52, v is mant·2^exp with a 53-bit mant and exp < 0, and
+// mant·10^prec fits in a uint64, so v·10^prec rounded half to even, as
+// strconv rounds the exact value, is one shift and one compare.
+func appendFloat(dst []byte, v float64, prec int) []byte {
+	bits := math.Float64bits(v)
+	biased := int(bits >> 52 & 0x7ff)
+	if prec < 0 || prec >= len(pow10) || biased >= 1023+52 {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	mant, exp := bits&(1<<52-1), -1074
+	if biased != 0 {
+		mant, exp = mant|1<<52, biased-1075
+	}
+	n, shift := mant*pow10[prec], uint(-exp)
+	var q uint64
+	if shift < 64 {
+		q = n >> shift
+		rest, half := n&(1<<shift-1), uint64(1)<<(shift-1)
+		if rest > half || rest == half && q&1 == 1 {
+			q++
+		}
+	}
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, q/pow10[prec], 10)
+	if prec == 0 {
+		return dst
+	}
+	dst = append(dst, '.')
+	frac := q % pow10[prec]
+	for d := pow10[prec] / 10; d > 0; d /= 10 {
+		dst = append(dst, byte('0'+frac/d%10))
+	}
+	return dst
+}
+
+// pow10 holds the powers of ten appendFloat scales by.
+var pow10 = [...]uint64{1, 10, 100, 1000}
 
 // orDash substitutes "-" for empty strings.
 func orDash(s string) string {

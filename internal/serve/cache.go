@@ -33,10 +33,6 @@ type Study struct {
 	// simply carry no validator.
 	ETag string
 
-	// memo maps a parameterless route's key to its rendered *memoBody
-	// (memo.go).
-	memo sync.Map
-
 	// view is the mapped snapshot a study loaded from v2 reads, the same
 	// View its Engine reads; nil for a built study. The cache closes it
 	// once the study is evicted and its last user is gone. Database
@@ -77,8 +73,8 @@ func (s *Study) closable() bool {
 
 // Database returns the study's failure database. A mapped study decodes
 // it from its View on first use, counted once as a
-// StudyMaterialization; only whole-table consumers (the paper tables)
-// need it.
+// StudyMaterialization. No served route needs it: the paper tables are
+// stored answers.
 func (s *Study) Database() (*core.DB, error) {
 	if s.DB != nil {
 		return s.DB, nil
@@ -140,7 +136,8 @@ type CacheStats struct {
 	// validation on receipt).
 	SnapshotFetchErrors int64
 	// StudyMaterializations counts whole-database decodes of mapped
-	// studies: only the paper tables need one.
+	// studies (Study.Database). No served route makes one, so a server
+	// reads 0 here; a Cache.Get caller may.
 	StudyMaterializations int64
 	// SnapshotReleases counts mappings of evicted studies closed when
 	// their last request released them.
@@ -306,7 +303,7 @@ func (c *Cache) run(seed int64, fl *flight) {
 	study, err := c.acquire(seed)
 	fl.study, fl.err = study, err
 
-	var evicted, closing []*Study
+	var closing []*Study
 	c.mu.Lock()
 	delete(c.flights, seed)
 	fl.published = true
@@ -320,7 +317,6 @@ func (c *Cache) run(seed int64, fl *flight) {
 			c.order.Remove(oldest)
 			entry := oldest.Value.(*cacheEntry)
 			delete(c.entries, entry.seed)
-			evicted = append(evicted, entry.study)
 			c.stats.Evictions++
 			entry.study.evicted = true
 			if entry.study.closable() {
@@ -330,16 +326,9 @@ func (c *Cache) run(seed int64, fl *flight) {
 		}
 	}
 	c.mu.Unlock()
-	// Requests still holding an evicted study finish with it, but its
-	// memoized bodies go now rather than whenever the last one does, and
-	// a mapping nobody holds is closed before the waiters wake, so no
-	// request that caused an eviction returns with the unmap pending.
-	for _, old := range evicted {
-		old.memo.Range(func(key, _ any) bool {
-			old.memo.Delete(key)
-			return true
-		})
-	}
+	// Requests still holding an evicted study finish with it; a mapping
+	// nobody holds is closed before the waiters wake, so no request that
+	// caused an eviction returns with the unmap pending.
 	for _, old := range closing {
 		old.view.Close()
 	}
@@ -434,13 +423,13 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 
 // loadSnapshot2 maps the v2 snapshot for seed and serves queries straight
 // off the mapping through the same engine a fresh build uses: no
-// deserialization, no DB materialization until an endpoint actually needs
-// whole tables. The view is validated end-to-end at open, so a success
-// here is as trustworthy as a fresh build.
+// deserialization, and no DB materialization unless a Cache.Get caller
+// asks for Study.Database. The view is validated end-to-end at open, so a
+// success here is as trustworthy as a fresh build.
 //
-// Listings, group counts, accident pages and reliability metrics read the
-// columns; only Study.Database (the paper tables) decodes the whole
-// database, counted as StudyMaterializations.
+// Listings, group counts and accident pages read the columns, and the
+// reliability and table answers are stored bytes; only Study.Database
+// decodes the whole database, counted as StudyMaterializations.
 //
 // Release path: OpenSeed retains no file descriptor (the fd is closed as
 // soon as the mapping exists), so an evicted study pins only its mapping.

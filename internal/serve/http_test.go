@@ -160,7 +160,7 @@ func TestETagMatches(t *testing.T) {
 	}
 }
 
-// TestGzipNegotiation: on a streamed route and on both memoized ones, a
+// TestGzipNegotiation: on a streamed route and on two stored answers, a
 // client that accepts gzip gets a compressed body that decodes
 // byte-identically to the identity representation, under a
 // "-gzip"-suffixed variant of the same validator; a client that asks for
@@ -485,5 +485,33 @@ func TestSnapshotEndpoint(t *testing.T) {
 	noDir := newTestServer(t, nil, 0, 0)
 	if rec := getFull(t, noDir, "/v1/snapshots/1", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("no snapshot dir code = %d, want 404", rec.Code)
+	}
+}
+
+// TestAcceptsGzip: q=0 in any spelling refuses gzip (RFC 9110 §12.5.3);
+// any other q-value accepts it.
+func TestAcceptsGzip(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"", false},
+		{"identity", false},
+		{"*", false},
+		{"gzip", true},
+		{"GZIP", true},
+		{"deflate, gzip", true},
+		{"gzip;q=0.5", true},
+		{"gzip; q=1", true},
+		{"gzip;q=0", false},
+		{"gzip;q=0.0", false},
+		{"gzip; Q=0.000", false},
+		{"br, gzip;q=0, identity", false},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.Header.Set("Accept-Encoding", tc.header)
+		if got := acceptsGzip(req); got != tc.want {
+			t.Errorf("acceptsGzip(%q) = %v, want %v", tc.header, got, tc.want)
+		}
 	}
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // BenchmarkServeRoutes serves warm requests for one calibrated study
-// through an in-process Server, as a gzip-accepting client: the memoized
+// through an in-process Server, as a gzip-accepting client: the stored
 // reliability and table answers, and a default and a maximal listing page.
 // Its mapped_miss case is the churn path: a capacity-1 Server over two v2
-// snapshots, alternated, so each reliability and accidents request maps,
-// answers from the columns, evicts and unmaps. It keeps both paths
+// snapshots, alternated, so each reliability, table and accidents request
+// maps, answers from the stored answers or the columns, evicts and
+// unmaps. It keeps both paths
 // compiled and running; timing comparisons belong to the end-to-end
 // benchmark (bench/).
 func BenchmarkServeRoutes(b *testing.B) {
@@ -50,7 +51,7 @@ func BenchmarkServeRoutes(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			req := httptest.NewRequest(http.MethodGet, "/v1/studies/1/"+bc.path, nil)
 			req.Header.Set("Accept-Encoding", "gzip")
-			// The first request builds the study and fills any memo.
+			// The first request builds the study.
 			if rec := httptest.NewRecorder(); serveOnce(s, rec, req) != http.StatusOK {
 				b.Fatalf("GET %s: code %d (%s)", bc.path, rec.Code, rec.Body.String())
 			}
@@ -82,7 +83,7 @@ func BenchmarkServeRoutes(b *testing.B) {
 			b.Fatal(err)
 		}
 		var reqs []*http.Request
-		for _, path := range []string{"1/metrics/reliability", "2/accidents", "1/accidents", "2/metrics/reliability"} {
+		for _, path := range []string{"1/metrics/reliability", "2/accidents", "1/accidents", "2/metrics/reliability", "1/tables/vii"} {
 			req := httptest.NewRequest(http.MethodGet, "/v1/studies/"+path, nil)
 			req.Header.Set("Accept-Encoding", "gzip")
 			reqs = append(reqs, req)

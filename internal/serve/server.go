@@ -40,11 +40,12 @@
 // JSON body is rendered before its header is sent, so a value JSON cannot
 // carry (a NaN, a year past 9999) is a 500, never a 200 with a cut body.
 // Disengagement pages are written straight from the study's columns
-// (query.Engine.AppendEventsJSON), the other bodies by encoding/json.
-// Bodies are gzipped at BestSpeed when the client negotiates it, which is
-// most of a large page's cost (gzip.go). The reliability and table
-// answers, which take no parameters, are rendered and gzipped once per
-// resident study and then served from memory (memo.go).
+// (query.Engine.AppendEventsJSON). The reliability and table answers take
+// no parameters: they are rendered once, when the study is encoded, and
+// stored in its v2 snapshot (report.Answers), so serving one is a copy of
+// the stored bytes. The other bodies are written by encoding/json. Bodies
+// are gzipped at BestSpeed when the client negotiates it, which is most of
+// a large page's cost (gzip.go).
 package serve
 
 import (
@@ -65,7 +66,6 @@ import (
 
 	"avfda/internal/core"
 	"avfda/internal/query"
-	"avfda/internal/report"
 	"avfda/internal/snapshot2"
 )
 
@@ -240,12 +240,14 @@ type apiError struct {
 // bodies pools the buffers JSON bodies are rendered into.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeRendered renders a JSON body into a pooled buffer and only then
-// writes it, with the given status, its Content-Type and its length (which
-// the gzip writer drops when it compresses). A body that fails to render
-// is never half sent: the response is the error envelope instead, with
-// writeQueryError's status.
-func writeRendered(w http.ResponseWriter, code int, render func(dst []byte) ([]byte, error)) {
+// writeRendered renders a body into a pooled buffer and only then writes
+// it, with the given status and Content-Type and its length (which the
+// gzip writer drops when it compresses). A body that fails to render is
+// never half sent: the response is the error envelope instead, with
+// writeQueryError's status. Any study validator stamped onto the headers
+// is withdrawn from an error response: it describes the failure, not the
+// study, and must never be cached against the study's entity tag.
+func writeRendered(w http.ResponseWriter, code int, contentType string, render func(dst []byte) ([]byte, error)) {
 	buf := bodies.Get().(*[]byte)
 	defer bodies.Put(buf)
 	body, err := render((*buf)[:0])
@@ -255,7 +257,11 @@ func writeRendered(w http.ResponseWriter, code int, render func(dst []byte) ([]b
 		return
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	if code >= http.StatusBadRequest {
+		h.Del("ETag")
+		h.Del("Cache-Control")
+	}
+	h.Set("Content-Type", contentType)
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
@@ -263,7 +269,7 @@ func writeRendered(w http.ResponseWriter, code int, render func(dst []byte) ([]b
 
 // writeJSON encodes v with the given status.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	writeRendered(w, code, func(dst []byte) ([]byte, error) {
+	writeRendered(w, code, "application/json", func(dst []byte) ([]byte, error) {
 		b := bytes.NewBuffer(dst)
 		err := encodeJSON(b, v)
 		return b.Bytes(), err
@@ -278,15 +284,19 @@ func encodeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// writeError emits a JSON error response. Any study validator stamped
-// onto the headers before the failure was discovered is withdrawn first:
-// an error response describes the failure, not the study, and must never
-// be cached against the study's entity tag.
+// writeError emits a JSON error response; writeRendered withdraws any
+// study validator.
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	h := w.Header()
-	h.Del("ETag")
-	h.Del("Cache-Control")
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+}
+
+// writeAnswer copies the study's stored answer in slot s, with its stored
+// status and content type.
+func writeAnswer(w http.ResponseWriter, study *Study, s snapshot2.Slot) {
+	code, contentType := study.Engine.Answer(s)
+	writeRendered(w, code, contentType, func(dst []byte) ([]byte, error) {
+		return study.Engine.AppendAnswer(dst, s), nil
+	})
 }
 
 // study resolves the {seed} path segment and returns the cached (or
@@ -405,22 +415,16 @@ func parseGroupBy(w http.ResponseWriter, _ *http.Request, q url.Values) (groupRe
 	return groupRequest{filter: f, by: by}, ok
 }
 
-// tableRequest is the table route's parsed parameters.
-type tableRequest struct {
-	id     string
-	render func(*core.DB) (string, error)
-}
-
-// parseTable resolves the {id} path segment to its renderer; an unknown
-// id is a 404.
-func parseTable(w http.ResponseWriter, r *http.Request, _ url.Values) (tableRequest, bool) {
-	id := strings.ToLower(r.PathValue("id"))
-	render, ok := tableRenderers[id]
+// parseTable resolves the {id} path segment to the table's answer slot;
+// an unknown id is a 404. Table II (sample NLP assignments) needs per-run
+// sample rows and is not served.
+func parseTable(w http.ResponseWriter, r *http.Request, _ url.Values) (snapshot2.Slot, bool) {
+	slot, ok := snapshot2.TableSlot(strings.ToLower(r.PathValue("id")))
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			"unknown table %q: want one of i, iii, iv, v, vi, vii, viii", r.PathValue("id"))
 	}
-	return tableRequest{id: id, render: render}, ok
+	return slot, ok
 }
 
 // filterFromQuery maps the query parameters onto a query.Filter whose
@@ -491,7 +495,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleDisengagements lists filtered, paginated disengagement events,
 // written straight from the study's columns (query.Engine.AppendEventsJSON).
 func handleDisengagements(w http.ResponseWriter, _ *http.Request, study *Study, req listRequest) {
-	writeRendered(w, http.StatusOK, func(dst []byte) ([]byte, error) {
+	writeRendered(w, http.StatusOK, "application/json", func(dst []byte) ([]byte, error) {
 		return study.Engine.AppendEventsJSON(dst, req.filter, req.page)
 	})
 }
@@ -535,53 +539,18 @@ func handleGroupBy(w http.ResponseWriter, _ *http.Request, study *Study, req gro
 }
 
 // ReliabilityResponse is the reliability-metrics payload.
-type ReliabilityResponse struct {
-	Manufacturers []query.ReliabilityMetric `json:"manufacturers"`
+type ReliabilityResponse = core.ReliabilityResponse
+
+// handleReliability answers per-manufacturer DPM/DPA/APM metrics from the
+// study's stored answer.
+func handleReliability(w http.ResponseWriter, _ *http.Request, study *Study, _ struct{}) {
+	writeAnswer(w, study, snapshot2.SlotReliability)
 }
 
-// handleReliability reports per-manufacturer DPM/DPA/APM metrics,
-// computed once per resident study (see memo.go).
-func handleReliability(w http.ResponseWriter, r *http.Request, study *Study, _ struct{}) {
-	err := serveMemo(w, r, study, "reliability", func() (string, []byte, error) {
-		rows, err := study.Engine.Reliability()
-		if err != nil {
-			return "", nil, err
-		}
-		var body bytes.Buffer
-		err = encodeJSON(&body, ReliabilityResponse{Manufacturers: rows})
-		return "application/json", body.Bytes(), err
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reliability: %v", err)
-	}
-}
-
-// tableRenderers maps a lower-cased table id to its renderer. Table II
-// (sample NLP assignments) needs per-run sample rows and is not served.
-var tableRenderers = map[string]func(*core.DB) (string, error){
-	"i":    func(db *core.DB) (string, error) { return report.TableI(db), nil },
-	"iii":  func(db *core.DB) (string, error) { return report.TableIII(), nil },
-	"iv":   func(db *core.DB) (string, error) { return report.TableIV(db), nil },
-	"v":    func(db *core.DB) (string, error) { return report.TableV(db), nil },
-	"vi":   func(db *core.DB) (string, error) { return report.TableVI(db), nil },
-	"vii":  report.TableVII,
-	"viii": report.TableVIII,
-}
-
-// handleTable renders one paper table as plain text, once per resident
-// study (see memo.go).
-func handleTable(w http.ResponseWriter, r *http.Request, study *Study, req tableRequest) {
-	err := serveMemo(w, r, study, "tables/"+req.id, func() (string, []byte, error) {
-		db, err := study.Database()
-		if err != nil {
-			return "", nil, err
-		}
-		text, err := req.render(db)
-		return "text/plain; charset=utf-8", []byte(text), err
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "render table %s: %v", req.id, err)
-	}
+// handleTable answers one paper table as plain text from the study's
+// stored answer.
+func handleTable(w http.ResponseWriter, _ *http.Request, study *Study, slot snapshot2.Slot) {
+	writeAnswer(w, study, slot)
 }
 
 // handleSnapshot streams the seed's raw v2 snapshot file — the peer

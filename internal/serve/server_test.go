@@ -378,7 +378,7 @@ func TestMetricsHelpText(t *testing.T) {
 		"avserve_snapshot2_rejects_total 0",
 		"# HELP avserve_snapshot2_open_errors_total V2 snapshot files that exist but could not be read (permissions, I/O, not a regular file); each falls back to a peer fetch or a rebuild, and is not a reject.",
 		"avserve_snapshot2_open_errors_total 6",
-		"# HELP avserve_study_materializations_total Whole-database decodes of mapped studies (paper tables only; listings, group-bys, accidents and reliability read the columns).",
+		"# HELP avserve_study_materializations_total Whole-database decodes of mapped studies (no served route makes one: listings, group-bys and accidents read the columns, reliability and tables are stored answers).",
 		"avserve_study_materializations_total 3",
 		"# HELP avserve_snapshot_releases_total Mappings of evicted studies closed when their last request released them.",
 		"avserve_snapshot_releases_total 5",

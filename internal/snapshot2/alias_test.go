@@ -12,7 +12,8 @@ import (
 // nothing an exported method returns points into the snapshot's bytes, so
 // a caller may keep any answer after Close unmaps them. Every exported
 // method is called through reflection, on the first and last row of every
-// column and on every string id, and every string and slice
+// column, on every string id and on every answer slot, and every string
+// and slice
 // reachable from its results is checked against the mapping's address
 // range. A new method with a parameter kind the test cannot supply fails
 // the test until the test learns to call it.
@@ -68,6 +69,18 @@ func TestViewResultsDoNotAliasSnapshot(t *testing.T) {
 			for id := range v.NumStrings() {
 				for _, dst := range [][]byte{nil, []byte("x")} {
 					calls = append(calls, []reflect.Value{reflect.ValueOf(dst), reflect.ValueOf(uint32(id))})
+				}
+			}
+		case mt.NumIn() == 1 && mt.In(0) == reflect.TypeFor[Slot]():
+			for s := Slot(0); int(s) < NumSlots; s++ {
+				calls = append(calls, []reflect.Value{reflect.ValueOf(s)})
+			}
+		case mt.NumIn() == 2 && mt.In(0) == reflect.TypeFor[[]byte]() && mt.In(1) == reflect.TypeFor[Slot]():
+			// A (dst, slot) pair: every answer slot, appended to a nil and
+			// to a non-empty heap slice.
+			for s := Slot(0); int(s) < NumSlots; s++ {
+				for _, dst := range [][]byte{nil, []byte("x")} {
+					calls = append(calls, []reflect.Value{reflect.ValueOf(dst), reflect.ValueOf(s)})
 				}
 			}
 		case mt.NumIn() == 2 && mt.In(0).Kind() == reflect.String && mt.In(1).Kind() == reflect.Int64:

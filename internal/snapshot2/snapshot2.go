@@ -17,7 +17,7 @@
 //
 //	offset  size  field
 //	0       8     magic "AVSNAP2\x00"
-//	8       2     format version (currently 3)
+//	8       2     format version (currently 4)
 //	10      8     payload length in bytes
 //	18      4     CRC-32C (Castagnoli) of the payload
 //	22      ...   payload
@@ -31,6 +31,19 @@
 //	string table  cumulative uint32 offsets + a deduplicated UTF-8 blob
 //	columns       one fixed-width section per column (uint32 string ids,
 //	              int64 scalars, float64 bit patterns, uint8 flag bytes)
+//	answer slots  one {status uint16, content type uint16, length uint32}
+//	              entry per stored answer, in report.AnswerKeys order
+//	answer bodies the answers' identity bodies, back to back in slot order
+//
+// The answers are the study's parameterless HTTP responses — the
+// metrics/reliability JSON and the seven served paper tables — rendered
+// once by report.Answers when the study is encoded, so a server copies
+// them instead of recomputing them each time the study comes back into
+// memory. A status is 200 or 500 (a render that failed is stored as its
+// error envelope); a content type is 0 for report.ContentJSON or 1 for
+// report.ContentText. Bodies are stored identity-encoded: a stored gzip
+// stream would tie the checksum, and so every ETag, to one compress/flate
+// build's output.
 //
 // Encoding the same database always yields the same bytes, so
 // write→read→re-write round-trips are byte-identical (property-tested).
@@ -53,13 +66,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"avfda/internal/core"
+	"avfda/internal/report"
 )
 
 // Version is the current snapshot2 format version. Readers accept exactly
 // this version; see the package comment for the compatibility policy.
-const Version uint16 = 3
+const Version uint16 = 4
 
 // magic identifies a v2 snapshot file; eight bytes keep the header scalars
 // that follow naturally aligned, and it differs from the retired v1 magic
@@ -113,8 +128,38 @@ const (
 	secAcAVSpeed
 	secAcOtherSpeed
 	secAcFlags
+	secAnswerSlots
+	secAnswerBodies
 	numSections = iota
 )
+
+// Slot names one stored answer: the reliability metrics, then the served
+// paper tables, in report.AnswerKeys order.
+type Slot uint8
+
+// SlotReliability is the metrics/reliability answer; NumSlots is the
+// number of stored answers.
+const (
+	SlotReliability Slot = 0
+	NumSlots             = len(report.AnswerKeys)
+)
+
+// TableSlot returns the slot of a served paper table by its lower-case id
+// ("i", "iii", ..., "viii"); ok is false for any other id.
+func TableSlot(id string) (s Slot, ok bool) {
+	for i, key := range report.AnswerKeys {
+		if i != int(SlotReliability) && key == id {
+			return Slot(i), true
+		}
+	}
+	return 0, false
+}
+
+// answerSlotLen is the byte length of one answer-slot entry.
+const answerSlotLen = 2 + 2 + 4
+
+// contentTypes maps a stored content-type code to its value.
+var contentTypes = [...]string{report.ContentJSON, report.ContentText}
 
 // accident flag bits packed into the secAcFlags byte column.
 const (
@@ -274,6 +319,27 @@ func Encode(db *core.DB) ([]byte, error) {
 		strOff = binary.LittleEndian.AppendUint32(strOff, blobLen)
 	}
 
+	// The answers share one exposure summary, summed by string id as
+	// View.Exposure sums it: in row order, so bit-identical to
+	// db.Exposure().
+	x := core.NewExposureTally(func(id uint32) string { return e.strs[id] })
+	for _, m := range flMfr {
+		x.Fleet(m)
+	}
+	for i, m := range mlMfr {
+		x.Mileage(m, mlVeh[i], mlMiles[i])
+	}
+	for i, m := range evMfr {
+		x.Event(m, evVeh[i])
+	}
+	for _, m := range acMfr {
+		x.Accident(m)
+	}
+	answerSlots, answerBodies, err := encodeAnswers(report.Answers(db, x.Exposure()))
+	if err != nil {
+		return nil, err
+	}
+
 	sections := [][]byte{
 		meta, strOff, blob,
 		u32Bytes(evMfr), u32Bytes(evVeh), i64Bytes(evYear), i64Bytes(evSec),
@@ -285,6 +351,7 @@ func Encode(db *core.DB) ([]byte, error) {
 		u32Bytes(acMfr), u32Bytes(acVeh), i64Bytes(acYear), i64Bytes(acSec),
 		i64Bytes(acNsec), u32Bytes(acLoc), u32Bytes(acNarr), f64Bytes(acAV),
 		f64Bytes(acOther), acFlags,
+		answerSlots, answerBodies,
 	}
 
 	// Section directory: ids are 1-based and consecutive, offsets relative
@@ -314,6 +381,31 @@ func Encode(db *core.DB) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(out[headerLen-4:headerLen], crc32.Checksum(out[headerLen:], castagnoli))
 	return out, nil
+}
+
+// encodeAnswers lays out the answer-slot and answer-body sections.
+func encodeAnswers(answers []report.Answer) (slots, bodies []byte, err error) {
+	if len(answers) != NumSlots {
+		return nil, nil, fmt.Errorf("snapshot2: %d answers, want %d", len(answers), NumSlots)
+	}
+	slots = make([]byte, 0, NumSlots*answerSlotLen)
+	for _, a := range answers {
+		code := slices.Index(contentTypes[:], a.ContentType)
+		if code < 0 || !validStatus(a.Status) || uint64(len(a.Body)) > math.MaxUint32 {
+			return nil, nil, fmt.Errorf("snapshot2: unstorable answer (status %d, content type %q, %d bytes)",
+				a.Status, a.ContentType, len(a.Body))
+		}
+		slots = binary.LittleEndian.AppendUint16(slots, uint16(a.Status))
+		slots = binary.LittleEndian.AppendUint16(slots, uint16(code))
+		slots = binary.LittleEndian.AppendUint32(slots, uint32(len(a.Body)))
+		bodies = append(bodies, a.Body...)
+	}
+	return slots, bodies, nil
+}
+
+// validStatus reports whether a stored answer may carry status.
+func validStatus(status int) bool {
+	return status == report.StatusOK || status == report.StatusError
 }
 
 // encoder accumulates the deduplicated string table during Encode.

@@ -2,7 +2,9 @@ package snapshot2
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -16,6 +18,7 @@ import (
 
 	"avfda/internal/core"
 	"avfda/internal/ontology"
+	"avfda/internal/report"
 	"avfda/internal/schema"
 )
 
@@ -363,6 +366,23 @@ func TestCorruptPayloadBehindValidChecksum(t *testing.T) {
 			start, _ := sectionRange(t, p, secAcFlags)
 			p[start] = 0xFF
 		}},
+		{"answer slot out of bounds", func(t *testing.T, p []byte) {
+			start, _ := sectionRange(t, p, secAnswerSlots)
+			binary.LittleEndian.PutUint32(p[start+4:], 0xFFFFFFFF)
+		}},
+		{"answer slots short of the bodies", func(t *testing.T, p []byte) {
+			start, _ := sectionRange(t, p, secAnswerSlots)
+			last := start + (NumSlots-1)*answerSlotLen
+			binary.LittleEndian.PutUint32(p[last+4:], binary.LittleEndian.Uint32(p[last+4:])-1)
+		}},
+		{"answer status", func(t *testing.T, p []byte) {
+			start, _ := sectionRange(t, p, secAnswerSlots)
+			binary.LittleEndian.PutUint16(p[start:], 404)
+		}},
+		{"answer content type", func(t *testing.T, p []byte) {
+			start, _ := sectionRange(t, p, secAnswerSlots)
+			binary.LittleEndian.PutUint16(p[start+2:], uint16(len(contentTypes)))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -411,5 +431,75 @@ func TestEncodeNil(t *testing.T) {
 func TestPathShape(t *testing.T) {
 	if got := Path("snaps", 42); got != filepath.Join("snaps", "study-42.avsnap2") {
 		t.Fatalf("Path = %q", got)
+	}
+}
+
+// sectionDigest is the SHA-256 of the contents of sections first..last, in
+// directory order: what a reader of those sections decodes.
+func sectionDigest(t *testing.T, data []byte, first, last uint32) string {
+	t.Helper()
+	payload := data[headerLen:]
+	h := sha256.New()
+	for id := first; id <= last; id++ {
+		start, end := sectionRange(t, payload, id)
+		h.Write(payload[start:end])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestEarlierSectionsUnchanged pins the contents of every section before
+// the answers (meta, string table, columns) to the bytes the version 3
+// format wrote for the same databases, so adding the answer sections moved
+// only the directory offsets: each earlier section decodes as before.
+func TestEarlierSectionsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		db   *core.DB
+		want string
+	}{
+		{"random", testDB(19, 60, 8), "8ef5c370bdc8a7e79e2fa35522cbf5bbcb00d49f517f1c0743bda1eddd37b175"},
+		{"empty", &core.DB{}, "d7e9312aec58e7d22f7ff21ecca282c5b1cbd64763526652b5543fa0b103e765"},
+	} {
+		data, err := Encode(tc.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sectionDigest(t, data, secMeta, secAcFlags); got != tc.want {
+			t.Errorf("%s: sections %d..%d digest %s, want %s", tc.name, secMeta, secAcFlags, got, tc.want)
+		}
+	}
+}
+
+// TestAnswersStored: every slot of an encoded study holds report.Answers'
+// answer for its database, with its status and content type, on a random
+// database and an empty one.
+func TestAnswersStored(t *testing.T) {
+	for _, db := range []*core.DB{testDB(5, 80, 9), {}} {
+		data, err := Encode(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewView(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := report.Answers(db, db.Exposure())
+		for s := Slot(0); int(s) < NumSlots; s++ {
+			status, ct := v.Answer(s)
+			if status != want[s].Status || ct != want[s].ContentType {
+				t.Errorf("slot %d (%s): %d %q, want %d %q", s, report.AnswerKeys[s], status, ct, want[s].Status, want[s].ContentType)
+			}
+			if got := v.AppendAnswer([]byte("x"), s); !bytes.Equal(got, append([]byte("x"), want[s].Body...)) {
+				t.Errorf("slot %d (%s): body %q, want %q", s, report.AnswerKeys[s], got, want[s].Body)
+			}
+		}
+	}
+	for i, id := range report.AnswerKeys {
+		if s, ok := TableSlot(id); ok != (i > 0) || (ok && int(s) != i) {
+			t.Errorf("TableSlot(%q) = %d, %v", id, s, ok)
+		}
+	}
+	if _, ok := TableSlot("ii"); ok {
+		t.Error(`TableSlot("ii") found a slot; Table II is not served`)
 	}
 }

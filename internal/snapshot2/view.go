@@ -23,9 +23,10 @@ import (
 // deserialized heap.
 //
 // NewView validates the whole structure up front — checksum, section
-// tiling, column sizes, string-table offsets, string ids, value ranges —
-// so accessors cannot fail on any row index in [0, NumRows()): corruption
-// surfaces as a typed error at open, never as a panic or wrong answer later.
+// tiling, column sizes, string-table offsets, string ids, value ranges,
+// answer slots — so accessors cannot fail on any row index in
+// [0, NumRows()) or any slot below NumSlots: corruption surfaces as a
+// typed error at open, never as a panic or wrong answer later.
 //
 // A View is safe for concurrent use. Close (or garbage collection, for
 // views opened by Open) releases the mapping; the caller must not use
@@ -44,6 +45,7 @@ type View struct {
 	strOff   []byte
 	strBlob  []byte
 	strCache []atomic.Pointer[string]
+	answers  [NumSlots]storedAnswer
 
 	dbOnce sync.Once
 	db     *core.DB
@@ -84,7 +86,50 @@ func NewView(data []byte) (*View, error) {
 	if err := v.validateColumns(); err != nil {
 		return nil, err
 	}
+	if err := v.parseAnswers(); err != nil {
+		return nil, err
+	}
 	return v, nil
+}
+
+// storedAnswer is one answer slot, validated at open: its body is a window
+// onto the answer-body section.
+type storedAnswer struct {
+	status      int
+	contentType string
+	body        []byte
+}
+
+// parseAnswers checks the answer-slot section — one entry per slot, each
+// status 200 or 500, each content-type code defined — and that the slots'
+// bodies tile the answer-body section exactly.
+func (v *View) parseAnswers() error {
+	slots, bodies := v.sec(secAnswerSlots), v.sec(secAnswerBodies)
+	if len(slots) != NumSlots*answerSlotLen {
+		return &FormatError{Reason: fmt.Sprintf("answer slot section is %d bytes, want %d slots of %d", len(slots), NumSlots, answerSlotLen)}
+	}
+	var off uint64
+	for i := range v.answers {
+		ent := slots[i*answerSlotLen:]
+		status := int(binary.LittleEndian.Uint16(ent))
+		code := binary.LittleEndian.Uint16(ent[2:])
+		length := uint64(binary.LittleEndian.Uint32(ent[4:]))
+		if !validStatus(status) {
+			return &FormatError{Reason: fmt.Sprintf("answer slot %d has status %d", i, status)}
+		}
+		if int(code) >= len(contentTypes) {
+			return &FormatError{Reason: fmt.Sprintf("answer slot %d has content type %d", i, code)}
+		}
+		if length > uint64(len(bodies))-off {
+			return &FormatError{Reason: fmt.Sprintf("answer slot %d overruns the answer bodies", i)}
+		}
+		v.answers[i] = storedAnswer{status: status, contentType: contentTypes[code], body: bodies[off : off+length]}
+		off += length
+	}
+	if off != uint64(len(bodies)) {
+		return &FormatError{Reason: "answer bodies beyond the last slot"}
+	}
+	return nil
 }
 
 // parseSections decodes the section directory and checks that the declared
@@ -391,6 +436,21 @@ func (v *View) Exposure() (*core.Exposure, error) {
 	return t.Exposure(), nil
 }
 
+// Answer returns the HTTP status and content type of the answer stored in
+// slot s, which must be below NumSlots.
+func (v *View) Answer(s Slot) (status int, contentType string) {
+	a := &v.answers[s]
+	return a.status, a.contentType
+}
+
+// AppendAnswer appends the identity body of the answer stored in slot s,
+// which must be below NumSlots, to dst and returns the extended slice. The
+// bytes are copied, so the result aliases the snapshot only where dst
+// already did.
+func (v *View) AppendAnswer(dst []byte, s Slot) []byte {
+	return append(dst, v.answers[s].body...)
+}
+
 // Accidents decodes the accident table alone, heap-allocated and
 // independent of the mapping (nil when the study has none). The error is
 // always nil for a validated View.
@@ -419,10 +479,9 @@ func (v *View) Accidents() ([]schema.Accident, error) {
 
 // Database materializes the full failure database from the columns —
 // heap-allocated, independent of the mapping — built once and cached. Only
-// what needs whole tables calls it (the paper tables, avquery's CSV
-// export of a mapped study); listings, group counts, accident pages and
-// reliability metrics never pay for it. The error is always nil for a
-// validated View.
+// what needs whole tables calls it (avquery's CSV export of a mapped
+// study); listings, group counts, accident pages and the stored answers
+// never pay for it. The error is always nil for a validated View.
 func (v *View) Database() (*core.DB, error) {
 	v.dbOnce.Do(func() { v.db = v.materialize() })
 	return v.db, nil
