@@ -1,7 +1,7 @@
 // Package cfg builds intra-procedural control-flow graphs over go/ast
 // function bodies and provides a small forward dataflow driver, the
 // foundation of the flow-sensitive generation of avlint analyzers
-// (lockcheck, httpresp). Like the rest of internal/lint it is built on the
+// (lockcheck, resleak). Like the rest of internal/lint it is built on the
 // standard library only, so `go run ./cmd/avlint ./...` keeps working in
 // offline, dependency-free environments.
 //

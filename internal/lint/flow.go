@@ -2,12 +2,11 @@ package lint
 
 // Shared helpers for the flow-sensitive (CFG-based) analyzer generation:
 // shallow node scanning that respects basic-block boundaries, and the type
-// queries (mutexes, contexts, writers, channels) the concurrency analyzers
+// queries (mutexes, contexts, channels) the concurrency analyzers
 // classify calls with.
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -76,11 +75,6 @@ func isContextType(t types.Type) bool {
 	return t != nil && namedPathIs(t, "context", "Context")
 }
 
-// isResponseWriter reports whether t is net/http.ResponseWriter.
-func isResponseWriter(t types.Type) bool {
-	return t != nil && namedPathIs(t, "net/http", "ResponseWriter")
-}
-
 // isHTTPRequest reports whether t is *net/http.Request.
 func isHTTPRequest(t types.Type) bool {
 	return t != nil && namedPathIs(t, "net/http", "Request")
@@ -101,15 +95,6 @@ func signatureTakesContext(pass *Pass, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// constIntArg returns the integer constant value of e, if it is one.
-func constIntValue(pass *Pass, e ast.Expr) (int64, bool) {
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
 }
 
 // typeContainsTether reports whether t transitively contains a channel, a

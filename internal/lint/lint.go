@@ -262,8 +262,7 @@ func (s allowSet) allowed(d Diagnostic) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter, ErrSubstr, NonDeterm, ExhaustiveCategory,
-		LockCheck, GoroLeak, CtxFlow, HTTPResp,
-		Resleak, AtomicMix,
+		LockCheck, GoroLeak, CtxFlow, Resleak, AtomicMix,
 	}
 }
 

@@ -41,28 +41,21 @@ func etagFromCRC(crc uint32) string { return fmt.Sprintf("%08x", crc) }
 // and then revalidate — a 304 costs no query work.
 const cacheControl = "public, max-age=300"
 
-// conditional stamps the study's validator headers onto the response and
-// answers true when the request's If-None-Match matches the current
-// representation — in which case it has already written the 304 and the
-// handler must not run the query. Studies without a snapshot-backed
-// checksum carry no validator and are always served in full.
-func conditional(w http.ResponseWriter, r *http.Request, study *Study) bool {
+// conditional returns the study's entity tag for the representation the
+// request negotiated, and whether the request's If-None-Match matches it
+// — in which case the answer is a 304 and no query work runs. Studies
+// without a snapshot-backed checksum carry no validator (tag "") and are
+// always served in full.
+func conditional(r *http.Request, study *Study) (tag string, notModified bool) {
 	if study.ETag == "" {
-		return false
+		return "", false
 	}
-	tag := `"` + study.ETag
+	tag = `"` + study.ETag
 	if acceptsGzip(r) {
 		tag += "-gzip"
 	}
 	tag += `"`
-	h := w.Header()
-	h.Set("ETag", tag)
-	h.Set("Cache-Control", cacheControl)
-	if !etagMatches(r.Header.Get("If-None-Match"), tag) {
-		return false
-	}
-	w.WriteHeader(http.StatusNotModified)
-	return true
+	return tag, etagMatches(r.Header.Get("If-None-Match"), tag)
 }
 
 // etagMatches implements the If-None-Match comparison: a comma-separated

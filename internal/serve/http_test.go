@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -318,7 +321,7 @@ func TestWriteErrorWithdrawsValidator(t *testing.T) {
 	rec := httptest.NewRecorder()
 	rec.Header().Set("ETag", `"0123abcd"`)
 	rec.Header().Set("Cache-Control", cacheControl)
-	writeError(rec, http.StatusInternalServerError, "render table %s: %v", "vii", "boom")
+	writeError(rec, errorf(http.StatusInternalServerError, "render table %s: %v", "vii", "boom"))
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("code = %d, want 500", rec.Code)
 	}
@@ -457,7 +460,7 @@ func TestStatusRecorderForwardsReadFrom(t *testing.T) {
 
 // TestSnapshotEndpoint pins the distribution endpoint's contract: 200
 // with the exact file bytes when held, 404 when absent or disabled, 400
-// on a malformed seed.
+// on a malformed seed, 500 when the path holds no readable regular file.
 func TestSnapshotEndpoint(t *testing.T) {
 	s := newSnapshotServer(t, nil)
 	rec := getFull(t, s, "/v1/snapshots/1", nil)
@@ -480,6 +483,25 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	if rec := getFull(t, s, "/v1/snapshots/abc", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad seed code = %d, want 400", rec.Code)
+	}
+
+	// Anything but a regular file at a seed's path is a 500 envelope, never
+	// a 200: ServeContent over an opened directory would promise an
+	// impossible length and send no body. A self-referencing symlink fails
+	// the open itself (ELOOP).
+	if err := os.Mkdir(snapshot2.Path(s.snapDir, 2), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	loop := snapshot2.Path(s.snapDir, 3)
+	if err := os.Symlink(filepath.Base(loop), loop); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/snapshots/2", "/v1/snapshots/3"} {
+		rec := getFull(t, s, path, nil)
+		var e apiError
+		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+			t.Errorf("GET %s = %d %q, want 500 with an error envelope", path, rec.Code, rec.Body.String())
+		}
 	}
 
 	noDir := newTestServer(t, nil, 0, 0)

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,9 +126,9 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleForward routes one study-addressed request by its seed.
 func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
-	seed, err := strconv.ParseInt(r.PathValue("seed"), 10, 64)
+	seed, err := pathSeed(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad seed %q: want an integer", r.PathValue("seed"))
+		writeError(w, err)
 		return
 	}
 	owners := p.ring.owners(seedKey(seed), p.replicas)
@@ -156,8 +155,8 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 		p.relayResponse(w, resp, r.URL.Path)
 		return
 	}
-	writeError(w, http.StatusBadGateway,
-		"seed %d: all %d replicas failed: %v", seed, len(owners), lastErr)
+	writeError(w, errorf(http.StatusBadGateway,
+		"seed %d: all %d replicas failed: %v", seed, len(owners), lastErr))
 }
 
 // roundTrip forwards the request to one backend, preserving path, query,

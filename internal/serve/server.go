@@ -143,8 +143,8 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/studies/{seed}/disengagements", studyRoute(s, parseList, handleDisengagements))
 	s.route("GET /v1/studies/{seed}/accidents", studyRoute(s, parseAccidents, handleAccidents))
 	s.route("GET /v1/studies/{seed}/groupby", studyRoute(s, parseGroupBy, handleGroupBy))
-	s.route("GET /v1/studies/{seed}/metrics/reliability", studyRoute(s, noParams, handleReliability))
-	s.route("GET /v1/studies/{seed}/tables/{id}", studyRoute(s, parseTable, handleTable))
+	s.route("GET /v1/studies/{seed}/metrics/reliability", studyRoute(s, parseReliability, handleAnswer))
+	s.route("GET /v1/studies/{seed}/tables/{id}", studyRoute(s, parseTable, handleAnswer))
 	s.route("GET /v1/snapshots/{seed}", s.handleSnapshot)
 	return s, nil
 }
@@ -169,36 +169,21 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		defer cancel()
-		// The study a handler resolves is held until the response is
-		// written, 304s included, and released here.
-		held := &heldStudy{}
-		defer func() {
-			if held.study != nil {
-				s.cache.release(held.study)
-			}
-		}()
-		ctx = context.WithValue(ctx, heldStudyKey{}, held)
+		r = r.WithContext(ctx)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		// Responses differ by negotiated encoding, so every cache between
 		// here and the client must key on it.
 		w.Header().Set("Vary", "Accept-Encoding")
 		if acceptsGzip(r) {
 			gz := newGzipResponseWriter(rec)
-			h(gz, r.WithContext(ctx))
+			h(gz, r)
 			gz.close()
 		} else {
-			h(rec, r.WithContext(ctx))
+			h(rec, r)
 		}
 		s.metrics.Observe(label, rec.code, time.Since(start).Seconds())
 	})
 }
-
-// heldStudyKey is the request-context key of the route wrapper's
-// *heldStudy slot.
-type heldStudyKey struct{}
-
-// heldStudy is where study records the study it holds for the request.
-type heldStudy struct{ study *Study }
 
 // statusRecorder captures the response code for metrics. It forwards the
 // optional streaming interfaces — hiding them would silently buffer whole
@@ -237,43 +222,87 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// bodies pools the buffers JSON bodies are rendered into.
+// statusError is an error that answers with its own status code.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// errorf returns a *statusError answering code with the formatted message.
+func errorf(code int, format string, args ...any) error {
+	return &statusError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// errorStatus is the status an error answers with: a *statusError's own,
+// 400 for the engine's typed client errors (bad month bounds, unknown
+// columns, predicates a listing cannot apply), 500 for the rest. It goes by
+// type, never message text, so rewording cannot turn a 400 into a 500.
+func errorStatus(err error) int {
+	var se *statusError
+	var me *query.MonthError
+	var ce *query.ColumnError
+	var pe *query.PredicateError
+	switch {
+	case errors.As(err, &se):
+		return se.code
+	case errors.As(err, &me) || errors.As(err, &ce) || errors.As(err, &pe):
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
+}
+
+// response is a rendered answer: status, content type and the whole body.
+type response struct {
+	code        int
+	contentType string
+	body        []byte
+}
+
+// bodies pools the buffers bodies are rendered into.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeRendered renders a body into a pooled buffer and only then writes
-// it, with the given status and Content-Type and its length (which the
-// gzip writer drops when it compresses). A body that fails to render is
-// never half sent: the response is the error envelope instead, with
-// writeQueryError's status. Any study validator stamped onto the headers
-// is withdrawn from an error response: it describes the failure, not the
-// study, and must never be cached against the study's entity tag.
-func writeRendered(w http.ResponseWriter, code int, contentType string, render func(dst []byte) ([]byte, error)) {
-	buf := bodies.Get().(*[]byte)
-	defer bodies.Put(buf)
-	body, err := render((*buf)[:0])
-	*buf = body[:0]
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
+// writeRendered writes a rendered response with its length (which the
+// gzip writer drops when it compresses). An error response withdraws any
+// study validator stamped onto the headers: it describes the failure, not
+// the study, and must never be cached against the study's entity tag.
+func writeRendered(w http.ResponseWriter, res response) {
 	h := w.Header()
-	if code >= http.StatusBadRequest {
+	if res.code >= http.StatusBadRequest {
 		h.Del("ETag")
 		h.Del("Cache-Control")
 	}
-	h.Set("Content-Type", contentType)
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
+	h.Set("Content-Type", res.contentType)
+	h.Set("Content-Length", strconv.Itoa(len(res.body)))
+	w.WriteHeader(res.code)
+	_, _ = w.Write(res.body)
 }
 
-// writeJSON encodes v with the given status.
+// writeJSON renders v and only then writes it with the given status, so
+// a value that fails to encode is the error envelope, never a half-sent
+// body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	writeRendered(w, code, "application/json", func(dst []byte) ([]byte, error) {
-		b := bytes.NewBuffer(dst)
-		err := encodeJSON(b, v)
-		return b.Bytes(), err
-	})
+	res, err := jsonOK(nil, v)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	res.code = code
+	writeRendered(w, res)
+}
+
+// writeError writes err as the JSON error envelope with errorStatus's
+// code; writeRendered withdraws any study validator.
+func writeError(w http.ResponseWriter, err error) {
+	writeJSON(w, errorStatus(err), apiError{Error: err.Error()})
+}
+
+// jsonOK renders v into dst as a 200 JSON response.
+func jsonOK(dst []byte, v any) (response, error) {
+	b := bytes.NewBuffer(dst)
+	err := encodeJSON(b, v)
+	return response{http.StatusOK, "application/json", b.Bytes()}, err
 }
 
 // encodeJSON writes v as every JSON body is written: HTML characters
@@ -284,79 +313,80 @@ func encodeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// writeError emits a JSON error response; writeRendered withdraws any
-// study validator.
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeAnswer copies the study's stored answer in slot s, with its stored
-// status and content type.
-func writeAnswer(w http.ResponseWriter, study *Study, s snapshot2.Slot) {
-	code, contentType := study.Engine.Answer(s)
-	writeRendered(w, code, contentType, func(dst []byte) ([]byte, error) {
-		return study.Engine.AppendAnswer(dst, s), nil
-	})
-}
-
-// study resolves the {seed} path segment and returns the cached (or
-// freshly built) study, after running the conditional-request check. A
-// false return means the response — error or 304 — is written. The study
-// is held until the route wrapper returns.
-func (s *Server) study(w http.ResponseWriter, r *http.Request) (*Study, bool) {
+// pathSeed parses the {seed} path segment; a malformed one is a 400.
+func pathSeed(r *http.Request) (int64, error) {
 	seed, err := strconv.ParseInt(r.PathValue("seed"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad seed %q: want an integer", r.PathValue("seed"))
-		return nil, false
+		return 0, errorf(http.StatusBadRequest, "bad seed %q: want an integer", r.PathValue("seed"))
+	}
+	return seed, nil
+}
+
+// study resolves the {seed} path segment to the cached (or freshly
+// built) study and holds it; the caller releases it once the response is
+// written.
+func (s *Server) study(r *http.Request) (*Study, error) {
+	seed, err := pathSeed(r)
+	if err != nil {
+		return nil, err
 	}
 	study, err := s.cache.hold(r.Context(), seed)
 	switch {
 	case err == nil:
-		r.Context().Value(heldStudyKey{}).(*heldStudy).study = study
+		return study, nil
 	case errors.Is(err, context.DeadlineExceeded):
 		// The request deadline expired while the build kept running in the
 		// background; the retry the hint asks for hits the warm cache.
-		writeError(w, http.StatusGatewayTimeout,
-			"study %d still building; retry shortly", seed)
-		return nil, false
+		return nil, errorf(http.StatusGatewayTimeout, "study %d still building; retry shortly", seed)
 	case errors.Is(err, context.Canceled):
 		// The client hung up — not a timeout, and nobody is left to read a
 		// retry hint. 499 keeps disconnects out of the 5xx budget; the
 		// build still completes in the background for the next caller.
-		writeError(w, statusClientClosedRequest, "study %d: client closed request", seed)
-		return nil, false
-	default:
-		writeError(w, http.StatusInternalServerError, "build study %d: %v", seed, err)
-		return nil, false
+		return nil, errorf(statusClientClosedRequest, "study %d: client closed request", seed)
 	}
-	if conditional(w, r, study) {
-		return nil, false
-	}
-	return study, true
+	return nil, errorf(http.StatusInternalServerError, "build study %d: %v", seed, err)
 }
 
-// studyRoute adapts a study handler to the mux. parse turns the request
-// into the route's typed request, writing the 400 or 404 itself when a
-// parameter is malformed; only a parsed request reaches s.study, so a bad
-// parameter costs a parse, never a study build. The handler receives the
-// study and the parsed request together, which is what makes the order
-// hold: there is no other way for it to get either.
-func studyRoute[T any](s *Server, parse func(http.ResponseWriter, *http.Request, url.Values) (T, bool),
-	handle func(http.ResponseWriter, *http.Request, *Study, T)) http.HandlerFunc {
+// studyRoute adapts a study handler to the mux and is the only code on a
+// study route that writes. parse turns the request into the route's typed
+// request; only a parsed request reaches s.study, so a bad parameter costs
+// a parse, never a study build. The handler gets the study and the parsed
+// request together and renders into a pooled buffer; it has no writer to
+// answer early with. The study is held until the response, a 304
+// included, is written; any error is the envelope, without validators.
+func studyRoute[T any](s *Server, parse func(*http.Request, url.Values) (T, error),
+	handle func(dst []byte, study *Study, req T) (response, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := parse(w, r, r.URL.Query())
-		if !ok {
+		req, err := parse(r, r.URL.Query())
+		if err != nil {
+			writeError(w, err)
 			return
 		}
-		if study, ok := s.study(w, r); ok {
-			handle(w, r, study, req)
+		study, err := s.study(r)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
+		defer s.cache.release(study)
+		if tag, notModified := conditional(r, study); tag != "" {
+			h := w.Header()
+			h.Set("ETag", tag)
+			h.Set("Cache-Control", cacheControl)
+			if notModified {
+				w.WriteHeader(http.StatusNotModified)
+				return
+			}
+		}
+		buf := bodies.Get().(*[]byte)
+		defer bodies.Put(buf)
+		res, err := handle((*buf)[:0], study, req)
+		*buf = res.body[:0]
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeRendered(w, res)
 	}
-}
-
-// noParams is the parse step of a route that takes no parameters.
-func noParams(http.ResponseWriter, *http.Request, url.Values) (struct{}, bool) {
-	return struct{}{}, true
 }
 
 // listRequest is a listing route's parsed parameters.
@@ -367,28 +397,24 @@ type listRequest struct {
 
 // parseList reads a listing's page and filter: the page first, then the
 // filter's month bounds.
-func parseList(w http.ResponseWriter, _ *http.Request, q url.Values) (listRequest, bool) {
-	page, ok := pageFromQuery(w, q)
-	if !ok {
-		return listRequest{}, false
+func parseList(_ *http.Request, q url.Values) (listRequest, error) {
+	page, err := pageFromQuery(q)
+	if err != nil {
+		return listRequest{}, err
 	}
-	f, ok := filterFromQuery(w, q)
-	return listRequest{filter: f, page: page}, ok
+	f, err := filterFromQuery(q)
+	return listRequest{filter: f, page: page}, err
 }
 
 // parseAccidents reads an accident listing as parseList reads a listing,
 // then rejects with a 400 naming the parameter any predicate accident
 // reports cannot answer (tag, category, road, weather, modality).
-func parseAccidents(w http.ResponseWriter, r *http.Request, q url.Values) (listRequest, bool) {
-	req, ok := parseList(w, r, q)
-	if !ok {
-		return listRequest{}, false
+func parseAccidents(r *http.Request, q url.Values) (listRequest, error) {
+	req, err := parseList(r, q)
+	if err == nil {
+		err = req.filter.ValidateAccidents()
 	}
-	if err := req.filter.ValidateAccidents(); err != nil {
-		writeQueryError(w, err)
-		return listRequest{}, false
-	}
-	return req, true
+	return req, err
 }
 
 // groupRequest is the group-by route's parsed parameters.
@@ -399,38 +425,42 @@ type groupRequest struct {
 
 // parseGroupBy reads the ?by= column, which must name a column
 // GroupCount accepts, and then the filter.
-func parseGroupBy(w http.ResponseWriter, _ *http.Request, q url.Values) (groupRequest, bool) {
+func parseGroupBy(_ *http.Request, q url.Values) (groupRequest, error) {
 	by := q.Get("by")
 	if by == "" {
-		writeError(w, http.StatusBadRequest,
+		return groupRequest{}, errorf(http.StatusBadRequest,
 			"missing by parameter: want one of %s", strings.Join(query.GroupColumns(), ", "))
-		return groupRequest{}, false
 	}
 	if !query.IsGroupColumn(by) {
-		writeError(w, http.StatusBadRequest,
+		return groupRequest{}, errorf(http.StatusBadRequest,
 			"unknown group-by column %q: want one of %s", by, strings.Join(query.GroupColumns(), ", "))
-		return groupRequest{}, false
 	}
-	f, ok := filterFromQuery(w, q)
-	return groupRequest{filter: f, by: by}, ok
+	f, err := filterFromQuery(q)
+	return groupRequest{filter: f, by: by}, err
+}
+
+// parseReliability is the parse step of the reliability route, which
+// takes no parameters: its answer is the stored reliability slot.
+func parseReliability(*http.Request, url.Values) (snapshot2.Slot, error) {
+	return snapshot2.SlotReliability, nil
 }
 
 // parseTable resolves the {id} path segment to the table's answer slot;
 // an unknown id is a 404. Table II (sample NLP assignments) needs per-run
 // sample rows and is not served.
-func parseTable(w http.ResponseWriter, r *http.Request, _ url.Values) (snapshot2.Slot, bool) {
+func parseTable(r *http.Request, _ url.Values) (snapshot2.Slot, error) {
 	slot, ok := snapshot2.TableSlot(strings.ToLower(r.PathValue("id")))
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		return slot, errorf(http.StatusNotFound,
 			"unknown table %q: want one of i, iii, iv, v, vi, vii, viii", r.PathValue("id"))
 	}
-	return slot, ok
+	return slot, nil
 }
 
 // filterFromQuery maps the query parameters onto a query.Filter whose
-// month bounds are checked. A false return means the 400 is written; its
-// body is the *query.MonthError text, as the engine reports it.
-func filterFromQuery(w http.ResponseWriter, q url.Values) (query.Filter, bool) {
+// month bounds are checked; a bad bound is the engine's
+// *query.MonthError, a 400.
+func filterFromQuery(q url.Values) (query.Filter, error) {
 	f := query.Filter{
 		Manufacturer: q.Get("mfr"),
 		Tag:          q.Get("tag"),
@@ -441,19 +471,14 @@ func filterFromQuery(w http.ResponseWriter, q url.Values) (query.Filter, bool) {
 		From:         q.Get("from"),
 		To:           q.Get("to"),
 	}
-	if err := f.Validate(); err != nil {
-		writeQueryError(w, err)
-		return query.Filter{}, false
-	}
-	return f, true
+	return f, f.Validate()
 }
 
 // pageFromQuery parses offset/limit with defaults and caps. An explicit
 // limit of 0 is rejected like any other malformed value — it used to be
 // silently promoted to MaxListLimit, handing the client asking for the
 // smallest page the largest one — and only an over-max limit is clamped.
-// A false return means the error response is written.
-func pageFromQuery(w http.ResponseWriter, q url.Values) (query.Page, bool) {
+func pageFromQuery(q url.Values) (query.Page, error) {
 	p := query.Page{Limit: DefaultListLimit}
 	for _, arg := range []struct {
 		name string
@@ -470,15 +495,14 @@ func pageFromQuery(w http.ResponseWriter, q url.Values) (query.Page, bool) {
 		}
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < arg.min {
-			writeError(w, http.StatusBadRequest, "bad %s %q: want %s", arg.name, raw, arg.want)
-			return query.Page{}, false
+			return query.Page{}, errorf(http.StatusBadRequest, "bad %s %q: want %s", arg.name, raw, arg.want)
 		}
 		*arg.dst = v
 	}
 	if p.Limit > MaxListLimit {
 		p.Limit = MaxListLimit
 	}
-	return p, true
+	return p, nil
 }
 
 // handleHealthz answers liveness probes without touching the cache.
@@ -494,27 +518,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleDisengagements lists filtered, paginated disengagement events,
 // written straight from the study's columns (query.Engine.AppendEventsJSON).
-func handleDisengagements(w http.ResponseWriter, _ *http.Request, study *Study, req listRequest) {
-	writeRendered(w, http.StatusOK, "application/json", func(dst []byte) ([]byte, error) {
-		return study.Engine.AppendEventsJSON(dst, req.filter, req.page)
-	})
+func handleDisengagements(dst []byte, study *Study, req listRequest) (response, error) {
+	body, err := study.Engine.AppendEventsJSON(dst, req.filter, req.page)
+	return response{http.StatusOK, "application/json", body}, err
 }
 
 // AccidentPage is one page of accident reports, as produced by the shared
 // query engine (the avquery CLI serves the identical structure).
 type AccidentPage = query.AccidentPage
 
-// handleAccidents lists accident reports, filtered by mfr and month range,
-// the only predicates parseAccidents lets through. The filtering lives in
-// the engine — one tested path shared with the CLI — instead of being
-// reimplemented inline here.
-func handleAccidents(w http.ResponseWriter, _ *http.Request, study *Study, req listRequest) {
+// handleAccidents lists accident reports, filtered by mfr and month range
+// (the only predicates parseAccidents lets through) in the query engine.
+func handleAccidents(dst []byte, study *Study, req listRequest) (response, error) {
 	res, err := study.Engine.Accidents(req.filter, req.page)
 	if err != nil {
-		writeQueryError(w, err)
-		return
+		return response{body: dst}, err
 	}
-	writeJSON(w, http.StatusOK, res)
+	return jsonOK(dst, res)
 }
 
 // GroupByResponse is the group-by endpoint's payload.
@@ -525,32 +545,26 @@ type GroupByResponse struct {
 }
 
 // handleGroupBy counts filtered events per value of the ?by= column.
-func handleGroupBy(w http.ResponseWriter, _ *http.Request, study *Study, req groupRequest) {
+func handleGroupBy(dst []byte, study *Study, req groupRequest) (response, error) {
 	groups, err := study.Engine.GroupCount(req.filter, req.by)
 	if err != nil {
-		writeQueryError(w, err)
-		return
+		return response{body: dst}, err
 	}
 	res := GroupByResponse{By: req.by, Groups: groups}
 	for _, g := range groups {
 		res.Total += g.Count
 	}
-	writeJSON(w, http.StatusOK, res)
+	return jsonOK(dst, res)
 }
 
 // ReliabilityResponse is the reliability-metrics payload.
 type ReliabilityResponse = core.ReliabilityResponse
 
-// handleReliability answers per-manufacturer DPM/DPA/APM metrics from the
-// study's stored answer.
-func handleReliability(w http.ResponseWriter, _ *http.Request, study *Study, _ struct{}) {
-	writeAnswer(w, study, snapshot2.SlotReliability)
-}
-
-// handleTable answers one paper table as plain text from the study's
-// stored answer.
-func handleTable(w http.ResponseWriter, _ *http.Request, study *Study, slot snapshot2.Slot) {
-	writeAnswer(w, study, slot)
+// handleAnswer copies the study's stored answer in slot s (reliability
+// metrics or a paper table) with its stored status and content type.
+func handleAnswer(dst []byte, study *Study, s snapshot2.Slot) (response, error) {
+	code, contentType := study.Engine.Answer(s)
+	return response{code, contentType, study.Engine.AppendAnswer(dst, s)}, nil
 }
 
 // handleSnapshot streams the seed's raw v2 snapshot file — the peer
@@ -559,30 +573,12 @@ func handleTable(w http.ResponseWriter, _ *http.Request, study *Study, slot snap
 // receipt, so this side just streams bytes. 404 means "not held here"
 // and is a normal miss for the fetcher, not an error.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	seed, err := strconv.ParseInt(r.PathValue("seed"), 10, 64)
+	f, st, err := s.openSnapshot(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad seed %q: want an integer", r.PathValue("seed"))
-		return
-	}
-	if s.snapDir == "" {
-		writeError(w, http.StatusNotFound, "snapshot distribution disabled: no snapshot directory")
-		return
-	}
-	f, err := os.Open(snapshot2.Path(s.snapDir, seed))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			writeError(w, http.StatusNotFound, "no snapshot for seed %d", seed)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "open snapshot for seed %d: %v", seed, err)
+		writeError(w, err)
 		return
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "stat snapshot for seed %d: %v", seed, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	// ServeContent supplies Content-Length, range requests, and
 	// If-Modified-Since for free; the gzip middleware leaves the
@@ -590,19 +586,31 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, "", st.ModTime(), f)
 }
 
-// writeQueryError maps engine errors to status codes: malformed client
-// input — month bounds (*query.MonthError), unknown columns
-// (*query.ColumnError) and predicates a listing cannot apply
-// (*query.PredicateError) — is 400, the rest 500. Classification is by
-// typed error, never by message text, so rewording an error cannot
-// silently turn client mistakes into server faults.
-func writeQueryError(w http.ResponseWriter, err error) {
-	var me *query.MonthError
-	var ce *query.ColumnError
-	var pe *query.PredicateError
-	if errors.As(err, &me) || errors.As(err, &ce) || errors.As(err, &pe) {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+// openSnapshot opens the requested seed's snapshot file for streaming.
+// Anything but a regular file there is a 500: ServeContent over a
+// directory would send a 200 with an impossible length and no body.
+func (s *Server) openSnapshot(r *http.Request) (*os.File, fs.FileInfo, error) {
+	seed, err := pathSeed(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	writeError(w, http.StatusInternalServerError, "%v", err)
+	if s.snapDir == "" {
+		return nil, nil, errorf(http.StatusNotFound, "snapshot distribution disabled: no snapshot directory")
+	}
+	f, err := os.Open(snapshot2.Path(s.snapDir, seed))
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, nil, errorf(http.StatusNotFound, "no snapshot for seed %d", seed)
+		}
+		return nil, nil, errorf(http.StatusInternalServerError, "open snapshot for seed %d: %v", seed, err)
+	}
+	st, err := f.Stat()
+	if err == nil && !st.Mode().IsRegular() {
+		err = errors.New("not a regular file")
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, errorf(http.StatusInternalServerError, "stat snapshot for seed %d: %v", seed, err)
+	}
+	return f, st, nil
 }

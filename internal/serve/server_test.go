@@ -292,32 +292,78 @@ func TestTables(t *testing.T) {
 	}
 }
 
+// TestErrorPaths pins every error a study route answers before or after
+// resolving the study, over a fresh and a snapshot-backed server (whose
+// studies carry validators): the status, and a single JSON error envelope
+// with no validator and nothing written after it. A failing build is a
+// 500 naming the seed.
 func TestErrorPaths(t *testing.T) {
-	s := newTestServer(t, nil, 0, 0)
-	for _, tc := range []struct {
+	failing, err := New(Config{Build: func(int64) (*Study, error) { return nil, errors.New("pipeline exploded") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type errorCase struct {
 		path string
 		code int
+		msg  string
+	}
+	cases := []errorCase{
+		{"/v1/studies/abc/disengagements", http.StatusBadRequest, `bad seed "abc"`},
+		{"/v1/studies/1/disengagements?from=bogus", http.StatusBadRequest, ""},
+		{"/v1/studies/1/disengagements?limit=nope", http.StatusBadRequest, ""},
+		{"/v1/studies/1/disengagements?offset=-4", http.StatusBadRequest, ""},
+		{"/v1/studies/1/groupby", http.StatusBadRequest, ""},
+		{"/v1/studies/1/groupby?by=bogus", http.StatusBadRequest, ""},
+		{"/v1/studies/1/accidents?to=2015-99", http.StatusBadRequest, ""},
+		{"/v1/studies/1/accidents?tag=Software", http.StatusBadRequest, ""},
+		{"/v1/studies/1/accidents?category=System", http.StatusBadRequest, ""},
+		{"/v1/studies/1/accidents?road=highway", http.StatusBadRequest, ""},
+		{"/v1/studies/1/accidents?weather=sunny", http.StatusBadRequest, ""},
+		{"/v1/studies/1/accidents?mfr=Waymo&modality=manual", http.StatusBadRequest, ""},
+		{"/v1/studies/1/tables/xyz", http.StatusNotFound, ""},
+		{"/v1/studies/1/tables/ii", http.StatusNotFound, ""},
+	}
+	for _, srv := range []struct {
+		name  string
+		s     *Server
+		cases []errorCase
 	}{
-		{"/v1/studies/abc/disengagements", http.StatusBadRequest},
-		{"/v1/studies/1/disengagements?from=bogus", http.StatusBadRequest},
-		{"/v1/studies/1/disengagements?limit=nope", http.StatusBadRequest},
-		{"/v1/studies/1/disengagements?offset=-4", http.StatusBadRequest},
-		{"/v1/studies/1/groupby", http.StatusBadRequest},
-		{"/v1/studies/1/groupby?by=bogus", http.StatusBadRequest},
-		{"/v1/studies/1/accidents?to=2015-99", http.StatusBadRequest},
-		{"/v1/studies/1/accidents?tag=Software", http.StatusBadRequest},
-		{"/v1/studies/1/accidents?category=System", http.StatusBadRequest},
-		{"/v1/studies/1/accidents?road=highway", http.StatusBadRequest},
-		{"/v1/studies/1/accidents?weather=sunny", http.StatusBadRequest},
-		{"/v1/studies/1/accidents?mfr=Waymo&modality=manual", http.StatusBadRequest},
-		{"/v1/studies/1/tables/xyz", http.StatusNotFound},
-		{"/v1/studies/1/tables/ii", http.StatusNotFound},
-		{"/v1/nope", http.StatusNotFound},
+		{"fresh", newTestServer(t, nil, 0, 0), cases},
+		{"snapshot", newSnapshotServer(t, nil), cases},
+		{"failing build", failing, []errorCase{
+			{"/v1/studies/1/disengagements", http.StatusInternalServerError, "build study 1: pipeline exploded"},
+			{"/v1/studies/1/tables/vii", http.StatusInternalServerError, "build study 1: pipeline exploded"},
+		}},
 	} {
-		code, body := get(t, s, tc.path)
-		if code != tc.code {
-			t.Errorf("GET %s = %d (%s), want %d", tc.path, code, strings.TrimSpace(body), tc.code)
+		for _, tc := range srv.cases {
+			rec := getFull(t, srv.s, tc.path, map[string]string{"Accept-Encoding": "gzip"})
+			if rec.Code != tc.code {
+				t.Errorf("%s: GET %s = %d (%s), want %d", srv.name, tc.path, rec.Code, strings.TrimSpace(rec.Body.String()), tc.code)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s: GET %s Content-Type = %q, want application/json", srv.name, tc.path, ct)
+			}
+			for _, h := range []string{"ETag", "Cache-Control", "Content-Encoding"} {
+				if v, ok := rec.Header()[h]; ok {
+					t.Errorf("%s: GET %s error response carried %s %q", srv.name, tc.path, h, v)
+				}
+			}
+			dec := json.NewDecoder(rec.Body)
+			dec.DisallowUnknownFields()
+			var e apiError
+			if err := dec.Decode(&e); err != nil || e.Error == "" {
+				t.Errorf("%s: GET %s body is not an error envelope: %+v, %v", srv.name, tc.path, e, err)
+			} else if !strings.Contains(e.Error, tc.msg) {
+				t.Errorf("%s: GET %s error = %q, want it to contain %q", srv.name, tc.path, e.Error, tc.msg)
+			}
+			if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+				t.Errorf("%s: GET %s wrote more after the error envelope (%v)", srv.name, tc.path, err)
+			}
 		}
+	}
+	// An unrouted path is the mux's own plain-text 404.
+	if code, body := get(t, newTestServer(t, nil, 0, 0), "/v1/nope"); code != http.StatusNotFound {
+		t.Errorf("GET /v1/nope = %d (%s), want 404", code, strings.TrimSpace(body))
 	}
 }
 
@@ -566,15 +612,10 @@ func TestPaginationLimitBounds(t *testing.T) {
 	}
 }
 
-// TestWriteQueryErrorClassifiesByType pins the 400-vs-500 contract on the
+// TestWriteQueryErrorClassifiesByType pins errorStatus's 400-vs-500 contract on the
 // error's type, not its message: typed client errors (month bounds, unknown
 // columns) stay 400 even when wrapped or reworded; everything else is 500.
 func TestWriteQueryErrorClassifiesByType(t *testing.T) {
-	classify := func(err error) int {
-		rec := httptest.NewRecorder()
-		writeQueryError(rec, err)
-		return rec.Code
-	}
 	colErr := &query.ColumnError{Column: "bogus", Err: errors.New("whatever text")}
 	monErr := &query.MonthError{Field: "from", Value: "nope", Err: errors.New("parse")}
 	for _, tc := range []struct {
@@ -590,8 +631,8 @@ func TestWriteQueryErrorClassifiesByType(t *testing.T) {
 		{errors.New(`frame corrupt near "group by" state, no column data`), http.StatusInternalServerError},
 		{errors.New("boom"), http.StatusInternalServerError},
 	} {
-		if got := classify(tc.err); got != tc.want {
-			t.Errorf("writeQueryError(%v) = %d, want %d", tc.err, got, tc.want)
+		if got := errorStatus(tc.err); got != tc.want {
+			t.Errorf("errorStatus(%v) = %d, want %d", tc.err, got, tc.want)
 		}
 	}
 }
