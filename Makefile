@@ -8,7 +8,7 @@ SMOKE_BENCHES := PipelineEndToEnd|PipelineWorkers|SynthGenerate|Render|OCRDecode
 SERVE_ADDR ?= 127.0.0.1:18080
 FUZZ_TIME ?= 10s
 
-.PHONY: build vet test race lint fuzz bench bench-check fmt serve load-smoke proxy-smoke loc ci
+.PHONY: build vet test race lint fuzz bench bench-check examples fmt serve load-smoke proxy-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,15 @@ fuzz:
 # the benchmark is bash bench/run.sh (bench/README.md).
 bench:
 	$(GO) test -bench '$(SMOKE_BENCHES)' -benchtime 1x -run '^$$' ./...
+
+# Run every program under examples/ to the end, output discarded: go build
+# only proves they compile, and they are the library's smoke tests. A
+# non-zero exit fails the target.
+examples:
+	@for dir in examples/*/; do \
+		echo "go run ./$$dir"; \
+		$(GO) run "./$$dir" >/dev/null || exit 1; \
+	done
 
 # bench/ is a nested module (the end-to-end benchmark, see BENCHMARK.json),
 # so the root module's vet, test and avlint runs never reach it. It
@@ -102,4 +111,4 @@ fmt:
 		echo "unformatted files:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
-ci: build vet test race lint fuzz fmt bench bench-check serve load-smoke proxy-smoke
+ci: build vet test race lint fuzz fmt bench bench-check examples serve load-smoke proxy-smoke

@@ -18,20 +18,26 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"avfda/internal/core"
 	"avfda/internal/ocr"
 	"avfda/internal/parse"
 	"avfda/internal/pipeline"
+	"avfda/internal/query"
+	"avfda/internal/schema"
 	"avfda/internal/snapshot2"
 	"avfda/internal/synth"
 )
@@ -87,27 +93,38 @@ func run() error {
 		return err
 	}
 	printResult(res)
-	if err := writeCSVs(res.DB, *csvOut); err != nil {
+	if *csvOut == "" && *snapOut == "" {
+		return nil
+	}
+	// One encode serves both exports: the CSVs read the engine's columns
+	// and the snapshot is its bytes.
+	eng, err := query.New(res.DB)
+	if err != nil {
 		return err
 	}
-	return writeSnapshot(res.DB, *snapOut, *seed)
+	if err := writeCSVs(eng, res.DB, *csvOut); err != nil {
+		return err
+	}
+	return writeSnapshot(eng, *snapOut, *seed)
 }
 
-// writeSnapshot exports the consolidated database as a v2 study snapshot
-// when dir is set, so serving processes can warm-start from it.
-func writeSnapshot(db *core.DB, dir string, seed int64) error {
+// writeSnapshot writes the engine's study as a v2 study snapshot when dir
+// is set, so serving processes can warm-start from it.
+func writeSnapshot(eng *query.Engine, dir string, seed int64) error {
 	if dir == "" {
 		return nil
 	}
-	if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
+	if _, err := eng.WriteSeed(dir, seed); err != nil {
 		return err
 	}
 	fmt.Printf("study snapshot written to %s\n", snapshot2.Path(dir, seed))
 	return nil
 }
 
-// writeCSVs exports the consolidated database as CSV files when dir is set.
-func writeCSVs(db *core.DB, dir string) error {
+// writeCSVs exports the consolidated database as CSV files when dir is
+// set: the events and accidents from the engine's columns, the monthly
+// mileage and per-manufacturer DPM from db.
+func writeCSVs(eng *query.Engine, db *core.DB, dir string) error {
 	if dir == "" {
 		return nil
 	}
@@ -116,22 +133,18 @@ func writeCSVs(db *core.DB, dir string) error {
 	}
 	for _, out := range []struct {
 		name  string
-		build func() (interface{ WriteCSV(w io.Writer) error }, error)
+		write func(w io.Writer) error
 	}{
-		{"events.csv", func() (interface{ WriteCSV(w io.Writer) error }, error) { return db.EventsFrame() }},
-		{"accidents.csv", func() (interface{ WriteCSV(w io.Writer) error }, error) { return db.AccidentsFrame() }},
-		{"mileage.csv", func() (interface{ WriteCSV(w io.Writer) error }, error) { return db.MileageFrame() }},
-		{"dpm.csv", func() (interface{ WriteCSV(w io.Writer) error }, error) { return db.DPMFrame() }},
+		{"events.csv", func(w io.Writer) error { return eng.WriteEventsCSV(w, query.Filter{}) }},
+		{"accidents.csv", eng.WriteAccidentsCSV},
+		{"mileage.csv", func(w io.Writer) error { return writeMileageCSV(w, db) }},
+		{"dpm.csv", func(w io.Writer) error { return writeDPMCSV(w, db) }},
 	} {
-		f, err := out.build()
-		if err != nil {
-			return err
-		}
 		file, err := os.Create(filepath.Join(dir, out.name))
 		if err != nil {
 			return err
 		}
-		if err := f.WriteCSV(file); err != nil {
+		if err := out.write(file); err != nil {
 			file.Close()
 			return err
 		}
@@ -141,6 +154,61 @@ func writeCSVs(db *core.DB, dir string) error {
 	}
 	fmt.Printf("CSV export written to %s\n", dir)
 	return nil
+}
+
+// writeMileageCSV writes the monthly mileage records as CSV, in table
+// order: months in RFC 3339, miles in the shortest 'g' form.
+func writeMileageCSV(w io.Writer, db *core.DB) error {
+	cw := csv.NewWriter(w)
+	err := cw.Write([]string{"manufacturer", "vehicle", "reportYear", "month", "miles"})
+	for _, m := range db.Mileage {
+		if err != nil {
+			break
+		}
+		err = cw.Write([]string{string(m.Manufacturer), string(m.Vehicle), m.ReportYear.String(),
+			m.Month.Format(time.RFC3339), formatFloat(m.Miles)})
+	}
+	return flushCSV(cw, err)
+}
+
+// writeDPMCSV writes each manufacturer with mileage records, by name: its
+// total miles, its disengagements and their ratio, the DPM (0 without
+// miles).
+func writeDPMCSV(w io.Writer, db *core.DB) error {
+	miles, events := db.MilesBy(), db.EventsBy()
+	mfrs := make([]schema.Manufacturer, 0, len(miles))
+	for m := range miles {
+		mfrs = append(mfrs, m)
+	}
+	slices.Sort(mfrs)
+	cw := csv.NewWriter(w)
+	err := cw.Write([]string{"manufacturer", "totalMiles", "events", "dpm"})
+	for _, m := range mfrs {
+		if err != nil {
+			break
+		}
+		mi, ev := miles[m], float64(events[m])
+		var dpm float64
+		if mi > 0 {
+			dpm = ev / mi
+		}
+		err = cw.Write([]string{string(m), formatFloat(mi), formatFloat(ev), formatFloat(dpm)})
+	}
+	return flushCSV(cw, err)
+}
+
+// formatFloat is the CSV form of a float: the shortest 'g' form that
+// round-trips.
+func formatFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+
+// flushCSV ends a CSV export: the first record's write error if there
+// was one, else the flush's.
+func flushCSV(cw *csv.Writer, err error) error {
+	if err != nil {
+		return err
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // readDocuments reads every .txt document in dir, in name order, split

@@ -16,7 +16,9 @@
 // per group are printed; with -accidents, accident reports matching -mfr
 // and the month range are listed through the same query.Engine.Accidents
 // path the avserve API uses. -csv emits the matching rows as CSV on
-// stdout; -json emits the listing or the group counts as JSON instead of
+// stdout, written straight from the study's columns by
+// query.Engine.WriteEventsCSV, so a mapped study is never decoded into a
+// database; -json emits the listing or the group counts as JSON instead of
 // text. Malformed -from/-to values, a -limit below 1, and -accidents
 // combined with a flag accident reports cannot honour (-tag, -category,
 // -road, -weather, -modality, -by, -csv) are rejected before the study is
@@ -39,7 +41,6 @@ import (
 	"os"
 
 	"avfda"
-	"avfda/internal/core"
 	"avfda/internal/query"
 	"avfda/internal/snapshot2"
 )
@@ -82,12 +83,11 @@ func run() (err error) {
 		return err
 	}
 
-	eng, database, release, err := loadEngine(*snapDir, *seed)
+	eng, release, err := loadEngine(*snapDir, *seed)
 	if err != nil {
 		return err
 	}
-	// Output, CSV export's database reads included, is written before the
-	// release unmaps a mapped study.
+	// Output is written before the release unmaps a mapped study.
 	defer func() { err = errors.Join(err, release()) }()
 
 	if *accidents {
@@ -109,7 +109,7 @@ func run() (err error) {
 
 	switch {
 	case *csv:
-		return writeCSV(os.Stdout, eng, database, f)
+		return eng.WriteEventsCSV(os.Stdout, f)
 	case *by != "":
 		if *jsonOut {
 			return writeGroupsJSON(os.Stdout, eng, f, *by)
@@ -153,54 +153,29 @@ func checkLimit(limit int) error {
 // (mapped, zero-copy) when a directory is given, then the pipeline. A
 // missing snapshot falls back to the build; a corrupt or incompatible one
 // is surfaced as snapshot2's typed error rather than silently rebuilt. The
-// first returned function gives the study's database for CSV export: the
-// one the build produced, or a mapped study's decoded from its View. The
-// second releases the study once output is written: it unmaps a mapped
-// View and does nothing for a build.
-func loadEngine(snapDir string, seed int64) (*query.Engine, func() (*core.DB, error), func() error, error) {
+// returned function releases the study once output is written: it unmaps
+// a mapped View and does nothing for a build.
+func loadEngine(snapDir string, seed int64) (*query.Engine, func() error, error) {
 	if snapDir != "" {
 		view, err := snapshot2.OpenSeed(snapDir, seed)
 		switch {
 		case err == nil:
 			fmt.Fprintf(os.Stderr, "mapped snapshot %s\n", snapshot2.Path(snapDir, seed))
-			return query.NewFromView(view), view.Database, view.Close, nil
+			return query.NewFromView(view), view.Close, nil
 		case !errors.Is(err, fs.ErrNotExist):
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "no snapshot for seed %d in %s; building\n", seed, snapDir)
 	}
 	study, err := avfda.NewStudy(avfda.Options{Seed: seed})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	db := study.DB()
-	eng, err := query.New(db)
+	eng, err := query.New(study.DB())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return eng, func() (*core.DB, error) { return db, nil }, func() error { return nil }, nil
-}
-
-// writeCSV emits the events the filter matches as CSV: the rows of the
-// database's events frame that the engine selects.
-func writeCSV(w io.Writer, eng *query.Engine, database func() (*core.DB, error), f query.Filter) error {
-	ids, err := eng.Select(f)
-	if err != nil {
-		return err
-	}
-	db, err := database()
-	if err != nil {
-		return err
-	}
-	fr, err := db.EventsFrame()
-	if err != nil {
-		return err
-	}
-	rows, err := fr.Take(ids)
-	if err != nil {
-		return err
-	}
-	return rows.WriteCSV(w)
+	return eng, func() error { return nil }, nil
 }
 
 // printAccidents lists matched accident reports, truncated to limit.

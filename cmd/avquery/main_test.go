@@ -289,7 +289,7 @@ func TestLoadEngineMapsSnapshot(t *testing.T) {
 	if _, err := snapshot2.WriteSeed(dir, 7, db); err != nil {
 		t.Fatal(err)
 	}
-	eng, _, release, err := loadEngine(dir, 7)
+	eng, release, err := loadEngine(dir, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestLoadEngineReleaseUnmaps(t *testing.T) {
 		}
 		return strings.Count(string(maps), dir+string(os.PathSeparator))
 	}
-	eng, database, release, err := loadEngine(dir, 7)
+	eng, release, err := loadEngine(dir, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestLoadEngineReleaseUnmaps(t *testing.T) {
 		t.Fatal("snapshot is not mapped after loadEngine")
 	}
 	var csv bytes.Buffer
-	if err := writeCSV(&csv, eng, database, query.Filter{}); err != nil {
+	if err := eng.WriteEventsCSV(&csv, query.Filter{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := release(); err != nil {
@@ -358,7 +358,7 @@ func TestLoadEngineCorruptSnapshotIsTypedError(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, _, _, err := loadEngine(dir, 7)
+	eng, _, err := loadEngine(dir, 7)
 	var ce *snapshot2.ChecksumError
 	if !errors.As(err, &ce) {
 		t.Fatalf("loadEngine over a corrupt snapshot: err = %v, want *snapshot2.ChecksumError", err)
@@ -410,20 +410,16 @@ func TestCheckFilter(t *testing.T) {
 // built study and for the same study mapped from -snapshot-dir.
 func TestCSVFreshMatchesSnapshot(t *testing.T) {
 	const seed = 3
-	fresh, freshDB, releaseFresh, err := loadEngine("", seed)
+	fresh, releaseFresh, err := loadEngine("", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer releaseFresh()
-	db, err := freshDB()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
+	if _, err := fresh.WriteSeed(dir, seed); err != nil {
 		t.Fatal(err)
 	}
-	mapped, mappedDB, releaseMapped, err := loadEngine(dir, seed)
+	mapped, releaseMapped, err := loadEngine(dir, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,10 +431,10 @@ func TestCSVFreshMatchesSnapshot(t *testing.T) {
 		{Manufacturer: "DeLorean"},
 	} {
 		var want, got bytes.Buffer
-		if err := writeCSV(&want, fresh, freshDB, f); err != nil {
+		if err := fresh.WriteEventsCSV(&want, f); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeCSV(&got, mapped, mappedDB, f); err != nil {
+		if err := mapped.WriteEventsCSV(&got, f); err != nil {
 			t.Fatal(err)
 		}
 		if want.Len() == 0 || !bytes.Equal(want.Bytes(), got.Bytes()) {

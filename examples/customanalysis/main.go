@@ -1,5 +1,5 @@
-// Customanalysis: answer a question the paper never asked, using the
-// dataframe layer over the consolidated failure database — do weekday and
+// Customanalysis: answer a question the paper never asked, with one loop
+// over the consolidated failure database's events — do weekday and
 // weekend disengagements look different? Are morning faults different from
 // afternoon ones? This is the template for exploring your own hypotheses
 // on the corpus.
@@ -11,99 +11,81 @@ import (
 	"time"
 
 	"avfda"
-	"avfda/internal/frame"
+	"avfda/internal/ontology"
 	"avfda/internal/stats"
 )
+
+// columns names the fields of each event, as the events CSV export heads
+// them.
+var columns = []string{"manufacturer", "vehicle", "reportYear", "time", "cause",
+	"tag", "category", "modality", "road", "weather", "reactionSeconds"}
 
 func main() {
 	study, err := avfda.NewStudy(avfda.Options{Seed: 17})
 	if err != nil {
 		log.Fatal(err)
 	}
-	events, err := study.DB().EventsFrame()
-	if err != nil {
-		log.Fatal(err)
-	}
+	events := study.DB().Events
 
 	fmt.Println("== Custom analysis over the events dataframe ==")
-	fmt.Printf("events: %d rows x %d columns %v\n\n", events.NumRows(), events.NumCols(), events.Names())
+	fmt.Printf("events: %d rows x %d columns %v\n\n", len(events), len(columns), columns)
 
-	// Derive a day-of-week column.
-	times, err := events.Times("time")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dows := make([]string, len(times))
-	periods := make([]string, len(times))
-	for i, ts := range times {
-		if ts.Weekday() == time.Saturday || ts.Weekday() == time.Sunday {
-			dows[i] = "weekend"
-		} else {
-			dows[i] = "weekday"
+	// Classify each event by day and period of day, keeping the reported
+	// reaction times (those in [0, 3600) seconds) per day class and the
+	// ML/Design count per period.
+	var dayClasses []string // in order of first appearance
+	reactions := make(map[string][]float64)
+	type mix struct{ events, mlDesign int }
+	periods := make(map[string]mix)
+	for _, e := range events {
+		day := "weekday"
+		if wd := e.Time.Weekday(); wd == time.Saturday || wd == time.Sunday {
+			day = "weekend"
 		}
-		if ts.Hour() < 12 {
-			periods[i] = "morning"
-		} else {
-			periods[i] = "afternoon"
+		if _, seen := reactions[day]; !seen {
+			dayClasses = append(dayClasses, day)
+			reactions[day] = nil
 		}
-	}
-	if err := events.AddStrings("dayClass", dows); err != nil {
-		log.Fatal(err)
-	}
-	if err := events.AddStrings("period", periods); err != nil {
-		log.Fatal(err)
+		if r := e.ReactionSeconds; r >= 0 && r < 3600 {
+			reactions[day] = append(reactions[day], r)
+		}
+		period := "morning"
+		if e.Time.Hour() >= 12 {
+			period = "afternoon"
+		}
+		m := periods[period]
+		m.events++
+		if e.Category == ontology.CategoryMLDesign {
+			m.mlDesign++
+		}
+		periods[period] = m
 	}
 
-	// Group-by + aggregate: mean reaction time per day class.
-	meanPos := func(xs []float64) float64 {
-		var sum, n float64
-		for _, x := range xs {
-			if x >= 0 && x < 3600 {
-				sum += x
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / n
-	}
-	byDay, err := events.Aggregate([]string{"dayClass"}, []frame.Agg{
-		{Col: "reactionSeconds", As: "meanReaction", Fn: meanPos},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Mean reaction time per day class.
 	fmt.Println("mean driver reaction by day class:")
-	fmt.Print(byDay.String())
+	fmt.Println("dayClass\tmeanReaction")
+	for _, day := range dayClasses {
+		var mean float64
+		if rs := reactions[day]; len(rs) > 0 {
+			for _, r := range rs {
+				mean += r
+			}
+			mean /= float64(len(rs))
+		}
+		fmt.Printf("%s\t%v\n", day, mean)
+	}
 	fmt.Println()
 
-	// Category mix per period, via filters.
+	// Category mix per period.
 	for _, period := range []string{"morning", "afternoon"} {
-		p := period
-		sub := events.Filter(func(r frame.Row) bool { return r.String("period") == p })
-		ml := sub.Filter(func(r frame.Row) bool { return r.String("category") == "ML/Design" })
+		m := periods[period]
 		fmt.Printf("%-10s %5d events, ML/Design share %.1f%%\n",
-			period, sub.NumRows(), 100*float64(ml.NumRows())/float64(sub.NumRows()))
+			period, m.events, 100*float64(m.mlDesign)/float64(m.events))
 	}
 	fmt.Println()
 
 	// Statistical check: do weekend and weekday reaction times differ?
-	collect := func(dayClass string) []float64 {
-		var out []float64
-		sub := events.Filter(func(r frame.Row) bool { return r.String("dayClass") == dayClass })
-		vals, err := sub.Floats("reactionSeconds")
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, v := range vals {
-			if v >= 0 && v < 3600 {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	d, p, err := stats.KSTwoSample(collect("weekday"), collect("weekend"))
+	d, p, err := stats.KSTwoSample(reactions["weekday"], reactions["weekend"])
 	if err != nil {
 		log.Fatal(err)
 	}

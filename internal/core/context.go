@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"avfda/internal/calib"
-	"avfda/internal/frame"
 	"avfda/internal/schema"
 )
 
@@ -123,191 +121,4 @@ func (db *DB) UnderreportingSensitivity(fractions []float64) ([]UnderreportingRo
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// EventsFrame exports the failure database's disengagements as a typed
-// dataframe for ad-hoc analysis and CSV export.
-func (db *DB) EventsFrame() (*frame.Frame, error) {
-	n := len(db.Events)
-	mfr := make([]string, n)
-	vehicle := make([]string, n)
-	year := make([]string, n)
-	ts := make([]time.Time, n)
-	cause := make([]string, n)
-	tag := make([]string, n)
-	category := make([]string, n)
-	modality := make([]string, n)
-	road := make([]string, n)
-	weather := make([]string, n)
-	reaction := make([]float64, n)
-	for i, e := range db.Events {
-		mfr[i] = string(e.Manufacturer)
-		vehicle[i] = string(e.Vehicle)
-		year[i] = e.ReportYear.String()
-		ts[i] = e.Time
-		cause[i] = e.Cause
-		tag[i] = e.Tag.String()
-		category[i] = e.Category.String()
-		modality[i] = e.Modality.String()
-		road[i] = e.Road.String()
-		weather[i] = e.Weather.String()
-		reaction[i] = e.ReactionSeconds
-	}
-	f := frame.New()
-	for _, step := range []struct {
-		name string
-		add  func() error
-	}{
-		{"manufacturer", func() error { return f.AddStrings("manufacturer", mfr) }},
-		{"vehicle", func() error { return f.AddStrings("vehicle", vehicle) }},
-		{"reportYear", func() error { return f.AddStrings("reportYear", year) }},
-		{"time", func() error { return f.AddTimes("time", ts) }},
-		{"cause", func() error { return f.AddStrings("cause", cause) }},
-		{"tag", func() error { return f.AddStrings("tag", tag) }},
-		{"category", func() error { return f.AddStrings("category", category) }},
-		{"modality", func() error { return f.AddStrings("modality", modality) }},
-		{"road", func() error { return f.AddStrings("road", road) }},
-		{"weather", func() error { return f.AddStrings("weather", weather) }},
-		{"reactionSeconds", func() error { return f.AddFloats("reactionSeconds", reaction) }},
-	} {
-		if err := step.add(); err != nil {
-			return nil, fmt.Errorf("core: events frame column %s: %w", step.name, err)
-		}
-	}
-	return f, nil
-}
-
-// AccidentsFrame exports the accident reports as a typed dataframe for
-// ad-hoc analysis and CSV export. Boolean fields (autonomous mode,
-// redaction) are exported as 0/1 int columns.
-func (db *DB) AccidentsFrame() (*frame.Frame, error) {
-	n := len(db.Accidents)
-	mfr := make([]string, n)
-	vehicle := make([]string, n)
-	year := make([]string, n)
-	ts := make([]time.Time, n)
-	location := make([]string, n)
-	narrative := make([]string, n)
-	avSpeed := make([]float64, n)
-	otherSpeed := make([]float64, n)
-	autonomous := make([]int64, n)
-	redacted := make([]int64, n)
-	for i, a := range db.Accidents {
-		mfr[i] = string(a.Manufacturer)
-		vehicle[i] = string(a.Vehicle)
-		year[i] = a.ReportYear.String()
-		ts[i] = a.Time
-		location[i] = a.Location
-		narrative[i] = a.Narrative
-		avSpeed[i] = a.AVSpeedMPH
-		otherSpeed[i] = a.OtherSpeedMPH
-		if a.InAutonomousMode {
-			autonomous[i] = 1
-		}
-		if a.Redacted {
-			redacted[i] = 1
-		}
-	}
-	f := frame.New()
-	for _, step := range []struct {
-		name string
-		add  func() error
-	}{
-		{"manufacturer", func() error { return f.AddStrings("manufacturer", mfr) }},
-		{"vehicle", func() error { return f.AddStrings("vehicle", vehicle) }},
-		{"reportYear", func() error { return f.AddStrings("reportYear", year) }},
-		{"time", func() error { return f.AddTimes("time", ts) }},
-		{"location", func() error { return f.AddStrings("location", location) }},
-		{"narrative", func() error { return f.AddStrings("narrative", narrative) }},
-		{"avSpeedMPH", func() error { return f.AddFloats("avSpeedMPH", avSpeed) }},
-		{"otherSpeedMPH", func() error { return f.AddFloats("otherSpeedMPH", otherSpeed) }},
-		{"inAutonomousMode", func() error { return f.AddInts("inAutonomousMode", autonomous) }},
-		{"redacted", func() error { return f.AddInts("redacted", redacted) }},
-	} {
-		if err := step.add(); err != nil {
-			return nil, fmt.Errorf("core: accidents frame column %s: %w", step.name, err)
-		}
-	}
-	return f, nil
-}
-
-// MileageFrame exports the monthly mileage records as a dataframe.
-func (db *DB) MileageFrame() (*frame.Frame, error) {
-	n := len(db.Mileage)
-	mfr := make([]string, n)
-	vehicle := make([]string, n)
-	year := make([]string, n)
-	month := make([]time.Time, n)
-	miles := make([]float64, n)
-	for i, m := range db.Mileage {
-		mfr[i] = string(m.Manufacturer)
-		vehicle[i] = string(m.Vehicle)
-		year[i] = m.ReportYear.String()
-		month[i] = m.Month
-		miles[i] = m.Miles
-	}
-	f := frame.New()
-	if err := f.AddStrings("manufacturer", mfr); err != nil {
-		return nil, err
-	}
-	if err := f.AddStrings("vehicle", vehicle); err != nil {
-		return nil, err
-	}
-	if err := f.AddStrings("reportYear", year); err != nil {
-		return nil, err
-	}
-	if err := f.AddTimes("month", month); err != nil {
-		return nil, err
-	}
-	if err := f.AddFloats("miles", miles); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// DPMFrame computes per-manufacturer total miles, events, and DPM through
-// the dataframe layer (group-by + aggregate), demonstrating frame-based
-// analysis equivalent to the direct computations.
-func (db *DB) DPMFrame() (*frame.Frame, error) {
-	mf, err := db.MileageFrame()
-	if err != nil {
-		return nil, err
-	}
-	sum := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	milesBy, err := mf.Aggregate([]string{"manufacturer"}, []frame.Agg{
-		{Col: "miles", As: "totalMiles", Fn: sum},
-	})
-	if err != nil {
-		return nil, err
-	}
-	events := db.EventsBy()
-	mfrs, err := milesBy.StringsCol("manufacturer")
-	if err != nil {
-		return nil, err
-	}
-	miles, err := milesBy.Floats("totalMiles")
-	if err != nil {
-		return nil, err
-	}
-	evCol := make([]float64, len(mfrs))
-	dpm := make([]float64, len(mfrs))
-	for i, m := range mfrs {
-		evCol[i] = float64(events[schema.Manufacturer(m)])
-		if miles[i] > 0 {
-			dpm[i] = evCol[i] / miles[i]
-		}
-	}
-	if err := milesBy.AddFloats("events", evCol); err != nil {
-		return nil, err
-	}
-	if err := milesBy.AddFloats("dpm", dpm); err != nil {
-		return nil, err
-	}
-	return milesBy.SortBy("manufacturer")
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -48,99 +47,6 @@ func TestWeatherBreakdown(t *testing.T) {
 	}
 	if total != len(db.Events) {
 		t.Errorf("weather counts sum to %d of %d", total, len(db.Events))
-	}
-}
-
-func TestEventsFrame(t *testing.T) {
-	db := truthDB(t)
-	f, err := db.EventsFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumRows() != len(db.Events) {
-		t.Fatalf("frame rows %d, events %d", f.NumRows(), len(db.Events))
-	}
-	if f.NumCols() != 11 {
-		t.Errorf("frame cols = %d", f.NumCols())
-	}
-	// Frame round-trips through CSV.
-	var buf bytes.Buffer
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() < 100000 {
-		t.Errorf("CSV suspiciously small: %d bytes", buf.Len())
-	}
-	// Group-by through the frame agrees with the direct counts.
-	groups, err := f.GroupBy("manufacturer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := db.EventsBy()
-	for _, g := range groups {
-		if g.Frame.NumRows() != direct[schema.Manufacturer(g.Key[0])] {
-			t.Errorf("%s: frame %d vs direct %d", g.Key[0], g.Frame.NumRows(), direct[schema.Manufacturer(g.Key[0])])
-		}
-	}
-}
-
-func TestMileageFrame(t *testing.T) {
-	db := truthDB(t)
-	f, err := db.MileageFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumRows() != len(db.Mileage) {
-		t.Fatalf("frame rows %d, mileage %d", f.NumRows(), len(db.Mileage))
-	}
-	miles, err := f.Floats("miles")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, m := range miles {
-		sum += m
-	}
-	var direct float64
-	for _, m := range db.Mileage {
-		direct += m.Miles
-	}
-	if math.Abs(sum-direct) > 1e-6 {
-		t.Errorf("frame miles %.2f vs direct %.2f", sum, direct)
-	}
-}
-
-func TestDPMFrameAgreesWithDirect(t *testing.T) {
-	db := truthDB(t)
-	f, err := db.DPMFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mfrs, err := f.StringsCol("manufacturer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpms, err := f.Floats("dpm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	milesBy := db.MilesBy()
-	eventsBy := db.EventsBy()
-	for i, m := range mfrs {
-		mfr := schema.Manufacturer(m)
-		if milesBy[mfr] <= 0 {
-			continue
-		}
-		want := float64(eventsBy[mfr]) / milesBy[mfr]
-		if math.Abs(dpms[i]-want) > 1e-12 {
-			t.Errorf("%s: frame DPM %.6g vs direct %.6g", m, dpms[i], want)
-		}
-	}
-	// Sorted by manufacturer name.
-	for i := 1; i < len(mfrs); i++ {
-		if mfrs[i] < mfrs[i-1] {
-			t.Fatal("DPMFrame not sorted")
-		}
 	}
 }
 
@@ -233,72 +139,4 @@ func TestEmptyDBAnalysesDegradeGracefully(t *testing.T) {
 	if dists := db.MilesBetweenDisengagements(); len(dists) != 0 {
 		t.Error("empty MBD should be empty")
 	}
-	f, err := db.EventsFrame()
-	if err != nil || f.NumRows() != 0 {
-		t.Errorf("empty events frame: %v", err)
-	}
-}
-
-func TestAccidentsFrame(t *testing.T) {
-	db := truthDB(t)
-	f, err := db.AccidentsFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumRows() != len(db.Accidents) {
-		t.Fatalf("frame rows %d, accidents %d", f.NumRows(), len(db.Accidents))
-	}
-	if f.NumCols() != 10 {
-		t.Errorf("frame cols = %d, want 10", f.NumCols())
-	}
-
-	// Flags are encoded 0/1 and agree with the structs row by row.
-	auto, err := f.Ints("inAutonomousMode")
-	if err != nil {
-		t.Fatal(err)
-	}
-	redacted, err := f.Ints("redacted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mfr, err := f.StringsCol("manufacturer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range db.Accidents {
-		if want := boolInt(a.InAutonomousMode); auto[i] != want {
-			t.Fatalf("row %d: inAutonomousMode = %d, want %d", i, auto[i], want)
-		}
-		if want := boolInt(a.Redacted); redacted[i] != want {
-			t.Fatalf("row %d: redacted = %d, want %d", i, redacted[i], want)
-		}
-		if mfr[i] != string(a.Manufacturer) {
-			t.Fatalf("row %d: manufacturer %q vs %q", i, mfr[i], a.Manufacturer)
-		}
-	}
-
-	// The frame round-trips through CSV like the other exports.
-	var buf bytes.Buffer
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("empty CSV")
-	}
-
-	// An empty database still yields the full schema.
-	ef, err := (&DB{}).AccidentsFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ef.NumRows() != 0 || ef.NumCols() != 10 {
-		t.Errorf("empty frame shape = %dx%d", ef.NumRows(), ef.NumCols())
-	}
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -32,13 +32,12 @@ var MapIter = &Analyzer{
 		"iterate sorted keys instead",
 	// Everything whose output feeds a byte-identity or stable-wire
 	// invariant: consolidated DB ordering, snapshot encoding, report
-	// rendering, frame materialization, query results, stats summaries,
-	// and the serving layer's rendered responses and metrics text.
+	// rendering, query results and CSV exports, stats summaries, and the
+	// serving layer's rendered responses and metrics text.
 	Scope: []string{
 		"internal/core",
 		"internal/snapshot2",
 		"internal/report",
-		"internal/frame",
 		"internal/query",
 		"internal/stats",
 		"internal/serve",

@@ -37,32 +37,31 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/ocr"),
 		exemptPkgs("not a pipeline stage: no seed-derived randomness contract "+
 			"and no code on the corpus-to-snapshot byte-identity path",
-			"internal/calib", "internal/frame", "internal/mission",
-			"internal/ontology", "internal/query", "internal/reliability",
-			"internal/report", "internal/scandoc", "internal/schema",
-			"internal/stats", "internal/stpa"),
+			"internal/calib", "internal/mission", "internal/ontology",
+			"internal/query", "internal/reliability", "internal/report",
+			"internal/scandoc", "internal/schema", "internal/stats",
+			"internal/stpa"),
 	),
 	"goroleak": mergeExempt(
 		lintToolingExempt,
 		exemptPkgs("sequential package: spawns no goroutines, so there is "+
 			"nothing to tether",
-			"internal/calib", "internal/core", "internal/frame",
-			"internal/mission", "internal/ontology", "internal/query",
-			"internal/reliability", "internal/report", "internal/scandoc",
-			"internal/schema", "internal/stats", "internal/stpa",
-			"internal/synth"),
+			"internal/calib", "internal/core", "internal/mission",
+			"internal/ontology", "internal/query", "internal/reliability",
+			"internal/report", "internal/scandoc", "internal/schema",
+			"internal/stats", "internal/stpa", "internal/synth"),
 	),
 	"ctxflow": mergeExempt(
 		lintToolingExempt,
 		exemptPkgs("no context.Context plumbing: the package API is "+
 			"synchronous and context-free, so there is no in-scope context "+
 			"to drop",
-			"internal/calib", "internal/core", "internal/frame",
-			"internal/mission", "internal/nlp", "internal/ocr",
-			"internal/ontology", "internal/parse", "internal/query",
-			"internal/reliability", "internal/report", "internal/scandoc",
-			"internal/schema", "internal/snapshot2", "internal/stats",
-			"internal/stpa", "internal/synth"),
+			"internal/calib", "internal/core", "internal/mission",
+			"internal/nlp", "internal/ocr", "internal/ontology",
+			"internal/parse", "internal/query", "internal/reliability",
+			"internal/report", "internal/scandoc", "internal/schema",
+			"internal/snapshot2", "internal/stats", "internal/stpa",
+			"internal/synth"),
 	),
 }
 

@@ -6,20 +6,19 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"avfda/internal/core"
-	"avfda/internal/frame"
 	"avfda/internal/pipeline"
-	"avfda/internal/snapshot2"
+	"avfda/internal/query"
 	"avfda/internal/synth"
 )
 
 // TestStudyCRCGolden pins two digests of a fixed set of seeds' studies,
 // built the way bench and avserve build a study: the v2 snapshot CRC, and a
-// SHA-256 of the events and accidents rendered as CSV. Any change to Stages
+// SHA-256 of the events and accidents CSV exports. Any change to Stages
 // I-IV that alters a single byte of a consolidated study fails the CRC, and
-// one that alters an event or accident fails the digest too. The digest does
-// not depend on the snapshot layout, so a format change moves only the CRCs
-// while the digests show the study itself did not move.
+// one that alters an event or accident fails the digest too. The CSV
+// exports name no part of the snapshot layout, so a format change that
+// keeps every value moves only the CRCs while the digests show the study
+// itself did not move.
 func TestStudyCRCGolden(t *testing.T) {
 	golden := []struct {
 		seed    int64
@@ -44,32 +43,33 @@ func TestStudyCRCGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", g.seed, err)
 		}
-		crc, err := snapshot2.WriteSeed(dir, g.seed, res.DB)
+		eng, err := query.New(res.DB)
+		if err != nil {
+			t.Fatalf("seed %d: %v", g.seed, err)
+		}
+		crc, err := eng.WriteSeed(dir, g.seed)
 		if err != nil {
 			t.Fatalf("seed %d: write snapshot: %v", g.seed, err)
 		}
 		if crc != g.crc {
 			t.Errorf("seed %d: study CRC %08x, want %08x", g.seed, crc, g.crc)
 		}
-		if got := contentDigest(t, res.DB); got != g.content {
+		if got := contentDigest(t, eng); got != g.content {
 			t.Errorf("seed %d: study content digest %s, want %s", g.seed, got, g.content)
 		}
 	}
 }
 
-// contentDigest hashes db's events and accidents frames as the frame CSV
-// writer renders them.
-func contentDigest(t *testing.T, db *core.DB) string {
+// contentDigest hashes the study's events CSV export, then its accidents
+// CSV export.
+func contentDigest(t *testing.T, eng *query.Engine) string {
 	t.Helper()
 	h := sha256.New()
-	for _, export := range []func() (*frame.Frame, error){db.EventsFrame, db.AccidentsFrame} {
-		f, err := export()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.WriteCSV(h); err != nil {
-			t.Fatal(err)
-		}
+	if err := eng.WriteEventsCSV(h, query.Filter{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.WriteAccidentsCSV(h); err != nil {
+		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -23,7 +23,9 @@
 // page, and a filter with nothing set reads its page directly.
 // AppendEventsJSON walks the same page and writes it as JSON straight
 // from the columns, byte-identical to encoding/json over Events; it is how
-// the serving layer writes disengagement pages. SelectScan is the
+// the serving layer writes disengagement pages. WriteEventsCSV takes the
+// same walk to write the events CSV export, and WriteAccidentsCSV writes
+// the accident reports, both from the columns. SelectScan is the
 // string-comparing reference implementation the tests hold every answer
 // equal to.
 package query
@@ -548,7 +550,7 @@ func (e *Engine) Accidents(f Filter, p Page) (AccidentPage, error) {
 }
 
 // groupKeys renders each group-by column's key for row i. The event
-// columns render as core.DB.EventsFrame would: strings as stored, times in
+// columns render in their display form: strings as stored, times in
 // RFC 3339 with nanoseconds, and reaction times in %g form. "month" is the
 // event's "YYYY-MM".
 var groupKeys = map[string]func(v *snapshot2.View, i int) string{

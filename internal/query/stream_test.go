@@ -43,33 +43,34 @@ func refEvents(e *Engine, f Filter, p Page) (EventPage, error) {
 
 // refGroupCount is the select-then-count GroupCount loop the streamed one
 // replaced, run over SelectScan ids, with every key taken from db itself:
-// its events frame's group-by keys, or the event's "YYYY-MM" for month.
+// the event's field in its display form, its time in RFC 3339 with
+// nanoseconds, its reaction time in %g form, or its "YYYY-MM" for month.
+// An unknown column is an error.
 func refGroupCount(e *Engine, db *core.DB, f Filter, by string) ([]GroupCount, error) {
 	ids, err := e.SelectScan(f)
 	if err != nil {
 		return nil, err
 	}
+	key := map[string]func(ev *core.Event) string{
+		"manufacturer":    func(ev *core.Event) string { return string(ev.Manufacturer) },
+		"tag":             func(ev *core.Event) string { return ev.Tag.String() },
+		"category":        func(ev *core.Event) string { return ev.Category.String() },
+		"road":            func(ev *core.Event) string { return ev.Road.String() },
+		"weather":         func(ev *core.Event) string { return ev.Weather.String() },
+		"modality":        func(ev *core.Event) string { return ev.Modality.String() },
+		"month":           func(ev *core.Event) string { return ev.Time.Format("2006-01") },
+		"vehicle":         func(ev *core.Event) string { return string(ev.Vehicle) },
+		"reportYear":      func(ev *core.Event) string { return ev.ReportYear.String() },
+		"cause":           func(ev *core.Event) string { return ev.Cause },
+		"time":            func(ev *core.Event) string { return ev.Time.Format(time.RFC3339Nano) },
+		"reactionSeconds": func(ev *core.Event) string { return fmt.Sprintf("%g", ev.ReactionSeconds) },
+	}[by]
+	if key == nil {
+		return nil, fmt.Errorf("no column %q", by)
+	}
 	counts := make(map[string]int)
-	if by == "month" {
-		for _, i := range ids {
-			counts[db.Events[i].Time.Format("2006-01")]++
-		}
-		return sortedGroups(counts), nil
-	}
-	fr, err := db.EventsFrame()
-	if err != nil {
-		return nil, err
-	}
-	sub, err := fr.Take(ids)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := sub.GroupBy(by)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range groups {
-		counts[g.Key[0]] = g.Frame.NumRows()
+	for _, i := range ids {
+		counts[key(&db.Events[i])]++
 	}
 	return sortedGroups(counts), nil
 }

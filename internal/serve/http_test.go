@@ -488,7 +488,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 	// Anything but a regular file at a seed's path is a 500 envelope, never
 	// a 200: ServeContent over an opened directory would promise an
 	// impossible length and send no body. A self-referencing symlink fails
-	// the open itself (ELOOP).
+	// the open itself (ELOOP). Neither body names the snapshot directory.
 	if err := os.Mkdir(snapshot2.Path(s.snapDir, 2), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -501,6 +501,9 @@ func TestSnapshotEndpoint(t *testing.T) {
 		var e apiError
 		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
 			t.Errorf("GET %s = %d %q, want 500 with an error envelope", path, rec.Code, rec.Body.String())
+		}
+		if strings.Contains(rec.Body.String(), s.snapDir) {
+			t.Errorf("GET %s body %q names the snapshot directory", path, rec.Body.String())
 		}
 	}
 

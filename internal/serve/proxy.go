@@ -98,6 +98,7 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 	p.mux.HandleFunc("GET /metrics", p.handleMetrics)
 	p.mux.HandleFunc("GET /v1/studies/{seed}/{rest...}", p.handleForward)
 	p.mux.HandleFunc("GET /v1/snapshots/{seed}", p.handleForward)
+	p.mux.HandleFunc("/", unrouted(p.mux))
 	return p, nil
 }
 

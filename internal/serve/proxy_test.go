@@ -274,8 +274,16 @@ func TestProxyLocalEndpoints(t *testing.T) {
 	if rec := getFull(t, p, "/v1/studies/abc/disengagements", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad seed code = %d, want 400", rec.Code)
 	}
-	if rec := getFull(t, p, "/v1/nope", nil); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown path code = %d, want 404", rec.Code)
+	// Unrouted paths and wrong methods are answered locally as envelopes.
+	for _, tc := range []struct {
+		request string
+		code    int
+		msg     string
+	}{
+		{"/v1/nope", http.StatusNotFound, "no endpoint /v1/nope"},
+		{"POST /v1/studies/1/accidents", http.StatusMethodNotAllowed, "method POST not allowed"},
+	} {
+		checkErrorEnvelope(t, "proxy: "+tc.request, serveError(t, p, tc.request), tc.code, tc.msg)
 	}
 }
 

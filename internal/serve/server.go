@@ -146,6 +146,7 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/studies/{seed}/metrics/reliability", studyRoute(s, parseReliability, handleAnswer))
 	s.route("GET /v1/studies/{seed}/tables/{id}", studyRoute(s, parseTable, handleAnswer))
 	s.route("GET /v1/snapshots/{seed}", s.handleSnapshot)
+	s.route("/", unrouted(s.mux))
 	return s, nil
 }
 
@@ -183,6 +184,24 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		}
 		s.metrics.Observe(label, rec.code, time.Since(start).Seconds())
 	})
+}
+
+// unrouted answers the requests no other pattern of mux takes with the
+// JSON envelope: a 405 allowing GET and HEAD when a GET of the same path
+// would route, else a 404. Registered as "/", it is the metrics label of
+// every such request, so unrouted paths cannot grow the label set, and
+// routed requests never reach it.
+func unrouted(mux *http.ServeMux) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		get := *r
+		get.Method = http.MethodGet
+		if _, pattern := mux.Handler(&get); pattern != "/" {
+			w.Header().Set("Allow", "GET, HEAD")
+			writeError(w, errorf(http.StatusMethodNotAllowed, "method %s not allowed on %s: want GET or HEAD", r.Method, r.URL.Path))
+			return
+		}
+		writeError(w, errorf(http.StatusNotFound, "no endpoint %s", r.URL.Path))
+	}
 }
 
 // statusRecorder captures the response code for metrics. It forwards the
@@ -602,7 +621,7 @@ func (s *Server) openSnapshot(r *http.Request) (*os.File, fs.FileInfo, error) {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil, errorf(http.StatusNotFound, "no snapshot for seed %d", seed)
 		}
-		return nil, nil, errorf(http.StatusInternalServerError, "open snapshot for seed %d: %v", seed, err)
+		return nil, nil, errorf(http.StatusInternalServerError, "open snapshot for seed %d: %v", seed, pathless(err))
 	}
 	st, err := f.Stat()
 	if err == nil && !st.Mode().IsRegular() {
@@ -610,7 +629,17 @@ func (s *Server) openSnapshot(r *http.Request) (*os.File, fs.FileInfo, error) {
 	}
 	if err != nil {
 		f.Close()
-		return nil, nil, errorf(http.StatusInternalServerError, "stat snapshot for seed %d: %v", seed, err)
+		return nil, nil, errorf(http.StatusInternalServerError, "stat snapshot for seed %d: %v", seed, pathless(err))
 	}
 	return f, st, nil
+}
+
+// pathless is err without the file path a *fs.PathError carries: the OS
+// error alone, so an answer never shows the server's filesystem layout.
+func pathless(err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		return pe.Err
+	}
+	return err
 }

@@ -302,10 +302,11 @@ func TestErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A case's request is "METHOD path", or a GET of path.
 	type errorCase struct {
-		path string
-		code int
-		msg  string
+		request string
+		code    int
+		msg     string
 	}
 	cases := []errorCase{
 		{"/v1/studies/abc/disengagements", http.StatusBadRequest, `bad seed "abc"`},
@@ -322,13 +323,17 @@ func TestErrorPaths(t *testing.T) {
 		{"/v1/studies/1/accidents?mfr=Waymo&modality=manual", http.StatusBadRequest, ""},
 		{"/v1/studies/1/tables/xyz", http.StatusNotFound, ""},
 		{"/v1/studies/1/tables/ii", http.StatusNotFound, ""},
+		{"/v1/nope", http.StatusNotFound, "no endpoint /v1/nope"},
+		{"POST /v1/studies/1/accidents", http.StatusMethodNotAllowed, "method POST not allowed"},
+		{"DELETE /healthz", http.StatusMethodNotAllowed, "want GET or HEAD"},
 	}
+	fresh := newTestServer(t, nil, 0, 0)
 	for _, srv := range []struct {
 		name  string
 		s     *Server
 		cases []errorCase
 	}{
-		{"fresh", newTestServer(t, nil, 0, 0), cases},
+		{"fresh", fresh, cases},
 		{"snapshot", newSnapshotServer(t, nil), cases},
 		{"failing build", failing, []errorCase{
 			{"/v1/studies/1/disengagements", http.StatusInternalServerError, "build study 1: pipeline exploded"},
@@ -336,34 +341,70 @@ func TestErrorPaths(t *testing.T) {
 		}},
 	} {
 		for _, tc := range srv.cases {
-			rec := getFull(t, srv.s, tc.path, map[string]string{"Accept-Encoding": "gzip"})
-			if rec.Code != tc.code {
-				t.Errorf("%s: GET %s = %d (%s), want %d", srv.name, tc.path, rec.Code, strings.TrimSpace(rec.Body.String()), tc.code)
-			}
-			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-				t.Errorf("%s: GET %s Content-Type = %q, want application/json", srv.name, tc.path, ct)
-			}
-			for _, h := range []string{"ETag", "Cache-Control", "Content-Encoding"} {
-				if v, ok := rec.Header()[h]; ok {
-					t.Errorf("%s: GET %s error response carried %s %q", srv.name, tc.path, h, v)
-				}
-			}
-			dec := json.NewDecoder(rec.Body)
-			dec.DisallowUnknownFields()
-			var e apiError
-			if err := dec.Decode(&e); err != nil || e.Error == "" {
-				t.Errorf("%s: GET %s body is not an error envelope: %+v, %v", srv.name, tc.path, e, err)
-			} else if !strings.Contains(e.Error, tc.msg) {
-				t.Errorf("%s: GET %s error = %q, want it to contain %q", srv.name, tc.path, e.Error, tc.msg)
-			}
-			if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-				t.Errorf("%s: GET %s wrote more after the error envelope (%v)", srv.name, tc.path, err)
-			}
+			rec := serveError(t, srv.s, tc.request)
+			checkErrorEnvelope(t, srv.name+": "+tc.request, rec, tc.code, tc.msg)
 		}
 	}
-	// An unrouted path is the mux's own plain-text 404.
-	if code, body := get(t, newTestServer(t, nil, 0, 0), "/v1/nope"); code != http.StatusNotFound {
-		t.Errorf("GET /v1/nope = %d (%s), want 404", code, strings.TrimSpace(body))
+	// Unrouted requests share the fallback pattern's label: the raw path
+	// never becomes one.
+	_, metrics := get(t, fresh, "/metrics")
+	for _, want := range []string{
+		`avserve_requests_total{route="/",code="404"} 1`,
+		`avserve_requests_total{route="/",code="405"} 2`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics lack %s", want)
+		}
+	}
+	if strings.Contains(metrics, "/v1/nope") {
+		t.Error("metrics label an unrouted path by its raw path")
+	}
+}
+
+// serveError serves request, "METHOD path" or a GET of path, asking for
+// gzip.
+func serveError(t *testing.T, h http.Handler, request string) *httptest.ResponseRecorder {
+	t.Helper()
+	method, path, ok := strings.Cut(request, " ")
+	if !ok {
+		method, path = http.MethodGet, request
+	}
+	req := httptest.NewRequest(method, path, nil)
+	req.Header.Set("Accept-Encoding", "gzip")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// checkErrorEnvelope holds rec to an error answer with code: one
+// identity-encoded JSON envelope whose message contains msg, without
+// validators, and allowing GET and HEAD when the code is 405.
+func checkErrorEnvelope(t *testing.T, name string, rec *httptest.ResponseRecorder, code int, msg string) {
+	t.Helper()
+	if rec.Code != code {
+		t.Errorf("%s = %d (%s), want %d", name, rec.Code, strings.TrimSpace(rec.Body.String()), code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s Content-Type = %q, want application/json", name, ct)
+	}
+	for _, h := range []string{"ETag", "Cache-Control", "Content-Encoding"} {
+		if v, ok := rec.Header()[h]; ok {
+			t.Errorf("%s error response carried %s %q", name, h, v)
+		}
+	}
+	if allow := rec.Header().Get("Allow"); (code == http.StatusMethodNotAllowed) != (allow == "GET, HEAD") {
+		t.Errorf("%s Allow = %q", name, allow)
+	}
+	dec := json.NewDecoder(rec.Body)
+	dec.DisallowUnknownFields()
+	var e apiError
+	if err := dec.Decode(&e); err != nil || e.Error == "" {
+		t.Errorf("%s body is not an error envelope: %+v, %v", name, e, err)
+	} else if !strings.Contains(e.Error, msg) {
+		t.Errorf("%s error = %q, want it to contain %q", name, e.Error, msg)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		t.Errorf("%s wrote more after the error envelope (%v)", name, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package snapshot2_test
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"avfda/internal/core"
-	"avfda/internal/frame"
 	"avfda/internal/pipeline"
 	"avfda/internal/query"
 	"avfda/internal/schema"
@@ -81,43 +81,33 @@ func calibratedDB(t *testing.T, seed int64) *core.DB {
 }
 
 // dbRef answers the equivalence queries straight from a core.DB: it scans
-// every row of the database's events frame and filters its accident table,
-// sharing no code with the engine. It is the reference every engine, fresh
-// or mapped, is held to.
+// every event of the database in its display form and filters its
+// accident table, sharing no code with the engine. It is the reference
+// every engine, fresh or mapped, is held to.
 type dbRef struct {
 	db *core.DB
-	fr *frame.Frame
 
 	mfr, vehicle, year, cause, tag, category, modality, road, weather []string
 	times                                                             []time.Time
 	reaction                                                          []float64
 }
 
-// newDBRef reads db's events frame into the reference's columns.
+// newDBRef reads db's events into the reference's columns.
 func newDBRef(t *testing.T, db *core.DB) *dbRef {
 	t.Helper()
-	fr, err := db.EventsFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &dbRef{db: db, fr: fr}
-	for _, c := range []struct {
-		name string
-		dst  *[]string
-	}{
-		{"manufacturer", &r.mfr}, {"vehicle", &r.vehicle}, {"reportYear", &r.year},
-		{"cause", &r.cause}, {"tag", &r.tag}, {"category", &r.category},
-		{"modality", &r.modality}, {"road", &r.road}, {"weather", &r.weather},
-	} {
-		if *c.dst, err = fr.StringsCol(c.name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.times, err = fr.Times("time"); err != nil {
-		t.Fatal(err)
-	}
-	if r.reaction, err = fr.Floats("reactionSeconds"); err != nil {
-		t.Fatal(err)
+	r := &dbRef{db: db}
+	for _, e := range db.Events {
+		r.mfr = append(r.mfr, string(e.Manufacturer))
+		r.vehicle = append(r.vehicle, string(e.Vehicle))
+		r.year = append(r.year, e.ReportYear.String())
+		r.cause = append(r.cause, e.Cause)
+		r.tag = append(r.tag, e.Tag.String())
+		r.category = append(r.category, e.Category.String())
+		r.modality = append(r.modality, e.Modality.String())
+		r.road = append(r.road, e.Road.String())
+		r.weather = append(r.weather, e.Weather.String())
+		r.times = append(r.times, e.Time)
+		r.reaction = append(r.reaction, e.ReactionSeconds)
 	}
 	return r
 }
@@ -178,28 +168,33 @@ func (r *dbRef) events(t *testing.T, f query.Filter, p query.Page) query.EventPa
 	return page
 }
 
-// groupCount is the reference group count: the events frame's own
-// group-by keys, or the event's "YYYY-MM" for month.
+// groupCount is the reference group count: each matching event's value
+// of the column in display form, its time in RFC 3339 with nanoseconds,
+// its reaction time in %g form, or its "YYYY-MM" for month.
 func (r *dbRef) groupCount(t *testing.T, f query.Filter, by string) []query.GroupCount {
 	t.Helper()
-	ids := r.rows(t, f)
+	key := map[string]func(i int) string{
+		"manufacturer": func(i int) string { return r.mfr[i] },
+		"vehicle":      func(i int) string { return r.vehicle[i] },
+		"reportYear":   func(i int) string { return r.year[i] },
+		"cause":        func(i int) string { return r.cause[i] },
+		"tag":          func(i int) string { return r.tag[i] },
+		"category":     func(i int) string { return r.category[i] },
+		"modality":     func(i int) string { return r.modality[i] },
+		"road":         func(i int) string { return r.road[i] },
+		"weather":      func(i int) string { return r.weather[i] },
+		"month":        func(i int) string { return r.times[i].Format("2006-01") },
+		"time":         func(i int) string { return r.times[i].Format(time.RFC3339Nano) },
+		"reactionSeconds": func(i int) string {
+			return strconv.FormatFloat(r.reaction[i], 'g', -1, 64)
+		},
+	}[by]
+	if key == nil {
+		t.Fatalf("no reference key for column %q", by)
+	}
 	counts := make(map[string]int)
-	if by == "month" {
-		for _, i := range ids {
-			counts[r.times[i].Format("2006-01")]++
-		}
-	} else {
-		sub, err := r.fr.Take(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups, err := sub.GroupBy(by)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range groups {
-			counts[g.Key[0]] = g.Frame.NumRows()
-		}
+	for _, i := range r.rows(t, f) {
+		counts[key(i)]++
 	}
 	return sortGroups(counts)
 }
@@ -243,11 +238,11 @@ func (r *dbRef) reliability(t *testing.T) []query.ReliabilityMetric {
 	return rows
 }
 
-// TestViewAccessorsMatchEventsFrame holds every per-row View accessor
-// equal to the matching column of core.DB.EventsFrame on calibrated
-// studies, the seeds whose parses lose rows included: the View's string
-// forms are the database's.
-func TestViewAccessorsMatchEventsFrame(t *testing.T) {
+// TestViewAccessorsMatchDatabase holds every per-row View accessor equal
+// to the matching field of the database's events, in display form, on
+// calibrated studies, the seeds whose parses lose rows included: the
+// View's string forms are the database's.
+func TestViewAccessorsMatchDatabase(t *testing.T) {
 	for _, seed := range []int64{1, 41, 165, 190} {
 		db := calibratedDB(t, seed)
 		data, err := snapshot2.Encode(db)
@@ -260,7 +255,7 @@ func TestViewAccessorsMatchEventsFrame(t *testing.T) {
 		}
 		ref := newDBRef(t, db)
 		if v.NumRows() != len(ref.mfr) {
-			t.Fatalf("seed %d: View has %d rows, frame %d", seed, v.NumRows(), len(ref.mfr))
+			t.Fatalf("seed %d: View has %d rows, database %d", seed, v.NumRows(), len(ref.mfr))
 		}
 		for i := range ref.mfr {
 			for _, c := range [...]struct {
@@ -279,14 +274,14 @@ func TestViewAccessorsMatchEventsFrame(t *testing.T) {
 				{"time", v.Time(i).Format(time.RFC3339Nano), ref.times[i].Format(time.RFC3339Nano)},
 			} {
 				if c.got != c.want {
-					t.Fatalf("seed %d row %d %s: View %q, frame %q", seed, i, c.name, c.got, c.want)
+					t.Fatalf("seed %d row %d %s: View %q, database %q", seed, i, c.name, c.got, c.want)
 				}
 			}
 			if got, want := v.ReactionSeconds(i), ref.reaction[i]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d row %d reactionSeconds: View %g, frame %g", seed, i, got, want)
+				t.Fatalf("seed %d row %d reactionSeconds: View %g, database %g", seed, i, got, want)
 			}
 			if got, want := v.TimeUnix(i), ref.times[i].Unix(); got != want {
-				t.Fatalf("seed %d row %d TimeUnix: View %d, frame %d", seed, i, got, want)
+				t.Fatalf("seed %d row %d TimeUnix: View %d, database %d", seed, i, got, want)
 			}
 		}
 	}
@@ -375,30 +370,14 @@ func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
 func TestEventsJSONMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, seed := range []int64{1, 41} {
-		db := calibratedDB(t, seed)
-		fresh, err := query.New(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
-			t.Fatal(err)
-		}
-		v, err := snapshot2.OpenSeed(dir, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped := query.NewFromView(v)
+		db, engines := calibratedEngines(t, seed)
 		var buf []byte
 		for _, q := range equivalenceQueries() {
 			page := query.Page{Offset: rng.Intn(len(db.Events) + 100), Limit: 1 + rng.Intn(1000)}
 			if rng.Intn(2) == 0 {
 				page.Offset = rng.Intn(60)
 			}
-			for _, eng := range []struct {
-				name string
-				e    *query.Engine
-			}{{"fresh", fresh}, {"mapped", mapped}} {
+			for _, eng := range engines {
 				res, err := eng.e.Events(q.f, page)
 				if err != nil {
 					t.Fatal(err)
@@ -418,10 +397,85 @@ func TestEventsJSONMatchesEncoder(t *testing.T) {
 				}
 			}
 		}
-		if err := v.Close(); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestEventsCSVMatchesDatabase holds the events CSV export,
+// Engine.WriteEventsCSV, byte-identical to an encoding/csv writer over the
+// database's own events at the rows SelectScan picks, on calibrated
+// studies through a fresh build's heap View and a mapped file: the 250
+// equivalence filters and the empty one.
+func TestEventsCSVMatchesDatabase(t *testing.T) {
+	for _, seed := range []int64{1, 41} {
+		db, engines := calibratedEngines(t, seed)
+		for _, q := range append(equivalenceQueries(), equivalenceQuery{}) {
+			for _, eng := range engines {
+				ids, err := eng.e.SelectScan(q.f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want, got bytes.Buffer
+				cw := csv.NewWriter(&want)
+				if err := cw.Write([]string{"manufacturer", "vehicle", "reportYear", "time", "cause",
+					"tag", "category", "modality", "road", "weather", "reactionSeconds"}); err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range ids {
+					e := &db.Events[i]
+					if err := cw.Write([]string{string(e.Manufacturer), string(e.Vehicle),
+						e.ReportYear.String(), e.Time.Format(time.RFC3339), e.Cause, e.Tag.String(),
+						e.Category.String(), e.Modality.String(), e.Road.String(), e.Weather.String(),
+						strconv.FormatFloat(e.ReactionSeconds, 'g', -1, 64)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cw.Flush()
+				if err := cw.Error(); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.e.WriteEventsCSV(&got, q.f); err != nil {
+					t.Fatalf("seed %d %s %+v: %v", seed, eng.name, q.f, err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("seed %d %s filter %+v: CSV diverges (%d rows)\n got %.300s\nwant %.300s",
+						seed, eng.name, q.f, len(ids), got.Bytes(), want.Bytes())
+				}
+			}
 		}
 	}
+}
+
+// namedEngine is one engine under test and the name failures report.
+type namedEngine struct {
+	name string
+	e    *query.Engine
+}
+
+// calibratedEngines builds the calibrated study for seed and returns its
+// database with two engines over it: "fresh", over the heap bytes New
+// encodes, and "mapped", over the snapshot file, unmapped when the test
+// ends.
+func calibratedEngines(t *testing.T, seed int64) (*core.DB, []namedEngine) {
+	t.Helper()
+	db := calibratedDB(t, seed)
+	fresh, err := query.New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := fresh.WriteSeed(dir, seed); err != nil {
+		t.Fatal(err)
+	}
+	v, err := snapshot2.OpenSeed(dir, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := v.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return db, []namedEngine{{"fresh", fresh}, {"mapped", query.NewFromView(v)}}
 }
 
 // TestSnapshotV2QueryEquivalence is the contract behind serving every
@@ -449,10 +503,7 @@ func TestSnapshotV2QueryEquivalence(t *testing.T) {
 	defer v.Close()
 	mapped := query.NewFromView(v)
 
-	for _, eng := range []struct {
-		name string
-		e    *query.Engine
-	}{{"fresh", fresh}, {"mapped", mapped}} {
+	for _, eng := range []namedEngine{{"fresh", fresh}, {"mapped", mapped}} {
 		if eng.e.Len() != len(db.Events) {
 			t.Fatalf("%s Len %d, database %d", eng.name, eng.e.Len(), len(db.Events))
 		}

@@ -359,9 +359,9 @@ func (v *View) Render(c Column, k int64) string {
 	}
 }
 
-// The display accessors below produce exactly the string forms
-// core.DB.EventsFrame renders (display names for enums, "YYYY-YYYY"
-// report years), so the engine's answers and CSV export agree.
+// The display accessors below produce exactly the string forms of the
+// database's own values (display names for enums, "YYYY-YYYY" report
+// years), so the engine's answers and CSV exports match the database.
 
 // Manufacturer returns event i's manufacturer name.
 func (v *View) Manufacturer(i int) string { return v.str(v.u32(secEvMfr, i)) }
@@ -479,9 +479,9 @@ func (v *View) Accidents() ([]schema.Accident, error) {
 
 // Database materializes the full failure database from the columns —
 // heap-allocated, independent of the mapping — built once and cached. Only
-// what needs whole tables calls it (avquery's CSV export of a mapped
-// study); listings, group counts, accident pages and the stored answers
-// never pay for it. The error is always nil for a validated View.
+// the benchmark's replay and tests call it; listings, group counts,
+// accident pages, CSV exports and the stored answers never pay for it. The
+// error is always nil for a validated View.
 func (v *View) Database() (*core.DB, error) {
 	v.dbOnce.Do(func() { v.db = v.materialize() })
 	return v.db, nil
