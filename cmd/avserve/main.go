@@ -170,9 +170,12 @@ func splitList(csv string) []string {
 }
 
 // buildStudy runs the full calibrated pipeline for a seed and wraps the
-// result in a query engine. Each build runs on one core: builds of
-// different seeds still run side by side, and a build that fanned out
-// across every core would take them from the warm reads it competes with.
+// result in a query engine. The study keeps only the engine, whose v2
+// bytes answer every route and are what write-through persists; the
+// pipeline's database, corpus and truth are garbage once the engine is
+// built. Each build runs on one core: builds of different seeds still run
+// side by side, and a build that fanned out across every core would take
+// them from the warm reads it competes with.
 func buildStudy(seed int64) (*serve.Study, error) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Synth = synth.Config{Seed: seed}
@@ -189,5 +192,5 @@ func buildStudy(seed int64) (*serve.Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &serve.Study{DB: res.DB, Engine: engine}, nil
+	return &serve.Study{Engine: engine}, nil
 }

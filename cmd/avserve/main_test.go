@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -12,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"avfda/internal/pipeline"
 	"avfda/internal/query"
 	"avfda/internal/serve"
 	"avfda/internal/snapshot2"
+	"avfda/internal/synth"
 )
 
 // TestServeCalibratedStudy is the end-to-end acceptance check: a server
@@ -155,7 +158,7 @@ func TestColdStartFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot2.WriteSeed(dir, 1, study.DB); err != nil {
+	if _, err := study.Engine.WriteSeed(dir, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -207,6 +210,41 @@ func TestColdStartFromSnapshot(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestBuildStudyKeepsNoDatabase pins what a resident fresh study holds:
+// the engine alone, no database beside it, and the engine's write-through
+// persists the same snapshot a fresh pipeline database for the seed
+// encodes to.
+func TestBuildStudyKeepsNoDatabase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline build in -short mode")
+	}
+	study, err := buildStudy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if study.DB != nil || study.Engine == nil {
+		t.Fatalf("built study: DB %p, Engine %p; want no database and an engine", study.DB, study.Engine)
+	}
+	got, err := study.Engine.WriteSeed(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig()
+	cfg.Synth = synth.Config{Seed: 1}
+	cfg.OCR.Seed = 1
+	res, err := pipeline.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := snapshot2.WriteSeed(t.TempDir(), 1, res.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("write-through CRC %08x, snapshot of a fresh build %08x", got, want)
 	}
 }
 

@@ -13,13 +13,14 @@ import (
 	"avfda/internal/snapshot2"
 )
 
-// Study is one cached, fully built study: the consolidated failure
-// database plus its query engine. Both are immutable after construction,
-// so a cached study is served to any number of concurrent requests.
+// Study is one cached, fully built study: its query engine, which reads
+// the study's v2 bytes. It is immutable after construction, so a cached
+// study is served to any number of concurrent requests.
 type Study struct {
-	// DB is the database a fresh build produced; it is nil for a study
-	// mapped from a v2 snapshot. Callers that need the database should go
-	// through Database.
+	// DB is a database kept beside the engine. Only the benchmark's
+	// builder (bench/) sets it, for its replay's Database calls; avserve's
+	// builder and mapped studies leave it nil. It goes, with Database and
+	// Cache.Get, once bench stops replaying.
 	DB *core.DB
 	// Engine answers every query through a snapshot2.View: over the heap
 	// bytes New encodes a fresh build to, or over a mapped study's file.
@@ -71,16 +72,19 @@ func (s *Study) closable() bool {
 	return s.view != nil && s.evicted && !s.users.pinned && s.users.holds == 0
 }
 
-// Database returns the study's failure database. A mapped study decodes
-// it from its View on first use, counted once as a
-// StudyMaterialization. No served route needs it: the paper tables are
-// stored answers.
+// Database returns the study's failure database: DB when the builder
+// kept it, else a mapped study's, decoded from its View on first use and
+// counted once as a StudyMaterialization. No served route needs it (the
+// paper tables are stored answers); only the benchmark's replay (bench/)
+// and tests call it, and it goes with DB once bench stops replaying. A
+// study built without its database and not mapped, as avserve builds
+// every study, has none to return.
 func (s *Study) Database() (*core.DB, error) {
 	if s.DB != nil {
 		return s.DB, nil
 	}
 	if s.view == nil {
-		return nil, errors.New("serve: study has neither a database nor a snapshot")
+		return nil, errors.New("serve: study was built without its database and is not mapped")
 	}
 	s.decode.Do(s.decoded)
 	return s.view.Database()
@@ -231,7 +235,10 @@ func (c *Cache) SetSnapshotPeers(peers []string, timeout time.Duration) error {
 // Get returns the study for seed, building it on first use. It blocks
 // until the study is ready or ctx expires; on expiry the error is the
 // context's and the background build continues. The study is pinned (see
-// users): it stays readable however long the caller keeps it.
+// users): it stays readable however long the caller keeps it. Servers
+// take studies through hold instead; only the benchmark's replay (bench/)
+// and tests call Get, and it goes with Study.DB once bench stops
+// replaying.
 func (c *Cache) Get(ctx context.Context, seed int64) (*Study, error) {
 	return c.get(ctx, seed, true)
 }

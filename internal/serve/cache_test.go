@@ -224,3 +224,26 @@ func TestNewCacheValidation(t *testing.T) {
 		t.Errorf("capacity floor = %d, want 1", c.cap)
 	}
 }
+
+// TestEngineOnlyStudyHasNoDatabase: a study built as avserve builds it,
+// engine only, written through but not mapped, has no database to hand
+// out, and asking decodes nothing.
+func TestEngineOnlyStudyHasNoDatabase(t *testing.T) {
+	c, err := NewSnapshotCache(testBuilder(t, nil, 0), 2, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := c.Get(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if study.Engine.Len() != 3 || study.ETag == "" {
+		t.Fatalf("built study: %d events, ETag %q; want 3 and the write-through's", study.Engine.Len(), study.ETag)
+	}
+	if db, err := study.Database(); db != nil || err == nil {
+		t.Errorf("Database() = %p, %v; want nil and an error", db, err)
+	}
+	if s := c.Stats(); s.StudyMaterializations != 0 || s.Snapshot2Writes != 1 {
+		t.Errorf("stats = %+v, want 0 materializations after 1 write-through", s)
+	}
+}

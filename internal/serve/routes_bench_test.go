@@ -9,7 +9,6 @@ import (
 
 	"avfda/internal/pipeline"
 	"avfda/internal/query"
-	"avfda/internal/snapshot2"
 	"avfda/internal/synth"
 )
 
@@ -36,7 +35,7 @@ func BenchmarkServeRoutes(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		built = &Study{DB: res.DB, Engine: engine}
+		built = &Study{Engine: engine}
 		return built, nil
 	}})
 	if err != nil {
@@ -74,7 +73,7 @@ func BenchmarkServeRoutes(b *testing.B) {
 		}
 		dir := b.TempDir()
 		for _, seed := range []int64{1, 2} {
-			if _, err := snapshot2.WriteSeed(dir, seed, built.DB); err != nil {
+			if _, err := built.Engine.WriteSeed(dir, seed); err != nil {
 				b.Fatal(err)
 			}
 		}

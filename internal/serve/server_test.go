@@ -76,7 +76,7 @@ func testBuilder(t *testing.T, calls *atomic.Int64, delay time.Duration) BuildFu
 		if err != nil {
 			return nil, err
 		}
-		return &Study{DB: db, Engine: engine}, nil
+		return &Study{Engine: engine}, nil
 	}
 }
 
@@ -158,7 +158,7 @@ func TestUnencodableRowsAnswer500(t *testing.T) {
 	}
 	fresh, err := New(Config{Build: func(int64) (*Study, error) {
 		engine, err := query.New(db)
-		return &Study{DB: db, Engine: engine}, err
+		return &Study{Engine: engine}, err
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -764,8 +764,8 @@ func TestSnapshot2TierColdStart(t *testing.T) {
 	if page.Total != 2 {
 		t.Errorf("v2-served page total = %d, want 2", page.Total)
 	}
-	// Whole-table endpoints exercise the lazy materialization path of a
-	// mapped study (Study.DB is nil; Study.Database() decodes once).
+	// Whole-table endpoints over a mapped study read its columns and
+	// stored answers; nothing decodes the database.
 	if code, body := get(t, s, "/v1/studies/1/accidents"); code != http.StatusOK {
 		t.Fatalf("accidents over v2 study: code = %d (%s)", code, strings.TrimSpace(body))
 	}

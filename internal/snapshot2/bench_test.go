@@ -67,3 +67,17 @@ func BenchmarkSnapshotV2Write(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshotV2Encode measures the encode every fresh build pays:
+// query.New runs it once per study before the engine can answer, and the
+// v2 write-through copies its bytes.
+func BenchmarkSnapshotV2Encode(b *testing.B) {
+	db := buildStudy(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snapshot2.Encode(db); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

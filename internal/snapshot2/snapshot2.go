@@ -207,116 +207,62 @@ func Path(dir string, seed int64) string {
 	return filepath.Join(dir, fmt.Sprintf("study-%d.avsnap2", seed))
 }
 
+// columns lists every fixed-width column section in id order with the
+// table whose rows it holds (an index into the meta counts: events,
+// mileage, fleets, accidents) and its width in bytes per row.
+var columns = [...]struct {
+	id           uint32
+	table, width int
+}{
+	{secEvMfr, 0, 4}, {secEvVehicle, 0, 4}, {secEvYear, 0, 8}, {secEvTimeSec, 0, 8},
+	{secEvTimeNsec, 0, 8}, {secEvCause, 0, 4}, {secEvModality, 0, 8}, {secEvRoad, 0, 8},
+	{secEvWeather, 0, 8}, {secEvReaction, 0, 8}, {secEvTag, 0, 8}, {secEvCategory, 0, 8},
+	{secMlMfr, 1, 4}, {secMlVehicle, 1, 4}, {secMlYear, 1, 8},
+	{secMlMonthSec, 1, 8}, {secMlMonthNsec, 1, 8}, {secMlMiles, 1, 8},
+	{secFlMfr, 2, 4}, {secFlYear, 2, 8}, {secFlCars, 2, 8},
+	{secAcMfr, 3, 4}, {secAcVehicle, 3, 4}, {secAcYear, 3, 8}, {secAcTimeSec, 3, 8},
+	{secAcTimeNsec, 3, 8}, {secAcLocation, 3, 4}, {secAcNarrative, 3, 4},
+	{secAcAVSpeed, 3, 8}, {secAcOtherSpeed, 3, 8}, {secAcFlags, 3, 1},
+}
+
 // Encode serializes the database into the v2 columnar wire format.
 // Encoding is deterministic: the string table interns values in a fixed
 // traversal order, so identical databases encode to identical bytes.
+// Every section is sized from the row counts and the string table, so the
+// file image is allocated once and each column is written into place.
 func Encode(db *core.DB) ([]byte, error) {
 	if db == nil {
 		return nil, errors.New("snapshot2: nil database")
 	}
-	var e encoder
-	e.strIndex = make(map[string]uint32)
+	counts := [...]int{len(db.Events), len(db.Mileage), len(db.Fleets), len(db.Accidents)}
+
+	// Intern every string in the traversal order that assigns the ids:
+	// event by event (manufacturer, vehicle, cause), then mileage, fleets
+	// and accidents. Only the id columns the exposure tally reads are
+	// kept; the others are looked up again when they are written.
+	e := encoder{strIndex: make(map[string]uint32)}
 	e.intern("") // id 0 is always the empty string
-
-	nEv, nMl, nFl, nAc := len(db.Events), len(db.Mileage), len(db.Fleets), len(db.Accidents)
-
-	// Event columns. String-valued columns store string-table ids; enum
-	// columns store the raw integer (the View renders display strings on
-	// access), timestamps store Unix seconds + in-second nanoseconds.
-	evMfr := make([]uint32, nEv)
-	evVeh := make([]uint32, nEv)
-	evYear := make([]int64, nEv)
-	evSec := make([]int64, nEv)
-	evNsec := make([]int64, nEv)
-	evCause := make([]uint32, nEv)
-	evModality := make([]int64, nEv)
-	evRoad := make([]int64, nEv)
-	evWeather := make([]int64, nEv)
-	evReaction := make([]float64, nEv)
-	evTag := make([]int64, nEv)
-	evCategory := make([]int64, nEv)
+	evMfr, evVeh := make([]uint32, counts[0]), make([]uint32, counts[0])
 	for i, ev := range db.Events {
 		evMfr[i] = e.intern(string(ev.Manufacturer))
 		evVeh[i] = e.intern(string(ev.Vehicle))
-		evYear[i] = int64(ev.ReportYear)
-		evSec[i] = ev.Time.Unix()
-		evNsec[i] = int64(ev.Time.Nanosecond())
-		evCause[i] = e.intern(ev.Cause)
-		evModality[i] = int64(ev.Modality)
-		evRoad[i] = int64(ev.Road)
-		evWeather[i] = int64(ev.Weather)
-		evReaction[i] = ev.ReactionSeconds
-		evTag[i] = int64(ev.Tag)
-		evCategory[i] = int64(ev.Category)
+		e.intern(ev.Cause)
 	}
-
-	mlMfr := make([]uint32, nMl)
-	mlVeh := make([]uint32, nMl)
-	mlYear := make([]int64, nMl)
-	mlSec := make([]int64, nMl)
-	mlNsec := make([]int64, nMl)
-	mlMiles := make([]float64, nMl)
+	mlMfr, mlVeh := make([]uint32, counts[1]), make([]uint32, counts[1])
 	for i, m := range db.Mileage {
 		mlMfr[i] = e.intern(string(m.Manufacturer))
 		mlVeh[i] = e.intern(string(m.Vehicle))
-		mlYear[i] = int64(m.ReportYear)
-		mlSec[i] = m.Month.Unix()
-		mlNsec[i] = int64(m.Month.Nanosecond())
-		mlMiles[i] = m.Miles
 	}
-
-	flMfr := make([]uint32, nFl)
-	flYear := make([]int64, nFl)
-	flCars := make([]int64, nFl)
+	flMfr := make([]uint32, counts[2])
 	for i, f := range db.Fleets {
 		flMfr[i] = e.intern(string(f.Manufacturer))
-		flYear[i] = int64(f.ReportYear)
-		flCars[i] = int64(f.Cars)
 	}
-
-	acMfr := make([]uint32, nAc)
-	acVeh := make([]uint32, nAc)
-	acYear := make([]int64, nAc)
-	acSec := make([]int64, nAc)
-	acNsec := make([]int64, nAc)
-	acLoc := make([]uint32, nAc)
-	acNarr := make([]uint32, nAc)
-	acAV := make([]float64, nAc)
-	acOther := make([]float64, nAc)
-	acFlags := make([]byte, nAc)
+	acMfr := make([]uint32, counts[3])
 	for i, a := range db.Accidents {
 		acMfr[i] = e.intern(string(a.Manufacturer))
-		acVeh[i] = e.intern(string(a.Vehicle))
-		acYear[i] = int64(a.ReportYear)
-		acSec[i] = a.Time.Unix()
-		acNsec[i] = int64(a.Time.Nanosecond())
-		acLoc[i] = e.intern(a.Location)
-		acNarr[i] = e.intern(a.Narrative)
-		acAV[i] = a.AVSpeedMPH
-		acOther[i] = a.OtherSpeedMPH
-		var flags byte
-		if a.InAutonomousMode {
-			flags |= flagAutonomous
-		}
-		if a.Redacted {
-			flags |= flagRedacted
-		}
-		acFlags[i] = flags
-	}
-
-	// Meta + string table sections.
-	meta := make([]byte, 0, 5*8)
-	for _, n := range []int{nEv, nMl, nFl, nAc, len(e.strs)} {
-		meta = binary.LittleEndian.AppendUint64(meta, uint64(n))
-	}
-	strOff := make([]byte, 0, 4*(len(e.strs)+1))
-	var blobLen uint32
-	strOff = binary.LittleEndian.AppendUint32(strOff, 0)
-	var blob []byte
-	for _, s := range e.strs {
-		blob = append(blob, s...)
-		blobLen += uint32(len(s))
-		strOff = binary.LittleEndian.AppendUint32(strOff, blobLen)
+		e.intern(string(a.Vehicle))
+		e.intern(a.Location)
+		e.intern(a.Narrative)
 	}
 
 	// The answers share one exposure summary, summed by string id as
@@ -327,7 +273,7 @@ func Encode(db *core.DB) ([]byte, error) {
 		x.Fleet(m)
 	}
 	for i, m := range mlMfr {
-		x.Mileage(m, mlVeh[i], mlMiles[i])
+		x.Mileage(m, mlVeh[i], db.Mileage[i].Miles)
 	}
 	for i, m := range evMfr {
 		x.Event(m, evVeh[i])
@@ -335,72 +281,137 @@ func Encode(db *core.DB) ([]byte, error) {
 	for _, m := range acMfr {
 		x.Accident(m)
 	}
-	answerSlots, answerBodies, err := encodeAnswers(report.Answers(db, x.Exposure()))
+	answers := report.Answers(db, x.Exposure())
+	bodyLen, err := checkAnswers(answers)
 	if err != nil {
 		return nil, err
 	}
 
-	sections := [][]byte{
-		meta, strOff, blob,
-		u32Bytes(evMfr), u32Bytes(evVeh), i64Bytes(evYear), i64Bytes(evSec),
-		i64Bytes(evNsec), u32Bytes(evCause), i64Bytes(evModality), i64Bytes(evRoad),
-		i64Bytes(evWeather), f64Bytes(evReaction), i64Bytes(evTag), i64Bytes(evCategory),
-		u32Bytes(mlMfr), u32Bytes(mlVeh), i64Bytes(mlYear), i64Bytes(mlSec),
-		i64Bytes(mlNsec), f64Bytes(mlMiles),
-		u32Bytes(flMfr), i64Bytes(flYear), i64Bytes(flCars),
-		u32Bytes(acMfr), u32Bytes(acVeh), i64Bytes(acYear), i64Bytes(acSec),
-		i64Bytes(acNsec), u32Bytes(acLoc), u32Bytes(acNarr), f64Bytes(acAV),
-		f64Bytes(acOther), acFlags,
-		answerSlots, answerBodies,
+	// Lay the file out: the header, whose checksum is filled in last; the
+	// section directory, ids 1-based and consecutive and offsets relative
+	// to the payload start; then the sections, tiling the rest of the
+	// payload. sec holds each section's window of out, by id.
+	var lens [numSections + 1]int
+	lens[secMeta] = 5 * 8
+	lens[secStrOffsets] = 4 * (len(e.strs) + 1)
+	lens[secStrBlob] = e.blobLen
+	for _, c := range columns {
+		lens[c.id] = counts[c.table] * c.width
+	}
+	lens[secAnswerSlots] = NumSlots * answerSlotLen
+	lens[secAnswerBodies] = bodyLen
+	const dirLen = 4 + numSections*(4+8+8)
+	payloadLen := dirLen
+	for _, n := range lens {
+		payloadLen += n
+	}
+	le := binary.LittleEndian
+	out := make([]byte, headerLen+payloadLen)
+	copy(out, magic)
+	le.PutUint16(out[len(magic):], Version)
+	le.PutUint64(out[len(magic)+2:], uint64(payloadLen))
+	payload := out[headerLen:]
+	le.PutUint32(payload, numSections)
+	var sec [numSections + 1][]byte
+	off := dirLen
+	for id := uint32(1); id <= numSections; id++ {
+		ent := payload[4+20*(id-1):]
+		le.PutUint32(ent, id)
+		le.PutUint64(ent[4:], uint64(off))
+		le.PutUint64(ent[12:], uint64(lens[id]))
+		sec[id] = payload[off : off+lens[id] : off+lens[id]]
+		off += lens[id]
 	}
 
-	// Section directory: ids are 1-based and consecutive, offsets relative
-	// to the payload start, sections tiling the rest of the payload.
-	dirLen := 4 + numSections*(4+8+8)
-	payloadLen := dirLen
-	for _, s := range sections {
-		payloadLen += len(s)
+	meta := sec[secMeta]
+	for i, n := range counts {
+		le.PutUint64(meta[8*i:], uint64(n))
 	}
-	// The payload is written in place after the header, whose checksum
-	// is filled in last.
-	out := make([]byte, 0, headerLen+payloadLen)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(payloadLen))
-	out = binary.LittleEndian.AppendUint32(out, 0)
-	out = binary.LittleEndian.AppendUint32(out, numSections)
-	off := uint64(dirLen)
-	for i, s := range sections {
-		out = binary.LittleEndian.AppendUint32(out, uint32(i+1))
-		out = binary.LittleEndian.AppendUint64(out, off)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s)))
-		off += uint64(len(s))
+	le.PutUint64(meta[8*len(counts):], uint64(len(e.strs)))
+	blob := sec[secStrBlob]
+	end := 0
+	for i, s := range e.strs {
+		end += copy(blob[end:], s)
+		putU32(sec[secStrOffsets], i+1, uint32(end))
 	}
-	for _, s := range sections {
-		out = append(out, s...)
+
+	// String-valued columns store string-table ids; enum columns store
+	// the raw integer (the View renders display strings on access),
+	// timestamps store Unix seconds + in-second nanoseconds.
+	for i, ev := range db.Events {
+		putU32(sec[secEvMfr], i, evMfr[i])
+		putU32(sec[secEvVehicle], i, evVeh[i])
+		putI64(sec[secEvYear], i, int64(ev.ReportYear))
+		putI64(sec[secEvTimeSec], i, ev.Time.Unix())
+		putI64(sec[secEvTimeNsec], i, int64(ev.Time.Nanosecond()))
+		putU32(sec[secEvCause], i, e.strIndex[ev.Cause])
+		putI64(sec[secEvModality], i, int64(ev.Modality))
+		putI64(sec[secEvRoad], i, int64(ev.Road))
+		putI64(sec[secEvWeather], i, int64(ev.Weather))
+		putF64(sec[secEvReaction], i, ev.ReactionSeconds)
+		putI64(sec[secEvTag], i, int64(ev.Tag))
+		putI64(sec[secEvCategory], i, int64(ev.Category))
 	}
-	binary.LittleEndian.PutUint32(out[headerLen-4:headerLen], crc32.Checksum(out[headerLen:], castagnoli))
+	for i, m := range db.Mileage {
+		putU32(sec[secMlMfr], i, mlMfr[i])
+		putU32(sec[secMlVehicle], i, mlVeh[i])
+		putI64(sec[secMlYear], i, int64(m.ReportYear))
+		putI64(sec[secMlMonthSec], i, m.Month.Unix())
+		putI64(sec[secMlMonthNsec], i, int64(m.Month.Nanosecond()))
+		putF64(sec[secMlMiles], i, m.Miles)
+	}
+	for i, f := range db.Fleets {
+		putU32(sec[secFlMfr], i, flMfr[i])
+		putI64(sec[secFlYear], i, int64(f.ReportYear))
+		putI64(sec[secFlCars], i, int64(f.Cars))
+	}
+	for i, a := range db.Accidents {
+		putU32(sec[secAcMfr], i, acMfr[i])
+		putU32(sec[secAcVehicle], i, e.strIndex[string(a.Vehicle)])
+		putI64(sec[secAcYear], i, int64(a.ReportYear))
+		putI64(sec[secAcTimeSec], i, a.Time.Unix())
+		putI64(sec[secAcTimeNsec], i, int64(a.Time.Nanosecond()))
+		putU32(sec[secAcLocation], i, e.strIndex[a.Location])
+		putU32(sec[secAcNarrative], i, e.strIndex[a.Narrative])
+		putF64(sec[secAcAVSpeed], i, a.AVSpeedMPH)
+		putF64(sec[secAcOtherSpeed], i, a.OtherSpeedMPH)
+		var flags byte
+		if a.InAutonomousMode {
+			flags |= flagAutonomous
+		}
+		if a.Redacted {
+			flags |= flagRedacted
+		}
+		sec[secAcFlags][i] = flags
+	}
+
+	bodies := sec[secAnswerBodies]
+	for i, a := range answers {
+		ent := sec[secAnswerSlots][i*answerSlotLen:]
+		le.PutUint16(ent, uint16(a.Status))
+		le.PutUint16(ent[2:], uint16(slices.Index(contentTypes[:], a.ContentType)))
+		le.PutUint32(ent[4:], uint32(len(a.Body)))
+		bodies = bodies[copy(bodies, a.Body):]
+	}
+	le.PutUint32(out[headerLen-4:], crc32.Checksum(payload, castagnoli))
 	return out, nil
 }
 
-// encodeAnswers lays out the answer-slot and answer-body sections.
-func encodeAnswers(answers []report.Answer) (slots, bodies []byte, err error) {
+// checkAnswers reports an error unless the answers fill the answer
+// sections exactly, one per slot, and returns their total body length.
+func checkAnswers(answers []report.Answer) (int, error) {
 	if len(answers) != NumSlots {
-		return nil, nil, fmt.Errorf("snapshot2: %d answers, want %d", len(answers), NumSlots)
+		return 0, fmt.Errorf("snapshot2: %d answers, want %d", len(answers), NumSlots)
 	}
-	slots = make([]byte, 0, NumSlots*answerSlotLen)
+	n := 0
 	for _, a := range answers {
-		code := slices.Index(contentTypes[:], a.ContentType)
-		if code < 0 || !validStatus(a.Status) || uint64(len(a.Body)) > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("snapshot2: unstorable answer (status %d, content type %q, %d bytes)",
+		if !slices.Contains(contentTypes[:], a.ContentType) || !validStatus(a.Status) || uint64(len(a.Body)) > math.MaxUint32 {
+			return 0, fmt.Errorf("snapshot2: unstorable answer (status %d, content type %q, %d bytes)",
 				a.Status, a.ContentType, len(a.Body))
 		}
-		slots = binary.LittleEndian.AppendUint16(slots, uint16(a.Status))
-		slots = binary.LittleEndian.AppendUint16(slots, uint16(code))
-		slots = binary.LittleEndian.AppendUint32(slots, uint32(len(a.Body)))
-		bodies = append(bodies, a.Body...)
+		n += len(a.Body)
 	}
-	return slots, bodies, nil
+	return n, nil
 }
 
 // validStatus reports whether a stored answer may carry status.
@@ -412,6 +423,7 @@ func validStatus(status int) bool {
 type encoder struct {
 	strIndex map[string]uint32
 	strs     []string
+	blobLen  int
 }
 
 // intern returns the string-table id for s, assigning the next id on first
@@ -424,34 +436,16 @@ func (e *encoder) intern(s string) uint32 {
 	id := uint32(len(e.strs))
 	e.strIndex[s] = id
 	e.strs = append(e.strs, s)
+	e.blobLen += len(s)
 	return id
 }
 
-// u32Bytes renders a uint32 column as little-endian bytes.
-func u32Bytes(vals []uint32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[4*i:], v)
-	}
-	return out
-}
-
-// i64Bytes renders an int64 column as little-endian bytes.
-func i64Bytes(vals []int64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
-	}
-	return out
-}
-
-// f64Bytes renders a float64 column by IEEE-754 bit patterns.
-func f64Bytes(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
+// putU32, putI64 and putF64 write row i of a fixed-width column section,
+// floats by their IEEE-754 bit patterns.
+func putU32(col []byte, i int, v uint32) { binary.LittleEndian.PutUint32(col[4*i:], v) }
+func putI64(col []byte, i int, v int64)  { binary.LittleEndian.PutUint64(col[8*i:], uint64(v)) }
+func putF64(col []byte, i int, v float64) {
+	binary.LittleEndian.PutUint64(col[8*i:], math.Float64bits(v))
 }
 
 // Write atomically persists the database to path in v2 format: staged in a

@@ -198,27 +198,19 @@ func (v *View) validateColumns() error {
 	v.strOff = v.sec(secStrOffsets)
 	v.strBlob = v.sec(secStrBlob)
 
-	sized := []struct {
-		id    uint32
-		rows  int
-		width int
-	}{
-		{secStrOffsets, v.nStrings + 1, 4},
-		{secEvMfr, v.nEvents, 4}, {secEvVehicle, v.nEvents, 4}, {secEvYear, v.nEvents, 8},
-		{secEvTimeSec, v.nEvents, 8}, {secEvTimeNsec, v.nEvents, 8}, {secEvCause, v.nEvents, 4},
-		{secEvModality, v.nEvents, 8}, {secEvRoad, v.nEvents, 8}, {secEvWeather, v.nEvents, 8},
-		{secEvReaction, v.nEvents, 8}, {secEvTag, v.nEvents, 8}, {secEvCategory, v.nEvents, 8},
-		{secMlMfr, v.nMileage, 4}, {secMlVehicle, v.nMileage, 4}, {secMlYear, v.nMileage, 8},
-		{secMlMonthSec, v.nMileage, 8}, {secMlMonthNsec, v.nMileage, 8}, {secMlMiles, v.nMileage, 8},
-		{secFlMfr, v.nFleets, 4}, {secFlYear, v.nFleets, 8}, {secFlCars, v.nFleets, 8},
-		{secAcMfr, v.nAccidents, 4}, {secAcVehicle, v.nAccidents, 4}, {secAcYear, v.nAccidents, 8},
-		{secAcTimeSec, v.nAccidents, 8}, {secAcTimeNsec, v.nAccidents, 8}, {secAcLocation, v.nAccidents, 4},
-		{secAcNarrative, v.nAccidents, 4}, {secAcAVSpeed, v.nAccidents, 8}, {secAcOtherSpeed, v.nAccidents, 8},
-		{secAcFlags, v.nAccidents, 1},
+	sized := func(id uint32, rows, width int) error {
+		if len(v.sec(id)) == rows*width {
+			return nil
+		}
+		return &FormatError{Reason: fmt.Sprintf("section %d is %d bytes, want %d rows of %d", id, len(v.sec(id)), rows, width)}
 	}
-	for _, s := range sized {
-		if len(v.sec(s.id)) != s.rows*s.width {
-			return &FormatError{Reason: fmt.Sprintf("section %d is %d bytes, want %d rows of %d", s.id, len(v.sec(s.id)), s.rows, s.width)}
+	if err := sized(secStrOffsets, v.nStrings+1, 4); err != nil {
+		return err
+	}
+	counts := [...]int{v.nEvents, v.nMileage, v.nFleets, v.nAccidents}
+	for _, c := range columns {
+		if err := sized(c.id, counts[c.table], c.width); err != nil {
+			return err
 		}
 	}
 
