@@ -4,7 +4,7 @@
 
 GO ?= go
 
-SMOKE_BENCHES := PipelineEndToEnd|PipelineWorkers|SynthGenerate|Render|OCRDecode|ParseConcurrent|ClassifyAll|Snapshot|ServeRoutes|EngineQueries
+SMOKE_BENCHES := PipelineEndToEnd|PipelineWorkers|SynthGenerate|Render|OCRDecode|ParseConcurrent|ClassifyAll|Snapshot|ServeRoutes|EngineQueries|Table
 SERVE_ADDR ?= 127.0.0.1:18080
 FUZZ_TIME ?= 10s
 

@@ -136,7 +136,7 @@ func (s *Study) Result() *pipeline.Result { return s.res }
 // Summary reports the headline counts and the pipeline's recovery quality.
 func (s *Study) Summary() string {
 	agg := s.res.DB.Aggregates()
-	shares := s.res.DB.OverallCategoryShares()
+	shares := s.res.DB.Exposure().OverallCategoryShares()
 	return fmt.Sprintf(
 		"corpus: %d disengagements, %d accidents, %.0f autonomous miles\n"+
 			"pipeline: %.1f%% rows recovered, tag accuracy %.1f%%, %d manual pages\n"+

@@ -55,7 +55,7 @@ func BenchmarkTableI(b *testing.B) {
 	var rows []core.FleetRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = db.FleetSummary()
+		rows = db.Exposure().FleetSummary()
 	}
 	b.StopTimer()
 	var miles float64
@@ -106,8 +106,9 @@ func BenchmarkTableIV(b *testing.B) {
 	var shares core.CategoryShares
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = db.CategoryBreakdown()
-		shares = db.OverallCategoryShares()
+		x := db.Exposure()
+		_ = x.CategoryBreakdown()
+		shares = x.OverallCategoryShares()
 	}
 	b.ReportMetric(100*shares.MLDesign, "ml-pct")
 	b.ReportMetric(100*calib.MLDesignShare, "paper-ml-pct")
@@ -118,7 +119,7 @@ func BenchmarkTableV(b *testing.B) {
 	var rows []core.ModalityRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = db.ModalityBreakdown()
+		rows = db.Exposure().ModalityBreakdown()
 	}
 	b.StopTimer()
 	var auto, n float64
@@ -135,7 +136,7 @@ func BenchmarkTableVI(b *testing.B) {
 	var rows []core.AccidentRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = db.AccidentSummary()
+		rows = db.Exposure().AccidentSummary()
 	}
 	b.StopTimer()
 	for _, r := range rows {
@@ -152,7 +153,7 @@ func BenchmarkTableVII(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = db.ReliabilityVsHuman()
+		rows, err = db.Exposure().ReliabilityVsHuman()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func BenchmarkTableVIII(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = db.CrossDomainTable()
+		rows, err = db.Exposure().CrossDomainTable()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -268,7 +268,7 @@ func printResult(res *pipeline.Result) {
 	}
 
 	fmt.Println("== Stage IV: consolidated failure database ==")
-	shares := res.DB.OverallCategoryShares()
+	shares := res.DB.Exposure().OverallCategoryShares()
 	fmt.Printf("  %d disengagements, %d accidents\n", len(res.DB.Events), len(res.DB.Accidents))
 	fmt.Printf("  category shares: perception %.1f%%, planner %.1f%%, system %.1f%%, unknown %.1f%%\n",
 		100*shares.Perception, 100*shares.Planner, 100*shares.System, 100*shares.Unknown)

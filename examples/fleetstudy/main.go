@@ -54,7 +54,7 @@ func main() {
 	fmt.Println()
 
 	// Accident exposure and estimate quality (Tables VI/VII).
-	rel, err := db.ReliabilityVsHuman()
+	rel, err := db.Exposure().ReliabilityVsHuman()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -90,23 +90,23 @@ func TestUnderreportingSensitivity(t *testing.T) {
 
 func TestEmptyDBAnalysesDegradeGracefully(t *testing.T) {
 	db := &DB{}
-	if rows := db.FleetSummary(); len(rows) != 0 {
+	if rows := db.Exposure().FleetSummary(); len(rows) != 0 {
 		t.Error("empty fleet summary should be empty")
 	}
-	if rows := db.CategoryBreakdown(); len(rows) != 0 {
+	if rows := db.Exposure().CategoryBreakdown(); len(rows) != 0 {
 		t.Error("empty category breakdown should be empty")
 	}
-	s := db.OverallCategoryShares()
+	s := db.Exposure().OverallCategoryShares()
 	if s.MLDesign != 0 {
 		t.Error("empty shares should be zero")
 	}
-	if rows := db.ModalityBreakdown(); len(rows) != 0 {
+	if rows := db.Exposure().ModalityBreakdown(); len(rows) != 0 {
 		t.Error("empty modality breakdown should be empty")
 	}
-	if rows := db.AccidentSummary(); len(rows) != 0 {
+	if rows := db.Exposure().AccidentSummary(); len(rows) != 0 {
 		t.Error("empty accident summary should be empty")
 	}
-	if rows, err := db.ReliabilityVsHuman(); err != nil || len(rows) != 0 {
+	if rows, err := db.Exposure().ReliabilityVsHuman(); err != nil || len(rows) != 0 {
 		t.Errorf("empty reliability: %v, %d rows", err, len(rows))
 	}
 	if dists := db.DPMPerCar(); len(dists) != 0 {

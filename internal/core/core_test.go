@@ -41,7 +41,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestFleetSummaryReproducesTableI(t *testing.T) {
 	db := truthDB(t)
-	rows := db.FleetSummary()
+	rows := db.Exposure().FleetSummary()
 	byKey := make(map[schema.Manufacturer]map[schema.ReportYear]FleetRow)
 	for _, r := range rows {
 		if byKey[r.Manufacturer] == nil {
@@ -81,7 +81,7 @@ func TestFleetSummaryReproducesTableI(t *testing.T) {
 
 func TestCategoryBreakdownReproducesTableIV(t *testing.T) {
 	db := truthDB(t)
-	rows := db.CategoryBreakdown()
+	rows := db.Exposure().CategoryBreakdown()
 	byMfr := make(map[schema.Manufacturer]CategoryRow)
 	for _, r := range rows {
 		byMfr[r.Manufacturer] = r
@@ -107,7 +107,7 @@ func TestCategoryBreakdownReproducesTableIV(t *testing.T) {
 		}
 	}
 	// Headline shares.
-	s := db.OverallCategoryShares()
+	s := db.Exposure().OverallCategoryShares()
 	if math.Abs(s.MLDesign-calib.MLDesignShare) > 0.05 {
 		t.Errorf("ML/Design share %.3f vs paper %.2f", s.MLDesign, calib.MLDesignShare)
 	}
@@ -125,7 +125,7 @@ func TestCategoryBreakdownReproducesTableIV(t *testing.T) {
 func TestModalityBreakdownReproducesTableV(t *testing.T) {
 	db := truthDB(t)
 	byMfr := make(map[schema.Manufacturer]ModalityRow)
-	for _, r := range db.ModalityBreakdown() {
+	for _, r := range db.Exposure().ModalityBreakdown() {
 		byMfr[r.Manufacturer] = r
 	}
 	const tol = 5.0
@@ -148,7 +148,7 @@ func TestModalityBreakdownReproducesTableV(t *testing.T) {
 func TestAccidentSummaryReproducesTableVI(t *testing.T) {
 	db := truthDB(t)
 	byMfr := make(map[schema.Manufacturer]AccidentRow)
-	for _, r := range db.AccidentSummary() {
+	for _, r := range db.Exposure().AccidentSummary() {
 		byMfr[r.Manufacturer] = r
 	}
 	for m, want := range calib.TableVI {
@@ -177,7 +177,7 @@ func TestAccidentSummaryReproducesTableVI(t *testing.T) {
 
 func TestReliabilityVsHumanReproducesTableVII(t *testing.T) {
 	db := truthDB(t)
-	rows, err := db.ReliabilityVsHuman()
+	rows, err := db.Exposure().ReliabilityVsHuman()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestReliabilityVsHumanReproducesTableVII(t *testing.T) {
 
 func TestCrossDomainReproducesTableVIII(t *testing.T) {
 	db := truthDB(t)
-	rows, err := db.CrossDomainTable()
+	rows, err := db.Exposure().CrossDomainTable()
 	if err != nil {
 		t.Fatal(err)
 	}

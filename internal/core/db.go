@@ -56,31 +56,6 @@ func BuildWithTags(corpus *schema.Corpus, tags []ontology.Tag) (*DB, error) {
 	return db, nil
 }
 
-// Manufacturers returns the manufacturers present in the database, in the
-// paper's canonical order.
-func (db *DB) Manufacturers() []schema.Manufacturer {
-	present := make(map[schema.Manufacturer]bool)
-	for _, f := range db.Fleets {
-		present[f.Manufacturer] = true
-	}
-	for _, m := range db.Mileage {
-		present[m.Manufacturer] = true
-	}
-	for _, e := range db.Events {
-		present[e.Manufacturer] = true
-	}
-	for _, a := range db.Accidents {
-		present[a.Manufacturer] = true
-	}
-	var out []schema.Manufacturer
-	for _, m := range schema.AllManufacturers() {
-		if present[m] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // AnalysisManufacturers returns the present manufacturers that have enough
 // disengagements for statistical analysis (the paper drops Uber, BMW, Ford,
 // and Honda).

@@ -5,32 +5,84 @@ import (
 	"slices"
 	"time"
 
+	"avfda/internal/ontology"
 	"avfda/internal/schema"
 )
 
-// Exposure is a study's exposure and failure counts: miles, disengagements
-// and accidents per manufacturer, plus miles and disengagements per
-// identifiable vehicle. It is all that Tables VI and VII need, so a study
-// stored as columns (internal/snapshot2) answers them without decoding its
-// tables. Reliability is computed from per-vehicle exposure, as in the
+// Exposure is a study's summary: exposure, failure and classification
+// counts per manufacturer, per manufacturer and report year, and per
+// identifiable vehicle. It is all that Tables I and IV-VIII and the
+// reliability metrics need, so a study stored as columns
+// (internal/snapshot2) answers them without decoding its tables.
+// Reliability is computed from per-vehicle exposure, as in the
 // recurrent-events view of Hong et al.
 type Exposure struct {
 	// Makers has one entry per canonical manufacturer present in any table
 	// (fleets included), in the paper's order.
 	Makers []MakerExposure
+	// Years has one Table I row per canonical manufacturer and report year
+	// of schema.ReportYears present in any table, in the paper's row order.
+	Years []FleetRow
 	// Cars has one entry per vehicle with a non-empty id in the mileage or
 	// event table, sorted by manufacturer, then vehicle id.
 	Cars []CarExposure
+	// Categories counts every disengagement by root-cause class, canonical
+	// manufacturer or not.
+	Categories CategoryCounts
 	// Accidents counts every accident report, canonical manufacturer or not.
 	Accidents int
 }
 
-// MakerExposure is one manufacturer's exposure and failure counts.
+// MakerExposure is one manufacturer's exposure, failure and
+// classification counts.
 type MakerExposure struct {
 	Manufacturer schema.Manufacturer
 	Miles        float64
 	Events       int
 	Accidents    int
+	Categories   CategoryCounts
+	Modalities   ModalityCounts
+}
+
+// CategoryCounts counts disengagements by Table IV's root-cause classes:
+// ML/Design split by ontology.MLSubclass into planner and perception,
+// System, and every other category code as unknown.
+type CategoryCounts struct {
+	Planner, Perception, System, Unknown int
+}
+
+// add counts one disengagement of category cat and tag tag.
+func (c *CategoryCounts) add(cat ontology.Category, tag ontology.Tag) {
+	switch cat {
+	case ontology.CategoryMLDesign:
+		if perception, _ := ontology.MLSubclass(tag); perception {
+			c.Perception++
+		} else {
+			c.Planner++
+		}
+	case ontology.CategorySystem:
+		c.System++
+	default:
+		c.Unknown++
+	}
+}
+
+// ModalityCounts counts disengagements by Table V's modalities; other
+// modality codes are not counted.
+type ModalityCounts struct {
+	Automatic, Manual, Planned int
+}
+
+// add counts one disengagement of modality m.
+func (c *ModalityCounts) add(m schema.Modality) {
+	switch m {
+	case schema.ModalityAutomatic:
+		c.Automatic++
+	case schema.ModalityManual:
+		c.Manual++
+	case schema.ModalityPlanned:
+		c.Planned++
+	}
 }
 
 // CarExposure is one vehicle's exposure and disengagement count.
@@ -42,44 +94,65 @@ type CarExposure struct {
 }
 
 // ExposureTally accumulates an Exposure from table rows whose manufacturer
-// and vehicle names are keys of type K, resolved to names only once, by
-// Exposure. A heap database keys by the names themselves; a columnar
-// snapshot keys by string-table ids. Miles add up per key in the order rows
-// are fed, so feeding each table in row order reproduces a row-order sum
-// bit for bit. Keys that resolve to the same name are merged at the end.
-// Rows arrive grouped by report, so the last key of each kind is kept
-// beside its map and most rows skip the lookup.
+// and vehicle names are keys of type K. A heap database keys by the names
+// themselves; a columnar snapshot keys by string-table ids. Rows arrive
+// grouped by report, so the last manufacturer-year and vehicle are kept
+// beside their maps and most rows skip the lookups: a manufacturer key is
+// resolved to its name only when the manufacturer-year changes, and a
+// vehicle key only once, by Exposure, where vehicle keys that resolve to
+// the same name are merged. Miles add up in the order rows are fed, so
+// feeding each table in row order reproduces a row-order sum bit for bit.
 type ExposureTally[K comparable] struct {
-	name      func(K) string
-	makers    map[K]*MakerExposure
-	makerKeys []K
-	cars      map[[2]K]*CarExposure
-	carKeys   [][2]K
-	accidents int
+	name       func(K) string
+	makers     map[schema.Manufacturer]*MakerExposure
+	years      map[makerYear]*FleetRow
+	cars       map[[2]K]*CarExposure
+	carKeys    [][2]K
+	categories CategoryCounts
+	accidents  int
 
-	lastMaker    K
-	lastMakerExp *MakerExposure
-	lastCar      [2]K
-	lastCarExp   *CarExposure
+	lastMaker  K
+	lastYear   schema.ReportYear
+	lastExp    *MakerExposure
+	lastRow    *FleetRow
+	lastCar    [2]K
+	lastCarExp *CarExposure
+}
+
+// makerYear keys one manufacturer's report year.
+type makerYear struct {
+	m schema.Manufacturer
+	y schema.ReportYear
 }
 
 // NewExposureTally returns an empty tally whose keys name resolves.
 func NewExposureTally[K comparable](name func(K) string) *ExposureTally[K] {
-	return &ExposureTally[K]{name: name, makers: make(map[K]*MakerExposure), cars: make(map[[2]K]*CarExposure, 256)}
+	return &ExposureTally[K]{
+		name:   name,
+		makers: make(map[schema.Manufacturer]*MakerExposure),
+		years:  make(map[makerYear]*FleetRow),
+		cars:   make(map[[2]K]*CarExposure, 256),
+	}
 }
 
-func (t *ExposureTally[K]) maker(m K) *MakerExposure {
-	if t.lastMakerExp != nil && m == t.lastMaker {
-		return t.lastMakerExp
+// year returns the counts of manufacturer m and of its report year y.
+func (t *ExposureTally[K]) year(m K, y schema.ReportYear) (*MakerExposure, *FleetRow) {
+	if t.lastRow != nil && m == t.lastMaker && y == t.lastYear {
+		return t.lastExp, t.lastRow
 	}
-	e := t.makers[m]
+	name := schema.Manufacturer(t.name(m))
+	e := t.makers[name]
 	if e == nil {
-		e = &MakerExposure{}
-		t.makers[m] = e
-		t.makerKeys = append(t.makerKeys, m)
+		e = &MakerExposure{Manufacturer: name}
+		t.makers[name] = e
 	}
-	t.lastMaker, t.lastMakerExp = m, e
-	return e
+	r := t.years[makerYear{name, y}]
+	if r == nil {
+		r = &FleetRow{Manufacturer: name, ReportYear: y, Cars: -1}
+		t.years[makerYear{name, y}] = r
+	}
+	t.lastMaker, t.lastYear, t.lastExp, t.lastRow = m, y, e, r
+	return e, r
 }
 
 func (t *ExposureTally[K]) car(m, car K) *CarExposure {
@@ -97,47 +170,52 @@ func (t *ExposureTally[K]) car(m, car K) *CarExposure {
 	return e
 }
 
-// Fleet records a fleet row: the manufacturer is present.
-func (t *ExposureTally[K]) Fleet(m K) { t.maker(m) }
+// Fleet records a fleet row: the manufacturer-year is present and has
+// cars vehicles, unless a later fleet row says otherwise.
+func (t *ExposureTally[K]) Fleet(m K, y schema.ReportYear, cars int) {
+	_, r := t.year(m, y)
+	r.Cars = cars
+}
 
 // Mileage records one monthly mileage row.
-func (t *ExposureTally[K]) Mileage(m, car K, miles float64) {
-	t.maker(m).Miles += miles
+func (t *ExposureTally[K]) Mileage(m, car K, y schema.ReportYear, miles float64) {
+	e, r := t.year(m, y)
+	e.Miles += miles
+	r.Miles += miles
 	t.car(m, car).Miles += miles
 }
 
-// Event records one disengagement.
-func (t *ExposureTally[K]) Event(m, car K) {
-	t.maker(m).Events++
+// Event records one disengagement with its classification and modality.
+func (t *ExposureTally[K]) Event(m, car K, y schema.ReportYear, cat ontology.Category, tag ontology.Tag, mod schema.Modality) {
+	e, r := t.year(m, y)
+	e.Events++
+	e.Categories.add(cat, tag)
+	e.Modalities.add(mod)
+	r.Disengagements++
+	t.categories.add(cat, tag)
 	t.car(m, car).Events++
 }
 
 // Accident records one accident report.
-func (t *ExposureTally[K]) Accident(m K) {
-	t.maker(m).Accidents++
+func (t *ExposureTally[K]) Accident(m K, y schema.ReportYear) {
+	e, r := t.year(m, y)
+	e.Accidents++
+	r.Accidents++
 	t.accidents++
 }
 
-// Exposure resolves the keys to names and returns the summary: canonical
-// manufacturers in the paper's order, vehicles with an id sorted.
+// Exposure returns the summary: canonical manufacturers and their report
+// years in the paper's order, vehicles with an id sorted.
 func (t *ExposureTally[K]) Exposure() *Exposure {
-	byName := make(map[schema.Manufacturer]*MakerExposure, len(t.makerKeys))
-	for _, k := range t.makerKeys {
-		e, name := t.makers[k], schema.Manufacturer(t.name(k))
-		if acc := byName[name]; acc != nil {
-			acc.Miles += e.Miles
-			acc.Events += e.Events
-			acc.Accidents += e.Accidents
-			continue
-		}
-		acc := *e
-		acc.Manufacturer = name
-		byName[name] = &acc
-	}
-	x := &Exposure{Accidents: t.accidents}
+	x := &Exposure{Categories: t.categories, Accidents: t.accidents}
 	for _, m := range schema.AllManufacturers() {
-		if e := byName[m]; e != nil {
+		if e := t.makers[m]; e != nil {
 			x.Makers = append(x.Makers, *e)
+		}
+		for _, y := range schema.ReportYears() {
+			if r := t.years[makerYear{m, y}]; r != nil {
+				x.Years = append(x.Years, *r)
+			}
 		}
 	}
 
@@ -174,21 +252,21 @@ func (db *DB) exposure(keep func(time.Time) bool) *Exposure {
 	in := func(ts time.Time) bool { return keep == nil || keep(ts) }
 	t := NewExposureTally(func(s string) string { return s })
 	for _, f := range db.Fleets {
-		t.Fleet(string(f.Manufacturer))
+		t.Fleet(string(f.Manufacturer), f.ReportYear, f.Cars)
 	}
 	for _, m := range db.Mileage {
 		if in(m.Month) {
-			t.Mileage(string(m.Manufacturer), string(m.Vehicle), m.Miles)
+			t.Mileage(string(m.Manufacturer), string(m.Vehicle), m.ReportYear, m.Miles)
 		}
 	}
 	for _, e := range db.Events {
 		if in(e.Time) {
-			t.Event(string(e.Manufacturer), string(e.Vehicle))
+			t.Event(string(e.Manufacturer), string(e.Vehicle), e.ReportYear, e.Category, e.Tag, e.Modality)
 		}
 	}
 	for _, a := range db.Accidents {
 		if in(a.Time) {
-			t.Accident(string(a.Manufacturer))
+			t.Accident(string(a.Manufacturer), a.ReportYear)
 		}
 	}
 	return t.Exposure()

@@ -387,7 +387,7 @@ func TestMilesBetweenDisengagements(t *testing.T) {
 		t.Errorf("Waymo MBD median %.1f not >> Bosch %.1f", waymo.Box.Median, bosch.Box.Median)
 	}
 	// MBD medians are roughly 1/DPM medians.
-	rel, err := db.ReliabilityVsHuman()
+	rel, err := db.Exposure().ReliabilityVsHuman()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,10 @@ func TestMilesBetweenDisengagements(t *testing.T) {
 
 func TestManufacturerListings(t *testing.T) {
 	db := truthDB(t)
-	all := db.Manufacturers()
+	var all []schema.Manufacturer
+	for _, m := range db.Exposure().Makers {
+		all = append(all, m.Manufacturer)
+	}
 	analysis := db.AnalysisManufacturers()
 	if len(all) < len(analysis) {
 		t.Error("analysis set should be a subset")

@@ -2,9 +2,8 @@ package core
 
 import (
 	"errors"
+	"slices"
 
-	"avfda/internal/calib"
-	"avfda/internal/ontology"
 	"avfda/internal/reliability"
 	"avfda/internal/schema"
 	"avfda/internal/stats"
@@ -20,64 +19,23 @@ type FleetRow struct {
 	Accidents      int
 }
 
-// FleetSummary reproduces Table I from the database: fleet size, miles,
-// disengagements, and accidents per manufacturer and report year, in the
-// paper's row order.
-func (db *DB) FleetSummary() []FleetRow {
-	type key struct {
-		m schema.Manufacturer
-		y schema.ReportYear
-	}
-	rows := newGroups(func(k key) *FleetRow { return &FleetRow{Manufacturer: k.m, ReportYear: k.y, Cars: -1} })
-	for _, f := range db.Fleets {
-		rows.get(key{f.Manufacturer, f.ReportYear}).Cars = f.Cars
-	}
-	for _, m := range db.Mileage {
-		rows.get(key{m.Manufacturer, m.ReportYear}).Miles += m.Miles
-	}
-	for _, e := range db.Events {
-		rows.get(key{e.Manufacturer, e.ReportYear}).Disengagements++
-	}
-	for _, a := range db.Accidents {
-		rows.get(key{a.Manufacturer, a.ReportYear}).Accidents++
-	}
-	var out []FleetRow
-	for _, m := range schema.AllManufacturers() {
-		for _, y := range schema.ReportYears() {
-			if r, ok := rows.m[key{m, y}]; ok {
-				out = append(out, *r)
-			}
+// FleetSummary reproduces Table I: fleet size, miles, disengagements, and
+// accidents per manufacturer and report year, in the paper's row order.
+// The rows are the summary's own Years.
+func (x *Exposure) FleetSummary() []FleetRow { return x.Years }
+
+// analysisMakers returns the analysis manufacturers
+// (schema.AnalysisManufacturers) that reported disengagements, in that
+// order.
+func (x *Exposure) analysisMakers() []MakerExposure {
+	var out []MakerExposure
+	for _, m := range schema.AnalysisManufacturers() {
+		i := slices.IndexFunc(x.Makers, func(e MakerExposure) bool { return e.Manufacturer == m })
+		if i >= 0 && x.Makers[i].Events > 0 {
+			out = append(out, x.Makers[i])
 		}
 	}
 	return out
-}
-
-// groups accumulates one *V per key K, created by mk on first use. Rows
-// arrive grouped by report, so get keeps the last key beside the map and
-// most rows skip the lookup.
-type groups[K comparable, V any] struct {
-	m     map[K]*V
-	mk    func(K) *V
-	lastK K
-	last  *V
-}
-
-func newGroups[K comparable, V any](mk func(K) *V) *groups[K, V] {
-	return &groups[K, V]{m: make(map[K]*V), mk: mk}
-}
-
-// get returns the accumulator for k.
-func (g *groups[K, V]) get(k K) *V {
-	if g.last != nil && k == g.lastK {
-		return g.last
-	}
-	v := g.m[k]
-	if v == nil {
-		v = g.mk(k)
-		g.m[k] = v
-	}
-	g.lastK, g.last = k, v
-	return v
 }
 
 // CategoryRow is one row of Table IV: a manufacturer's disengagements by
@@ -92,38 +50,17 @@ type CategoryRow struct {
 }
 
 // CategoryBreakdown reproduces Table IV over the analysis manufacturers.
-func (db *DB) CategoryBreakdown() []CategoryRow {
-	counts := newGroups(func(m schema.Manufacturer) *CategoryRow { return &CategoryRow{Manufacturer: m} })
-	for _, e := range db.Events {
-		r := counts.get(e.Manufacturer)
-		r.Total++
-		switch e.Category {
-		case ontology.CategoryMLDesign:
-			if perception, _ := ontology.MLSubclass(e.Tag); perception {
-				r.PerceptionPct++
-			} else {
-				r.PlannerPct++
-			}
-		case ontology.CategorySystem:
-			r.SystemPct++
-		default:
-			r.UnknownPct++
-		}
-	}
+func (x *Exposure) CategoryBreakdown() []CategoryRow {
 	var out []CategoryRow
-	for _, m := range schema.AnalysisManufacturers() {
-		r := counts.m[m]
-		if r == nil || r.Total == 0 {
-			continue
-		}
-		n := float64(r.Total)
+	for _, m := range x.analysisMakers() {
+		n, c := float64(m.Events), m.Categories
 		out = append(out, CategoryRow{
-			Manufacturer:  m,
-			PlannerPct:    100 * r.PlannerPct / n,
-			PerceptionPct: 100 * r.PerceptionPct / n,
-			SystemPct:     100 * r.SystemPct / n,
-			UnknownPct:    100 * r.UnknownPct / n,
-			Total:         r.Total,
+			Manufacturer:  m.Manufacturer,
+			PlannerPct:    100 * float64(c.Planner) / n,
+			PerceptionPct: 100 * float64(c.Perception) / n,
+			SystemPct:     100 * float64(c.System) / n,
+			UnknownPct:    100 * float64(c.Unknown) / n,
+			Total:         m.Events,
 		})
 	}
 	return out
@@ -136,34 +73,21 @@ type CategoryShares struct {
 	MLDesign                             float64
 }
 
-// OverallCategoryShares computes the corpus-wide fractions.
-func (db *DB) OverallCategoryShares() CategoryShares {
-	var s CategoryShares
-	n := float64(len(db.Events))
+// OverallCategoryShares computes the corpus-wide fractions over every
+// disengagement, canonical manufacturer or not.
+func (x *Exposure) OverallCategoryShares() CategoryShares {
+	c := x.Categories
+	n := float64(c.Planner + c.Perception + c.System + c.Unknown)
 	if n == 0 {
-		return s
+		return CategoryShares{}
 	}
-	for _, e := range db.Events {
-		switch e.Category {
-		case ontology.CategoryMLDesign:
-			s.MLDesign++
-			if perception, _ := ontology.MLSubclass(e.Tag); perception {
-				s.Perception++
-			} else {
-				s.Planner++
-			}
-		case ontology.CategorySystem:
-			s.System++
-		default:
-			s.Unknown++
-		}
+	return CategoryShares{
+		Perception: float64(c.Perception) / n,
+		Planner:    float64(c.Planner) / n,
+		System:     float64(c.System) / n,
+		Unknown:    float64(c.Unknown) / n,
+		MLDesign:   float64(c.Planner+c.Perception) / n,
 	}
-	s.Perception /= n
-	s.Planner /= n
-	s.System /= n
-	s.Unknown /= n
-	s.MLDesign /= n
-	return s
 }
 
 // ModalityRow is one row of Table V.
@@ -175,34 +99,17 @@ type ModalityRow struct {
 	Total        int
 }
 
-// ModalityBreakdown reproduces Table V.
-func (db *DB) ModalityBreakdown() []ModalityRow {
-	counts := newGroups(func(m schema.Manufacturer) *ModalityRow { return &ModalityRow{Manufacturer: m} })
-	for _, e := range db.Events {
-		r := counts.get(e.Manufacturer)
-		r.Total++
-		switch e.Modality {
-		case schema.ModalityAutomatic:
-			r.AutomaticPct++
-		case schema.ModalityManual:
-			r.ManualPct++
-		case schema.ModalityPlanned:
-			r.PlannedPct++
-		}
-	}
+// ModalityBreakdown reproduces Table V over the analysis manufacturers.
+func (x *Exposure) ModalityBreakdown() []ModalityRow {
 	var out []ModalityRow
-	for _, m := range schema.AnalysisManufacturers() {
-		r := counts.m[m]
-		if r == nil || r.Total == 0 {
-			continue
-		}
-		n := float64(r.Total)
+	for _, m := range x.analysisMakers() {
+		n, c := float64(m.Events), m.Modalities
 		out = append(out, ModalityRow{
-			Manufacturer: m,
-			AutomaticPct: 100 * r.AutomaticPct / n,
-			ManualPct:    100 * r.ManualPct / n,
-			PlannedPct:   100 * r.PlannedPct / n,
-			Total:        r.Total,
+			Manufacturer: m.Manufacturer,
+			AutomaticPct: 100 * float64(c.Automatic) / n,
+			ManualPct:    100 * float64(c.Manual) / n,
+			PlannedPct:   100 * float64(c.Planned) / n,
+			Total:        m.Events,
 		})
 	}
 	return out
@@ -219,9 +126,6 @@ type AccidentRow struct {
 }
 
 // AccidentSummary reproduces Table VI.
-func (db *DB) AccidentSummary() []AccidentRow { return db.Exposure().AccidentSummary() }
-
-// AccidentSummary reproduces Table VI from the exposure summary.
 func (x *Exposure) AccidentSummary() []AccidentRow {
 	var out []AccidentRow
 	for _, m := range x.Makers {
@@ -262,25 +166,17 @@ type ReliabilityRow struct {
 
 // ReliabilityVsHuman reproduces Table VII: median per-car DPM, APM via
 // DPM/DPA, and the ratio to the human-driver accident rate.
-func (db *DB) ReliabilityVsHuman() ([]ReliabilityRow, error) {
-	return db.Exposure().ReliabilityVsHuman()
-}
-
-// ReliabilityVsHuman reproduces Table VII from the exposure summary.
 func (x *Exposure) ReliabilityVsHuman() ([]ReliabilityRow, error) {
 	medians := x.medianDPMPerCar()
 	dpaBy := make(map[schema.Manufacturer]float64)
 	for _, r := range x.AccidentSummary() {
 		dpaBy[r.Manufacturer] = r.DPA
 	}
-	makers := make(map[schema.Manufacturer]MakerExposure, len(x.Makers))
-	for _, m := range x.Makers {
-		makers[m.Manufacturer] = m
-	}
 	var out []ReliabilityRow
-	for _, m := range schema.AnalysisManufacturers() {
+	for _, mk := range x.analysisMakers() {
+		m := mk.Manufacturer
 		med, ok := medians[m]
-		if !ok || makers[m].Events == 0 {
+		if !ok {
 			continue
 		}
 		row := ReliabilityRow{
@@ -301,7 +197,7 @@ func (x *Exposure) ReliabilityVsHuman() ([]ReliabilityRow, error) {
 				return nil, err
 			}
 			row.RelToHuman = rel
-			conf, err := reliability.EstimateConfidence(makers[m].Accidents, 2)
+			conf, err := reliability.EstimateConfidence(mk.Accidents, 2)
 			if err != nil {
 				return nil, err
 			}
@@ -335,11 +231,6 @@ type CrossDomainRow struct {
 }
 
 // CrossDomainTable reproduces Table VIII from the Table VII APM column.
-func (db *DB) CrossDomainTable() ([]CrossDomainRow, error) {
-	return db.Exposure().CrossDomainTable()
-}
-
-// CrossDomainTable reproduces Table VIII from the exposure summary.
 func (x *Exposure) CrossDomainTable() ([]CrossDomainRow, error) {
 	rel, err := x.ReliabilityVsHuman()
 	if err != nil {
@@ -467,11 +358,4 @@ func (db *DB) Aggregates() AggregateRatios {
 		}
 	}
 	return out
-}
-
-// PaperCategoryTargets returns the calib Table IV row for comparison
-// rendering; ok is false for manufacturers the paper does not print.
-func PaperCategoryTargets(m schema.Manufacturer) (calib.CategoryPct, bool) {
-	row, ok := calib.TableIV[m]
-	return row, ok
 }

@@ -71,7 +71,7 @@ func TestEndToEndHeadlineResults(t *testing.T) {
 	res := run(t)
 	// The paper's headline survives the full noisy pipeline: ~64% of
 	// disengagements from the ML system.
-	s := res.DB.OverallCategoryShares()
+	s := res.DB.Exposure().OverallCategoryShares()
 	if math.Abs(s.MLDesign-calib.MLDesignShare) > 0.07 {
 		t.Errorf("end-to-end ML share = %.3f, paper %.2f", s.MLDesign, calib.MLDesignShare)
 	}
@@ -93,7 +93,7 @@ func TestEndToEndHeadlineResults(t *testing.T) {
 	}
 	// Tesla's vague causes stay Unknown through the live NLP stage
 	// (Table IV: 98.35% Unknown-C).
-	for _, r := range res.DB.CategoryBreakdown() {
+	for _, r := range res.DB.Exposure().CategoryBreakdown() {
 		if r.Manufacturer == schema.Tesla && r.UnknownPct < 90 {
 			t.Errorf("end-to-end Tesla Unknown-C = %.1f%%, want > 90%%", r.UnknownPct)
 		}
@@ -236,7 +236,7 @@ func TestHeadlineStableAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := res.DB.OverallCategoryShares()
+		s := res.DB.Exposure().OverallCategoryShares()
 		if math.Abs(s.MLDesign-calib.MLDesignShare) > 0.07 {
 			t.Errorf("seed %d: ML share %.3f", seed, s.MLDesign)
 		}

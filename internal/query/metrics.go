@@ -13,10 +13,4 @@ func Reliability(x *core.Exposure) ([]ReliabilityMetric, error) { return core.Re
 // Reliability reports the engine's per-manufacturer reliability metrics
 // from the exposure summary its View sums from the columns; no table is
 // decoded.
-func (e *Engine) Reliability() ([]ReliabilityMetric, error) {
-	x, err := e.v.Exposure()
-	if err != nil {
-		return nil, err
-	}
-	return Reliability(x)
-}
+func (e *Engine) Reliability() ([]ReliabilityMetric, error) { return Reliability(e.v.Exposure()) }

@@ -33,14 +33,12 @@ const (
 // not served.
 var AnswerKeys = [...]string{"reliability", "i", "iii", "iv", "v", "vi", "vii", "viii"}
 
-// Answers renders every answer of AnswerKeys for db, in that order. The
-// reliability body is the JSON of core.ReliabilityResponse; a table is its
-// plain text. x is db's exposure summary (db.Exposure(), or the same sums
-// taken from an encoding of db), shared by the reliability metrics and
-// Tables VI-VIII. A render that fails is the 500 JSON error envelope
-// avserve answers with, so a stored study never needs its database to
-// answer.
-func Answers(db *core.DB, x *core.Exposure) []Answer {
+// Answers renders every answer of AnswerKeys from a study's summary, in
+// that order. The reliability body is the JSON of
+// core.ReliabilityResponse; a table is its plain text. A render that fails
+// is the 500 JSON error envelope avserve answers with, so a stored study
+// never needs its database to answer.
+func Answers(x *core.Exposure) []Answer {
 	out := make([]Answer, 0, len(AnswerKeys))
 	if body, err := reliabilityBody(x); err != nil {
 		out = append(out, errorAnswer("reliability: %v", err))
@@ -52,13 +50,13 @@ func Answers(db *core.DB, x *core.Exposure) []Answer {
 		var err error
 		switch id {
 		case "i":
-			text = TableI(db)
+			text = tableI(x)
 		case "iii":
 			text = TableIII()
 		case "iv":
-			text = TableIV(db)
+			text = tableIV(x)
 		case "v":
-			text = TableV(db)
+			text = tableV(x)
 		case "vi":
 			text = tableVI(x)
 		case "vii":

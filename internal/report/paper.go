@@ -16,13 +16,16 @@ import (
 // published numbers (from package calib) wherever the paper prints them.
 
 // TableI renders the fleet summary with the paper's values inline.
-func TableI(db *core.DB) string {
+func TableI(db *core.DB) string { return tableI(db.Exposure()) }
+
+// tableI renders Table I from the study's summary.
+func tableI(x *core.Exposure) string {
 	t := Table{
 		Title:   "Table I — Fleet size, autonomous miles, and failure incidents",
 		Headers: []string{"Manufacturer", "Report", "Cars", "Miles", "Diseng.", "Accidents", "paper(miles)", "paper(diseng.)"},
 		Aligns:  []Align{Left, Left, Right, Right, Right, Right, Right, Right},
 	}
-	for _, r := range db.FleetSummary() {
+	for _, r := range x.FleetSummary() {
 		paper := calib.TableI[r.Manufacturer][r.ReportYear]
 		t.AddRow(
 			string(r.Manufacturer), r.ReportYear.String(), DashInt(r.Cars),
@@ -72,15 +75,18 @@ func TableIII() string {
 }
 
 // TableIV renders the per-manufacturer category breakdown vs the paper.
-func TableIV(db *core.DB) string {
+func TableIV(db *core.DB) string { return tableIV(db.Exposure()) }
+
+// tableIV renders Table IV from the study's summary.
+func tableIV(x *core.Exposure) string {
 	t := Table{
 		Title: "Table IV — Disengagement root-cause categories (%)",
 		Headers: []string{"Manufacturer", "Planner", "Perception", "System", "Unknown-C",
 			"paper(Plan)", "paper(Perc)", "paper(Sys)", "paper(Unk)"},
 		Aligns: []Align{Left, Right, Right, Right, Right, Right, Right, Right, Right},
 	}
-	for _, r := range db.CategoryBreakdown() {
-		paper, ok := core.PaperCategoryTargets(r.Manufacturer)
+	for _, r := range x.CategoryBreakdown() {
+		paper, ok := calib.TableIV[r.Manufacturer]
 		pp := func(v float64) string {
 			if !ok {
 				return "-"
@@ -92,7 +98,7 @@ func TableIV(db *core.DB) string {
 			fmt.Sprintf("%.2f", r.SystemPct), fmt.Sprintf("%.2f", r.UnknownPct),
 			pp(paper.PlannerPct), pp(paper.PerceptionPct), pp(paper.SystemPct), pp(paper.UnknownPct))
 	}
-	s := db.OverallCategoryShares()
+	s := x.OverallCategoryShares()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("overall: perception %.1f%%, planner %.1f%%, system %.1f%%, ML total %.1f%% (paper: ~44/20/33.6/64)",
 			100*s.Perception, 100*s.Planner, 100*s.System, 100*s.MLDesign))
@@ -100,13 +106,16 @@ func TableIV(db *core.DB) string {
 }
 
 // TableV renders the modality breakdown vs the paper.
-func TableV(db *core.DB) string {
+func TableV(db *core.DB) string { return tableV(db.Exposure()) }
+
+// tableV renders Table V from the study's summary.
+func tableV(x *core.Exposure) string {
 	t := Table{
 		Title:   "Table V — Disengagement modality (%)",
 		Headers: []string{"Manufacturer", "Automatic", "Manual", "Planned", "paper(Auto)", "paper(Man)", "paper(Plan)"},
 		Aligns:  []Align{Left, Right, Right, Right, Right, Right, Right},
 	}
-	for _, r := range db.ModalityBreakdown() {
+	for _, r := range x.ModalityBreakdown() {
 		paper := calib.TableV[r.Manufacturer]
 		t.AddRow(string(r.Manufacturer),
 			fmt.Sprintf("%.2f", r.AutomaticPct), fmt.Sprintf("%.2f", r.ManualPct), fmt.Sprintf("%.2f", r.PlannedPct),
@@ -118,7 +127,7 @@ func TableV(db *core.DB) string {
 // TableVI renders the accident summary vs the paper.
 func TableVI(db *core.DB) string { return tableVI(db.Exposure()) }
 
-// tableVI renders Table VI from the study's exposure summary.
+// tableVI renders Table VI from the study's summary.
 func tableVI(x *core.Exposure) string {
 	t := Table{
 		Title:   "Table VI — Accidents reported by manufacturers",
@@ -137,7 +146,7 @@ func tableVI(x *core.Exposure) string {
 // TableVII renders AV-vs-human reliability vs the paper.
 func TableVII(db *core.DB) (string, error) { return tableVII(db.Exposure()) }
 
-// tableVII renders Table VII from the study's exposure summary.
+// tableVII renders Table VII from the study's summary.
 func tableVII(x *core.Exposure) (string, error) {
 	rows, err := x.ReliabilityVsHuman()
 	if err != nil {
@@ -166,7 +175,7 @@ func tableVII(x *core.Exposure) (string, error) {
 // TableVIII renders the cross-domain comparison vs the paper.
 func TableVIII(db *core.DB) (string, error) { return tableVIII(db.Exposure()) }
 
-// tableVIII renders Table VIII from the study's exposure summary.
+// tableVIII renders Table VIII from the study's summary.
 func tableVIII(x *core.Exposure) (string, error) {
 	rows, err := x.CrossDomainTable()
 	if err != nil {

@@ -137,7 +137,7 @@ type CacheStats struct {
 	SnapshotFetchMisses int64
 	// SnapshotFetchErrors counts peer probes that failed (transport error,
 	// non-200/404 status, or a fetched file that flunked CRC/structure
-	// validation on receipt).
+	// validation or whose stored answers differ from its columns).
 	SnapshotFetchErrors int64
 	// StudyMaterializations counts whole-database decodes of mapped
 	// studies (Study.Database). No served route makes one, so a server

@@ -27,9 +27,9 @@ const (
 
 // snapshotFetcher pulls v2 snapshots from peer avserve backends over
 // their /v1/snapshots/{seed} endpoint. Fetched bytes are re-verified
-// end to end (magic, version, CRC-32C, structural bounds) before they
-// are landed in the snapshot directory: a peer is a transport, never a
-// trust root.
+// end to end (magic, version, CRC-32C, structural bounds, and the stored
+// answers against a render of the columns) before they are landed in the
+// snapshot directory: a peer is a transport, never a trust root.
 type snapshotFetcher struct {
 	peers  []string
 	client *http.Client
@@ -97,8 +97,15 @@ func (f *snapshotFetcher) fetchOne(peer, dir string, seed int64) error {
 	// Re-verify before anything touches disk: NewView walks the full
 	// format (magic, version, payload length, CRC-32C, section bounds),
 	// so a truncated or corrupted transfer is rejected here with a typed
-	// snapshot2 error rather than being discovered at query time.
-	if _, err := snapshot2.NewView(data); err != nil {
+	// snapshot2 error rather than being discovered at query time, and
+	// CheckAnswers re-renders the stored answers from the file's own
+	// columns, so a valid-CRC file whose tables disagree with its rows is
+	// never served.
+	v, err := snapshot2.NewView(data)
+	if err == nil {
+		err = v.CheckAnswers()
+	}
+	if err != nil {
 		return fmt.Errorf("serve: peer %s: snapshot %d invalid: %w", peer, seed, err)
 	}
 	return snapshot2.WriteSeedBytes(dir, seed, data)

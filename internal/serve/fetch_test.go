@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -190,5 +193,66 @@ func TestFetcherInstallsAtomically(t *testing.T) {
 	}
 	if _, err := os.Stat(snapshot2.Path(dir, 42)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("miss left a file behind: stat err = %v", err)
+	}
+}
+
+// TestPeerFetchStaleAnswersRejected: a peer serving a seed file whose Table
+// IV body was edited, its CRC re-sealed, passes every structural check,
+// but its stored answers no longer match a render of its columns. The
+// fetch is refused before anything lands in the snapshot directory, and
+// the backend builds the study itself.
+func TestPeerFetchStaleAnswersRejected(t *testing.T) {
+	honest, err := snapshot2.Encode(testDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Clone(honest)
+	i := bytes.Index(edited, []byte("Table IV "))
+	if i < 0 {
+		t.Fatal("no Table IV body in the snapshot")
+	}
+	copy(edited[i:], "Table IX ")
+	// Re-seal: the CRC-32C of the payload sits in header bytes 18..22
+	// (see the snapshot2 package comment for the layout).
+	binary.LittleEndian.PutUint32(edited[18:], crc32.Checksum(edited[22:], crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := snapshot2.NewView(edited); err != nil {
+		t.Fatalf("edited file should pass structural validation: %v", err)
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(edited)
+	}))
+	defer peer.Close()
+
+	dir := t.TempDir()
+	var ae *snapshot2.AnswerError
+	if err := newSnapshotFetcher([]string{peer.URL}, 0).fetch(dir, 1); !errors.As(err, &ae) {
+		t.Fatalf("fetch err = %v, want a *snapshot2.AnswerError", err)
+	}
+	if _, err := os.Stat(snapshot2.Path(dir, 1)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused fetch left a file behind: stat err = %v", err)
+	}
+
+	var builds atomic.Int64
+	s, err := New(Config{
+		Build:         testBuilder(t, &builds, 0),
+		CacheSize:     2,
+		SnapshotDir:   dir,
+		SnapshotPeers: []string{peer.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, s, "/v1/studies/1/tables/iv")
+	if code != http.StatusOK || strings.Contains(body, "Table IX") {
+		t.Fatalf("code = %d, body %q: want the locally built Table IV", code, body)
+	}
+	if builds.Load() != 1 {
+		t.Errorf("pipeline builds = %d, want 1 (stale fetch refused)", builds.Load())
+	}
+	if stats := s.CacheStats(); stats.SnapshotFetchErrors != 1 || stats.SnapshotFetches != 0 {
+		t.Errorf("stats = %+v, want exactly one fetch error", stats)
+	}
+	if landed, err := os.ReadFile(snapshot2.Path(dir, 1)); err == nil && bytes.Equal(landed, edited) {
+		t.Error("the edited file landed in the snapshot directory")
 	}
 }

@@ -141,7 +141,7 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		{"avserve_snapshot2_open_errors_total", "V2 snapshot files that exist but could not be read (permissions, I/O, not a regular file); each falls back to a peer fetch or a rebuild, and is not a reject.", cache.Snapshot2OpenErrors},
 		{"avserve_snapshot_fetches_total", "Cache misses served by pulling the seed's v2 snapshot from a peer (CRC re-verified on receipt).", cache.SnapshotFetches},
 		{"avserve_snapshot_fetch_misses_total", "Peer snapshot probes answered 404 on every peer (seed not held anywhere; falls back to a rebuild).", cache.SnapshotFetchMisses},
-		{"avserve_snapshot_fetch_errors_total", "Peer snapshot probes that failed (transport error, unexpected status, or a fetched file flunking validation); each falls back to a rebuild.", cache.SnapshotFetchErrors},
+		{"avserve_snapshot_fetch_errors_total", "Peer snapshot probes that failed (transport error, unexpected status, or a fetched file flunking validation or the stored-answer check); each falls back to a rebuild.", cache.SnapshotFetchErrors},
 		{"avserve_study_materializations_total", "Whole-database decodes of mapped studies (no served route makes one: listings, group-bys and accidents read the columns, reliability and tables are stored answers).", cache.StudyMaterializations},
 		{"avserve_snapshot_releases_total", "Mappings of evicted studies closed when their last request released them.", cache.SnapshotReleases},
 	} {

@@ -331,11 +331,7 @@ func TestCalibratedStudiesAnswerFromColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := v.Exposure()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := db.Exposure(); !reflect.DeepEqual(got, want) {
+		if got, want := v.Exposure(), db.Exposure(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: View exposure differs from the database's", seed)
 		}
 		ref := newDBRef(t, db)

@@ -5,6 +5,7 @@ package snapshot2
 var (
 	TestDB             = testDB
 	Reseal             = reseal
+	OddCodes           = oddCodes
 	TypedSnapshotError = typedSnapshotError
 )
 

@@ -3,6 +3,7 @@ package snapshot2_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,11 +22,13 @@ import (
 // inputs from the property tests: a fully valid snapshot, header and
 // payload truncations, single-bit flips in the version, checksum, section
 // directory, and payload regions, re-sealed section-offset corruption
-// (valid checksum over a broken directory), and trailing garbage. A view
+// (valid checksum over a broken directory), out-of-range enum codes and
+// non-finite miles behind a valid checksum, and trailing garbage. A view
 // that validates must also filter through the engine's column codes
 // exactly as through its string comparisons, whatever its string table
 // holds: two ids whose texts fold together are a case the encoder never
-// writes.
+// writes. Its stored answers must check against its columns to nil or an
+// *AnswerError, never a panic.
 func FuzzSnapshot2Read(f *testing.F) {
 	const headerLen = snapshot2.HeaderLen
 	valid, err := snapshot2.Encode(snapshot2.TestDB(7, 12, 3))
@@ -50,6 +53,8 @@ func FuzzSnapshot2Read(f *testing.F) {
 	off := binary.LittleEndian.Uint64(payload[4+20+4:])
 	binary.LittleEndian.PutUint64(payload[4+20+4:], off+1)
 	f.Add(snapshot2.Reseal(valid, payload))
+	// Out-of-range codes and non-finite miles behind a valid checksum.
+	f.Add(snapshot2.OddCodes(valid))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.avsnap2")
@@ -97,6 +102,13 @@ func FuzzSnapshot2Read(f *testing.F) {
 					t.Fatalf("filter %+v: Select %v, SelectScan %v", f, got, want)
 				}
 			}
+		}
+		// Enum columns are not range-checked at open, so arbitrary codes
+		// reach the summary behind the answers: the check must finish with
+		// a verdict.
+		var ae *snapshot2.AnswerError
+		if err := v.CheckAnswers(); err != nil && !errors.As(err, &ae) {
+			t.Fatalf("CheckAnswers: untyped error %v", err)
 		}
 		db, err := v.Database()
 		if err != nil {

@@ -37,13 +37,16 @@
 //
 // The answers are the study's parameterless HTTP responses — the
 // metrics/reliability JSON and the seven served paper tables — rendered
-// once by report.Answers when the study is encoded, so a server copies
-// them instead of recomputing them each time the study comes back into
-// memory. A status is 200 or 500 (a render that failed is stored as its
-// error envelope); a content type is 0 for report.ContentJSON or 1 for
-// report.ContentText. Bodies are stored identity-encoded: a stored gzip
-// stream would tie the checksum, and so every ETag, to one compress/flate
-// build's output.
+// once by report.Answers when the study is encoded, from the summary of
+// the columns just written (View.Exposure), so a server copies them
+// instead of recomputing them each time the study comes back into
+// memory. The answer sections come last, so no column offset depends on
+// the answers' length, and View.CheckAnswers re-renders them to check a
+// file from an untrusted source against its own rows. A status is 200 or
+// 500 (a render that failed is stored as its error envelope); a content
+// type is 0 for report.ContentJSON or 1 for report.ContentText. Bodies are
+// stored identity-encoded: a stored gzip stream would tie the checksum,
+// and so every ETag, to one compress/flate build's output.
 //
 // Encoding the same database always yields the same bytes, so
 // write→read→re-write round-trips are byte-identical (property-tested).
@@ -158,6 +161,12 @@ func TableSlot(id string) (s Slot, ok bool) {
 // answerSlotLen is the byte length of one answer-slot entry.
 const answerSlotLen = 2 + 2 + 4
 
+// answerBodiesHint is the room Encode allocates for the answer bodies
+// beside the other sections. The tables print at most one row per
+// canonical manufacturer and report year, so the bodies of any study stay
+// near the calibrated studies' 12.5 KiB.
+const answerBodiesHint = 16 << 10
+
 // contentTypes maps a stored content-type code to its value.
 var contentTypes = [...]string{report.ContentJSON, report.ContentText}
 
@@ -200,6 +209,18 @@ func (e *ChecksumError) Error() string {
 	return fmt.Sprintf("snapshot2: payload checksum %08x, header says %08x", e.Got, e.Want)
 }
 
+// AnswerError reports a snapshot whose stored answers differ from a render
+// of its own columns (View.CheckAnswers).
+type AnswerError struct {
+	// Slot is the first slot whose status, content type or body differs.
+	Slot Slot
+}
+
+// Error implements the error interface.
+func (e *AnswerError) Error() string {
+	return fmt.Sprintf("snapshot2: stored answer %q differs from a render of the columns", report.AnswerKeys[e.Slot])
+}
+
 // Path returns the canonical v2 snapshot file name for a study seed inside
 // dir. The .avsnap2 extension keeps it distinct from a leftover v1 file
 // (study-<seed>.avsnap), which is never opened.
@@ -228,8 +249,10 @@ var columns = [...]struct {
 // Encode serializes the database into the v2 columnar wire format.
 // Encoding is deterministic: the string table interns values in a fixed
 // traversal order, so identical databases encode to identical bytes.
-// Every section is sized from the row counts and the string table, so the
-// file image is allocated once and each column is written into place.
+// Every section but the answer bodies is sized from the row counts and the
+// string table, so the columns are written into place in one allocation;
+// the answers are then rendered from those columns and appended, in the
+// same allocation unless they outgrow answerBodiesHint.
 func Encode(db *core.DB) ([]byte, error) {
 	if db == nil {
 		return nil, errors.New("snapshot2: nil database")
@@ -238,59 +261,34 @@ func Encode(db *core.DB) ([]byte, error) {
 
 	// Intern every string in the traversal order that assigns the ids:
 	// event by event (manufacturer, vehicle, cause), then mileage, fleets
-	// and accidents. Only the id columns the exposure tally reads are
-	// kept; the others are looked up again when they are written.
+	// and accidents.
 	e := encoder{strIndex: make(map[string]uint32)}
 	e.intern("") // id 0 is always the empty string
-	evMfr, evVeh := make([]uint32, counts[0]), make([]uint32, counts[0])
-	for i, ev := range db.Events {
-		evMfr[i] = e.intern(string(ev.Manufacturer))
-		evVeh[i] = e.intern(string(ev.Vehicle))
+	var evMfr, evVeh, mlMfr, mlVeh lastID
+	for _, ev := range db.Events {
+		e.internVia(&evMfr, string(ev.Manufacturer))
+		e.internVia(&evVeh, string(ev.Vehicle))
 		e.intern(ev.Cause)
 	}
-	mlMfr, mlVeh := make([]uint32, counts[1]), make([]uint32, counts[1])
-	for i, m := range db.Mileage {
-		mlMfr[i] = e.intern(string(m.Manufacturer))
-		mlVeh[i] = e.intern(string(m.Vehicle))
+	for _, m := range db.Mileage {
+		e.internVia(&mlMfr, string(m.Manufacturer))
+		e.internVia(&mlVeh, string(m.Vehicle))
 	}
-	flMfr := make([]uint32, counts[2])
-	for i, f := range db.Fleets {
-		flMfr[i] = e.intern(string(f.Manufacturer))
+	for _, f := range db.Fleets {
+		e.intern(string(f.Manufacturer))
 	}
-	acMfr := make([]uint32, counts[3])
-	for i, a := range db.Accidents {
-		acMfr[i] = e.intern(string(a.Manufacturer))
+	for _, a := range db.Accidents {
+		e.intern(string(a.Manufacturer))
 		e.intern(string(a.Vehicle))
 		e.intern(a.Location)
 		e.intern(a.Narrative)
 	}
 
-	// The answers share one exposure summary, summed by string id as
-	// View.Exposure sums it: in row order, so bit-identical to
-	// db.Exposure().
-	x := core.NewExposureTally(func(id uint32) string { return e.strs[id] })
-	for _, m := range flMfr {
-		x.Fleet(m)
-	}
-	for i, m := range mlMfr {
-		x.Mileage(m, mlVeh[i], db.Mileage[i].Miles)
-	}
-	for i, m := range evMfr {
-		x.Event(m, evVeh[i])
-	}
-	for _, m := range acMfr {
-		x.Accident(m)
-	}
-	answers := report.Answers(db, x.Exposure())
-	bodyLen, err := checkAnswers(answers)
-	if err != nil {
-		return nil, err
-	}
-
-	// Lay the file out: the header, whose checksum is filled in last; the
-	// section directory, ids 1-based and consecutive and offsets relative
-	// to the payload start; then the sections, tiling the rest of the
-	// payload. sec holds each section's window of out, by id.
+	// Lay the file out: the header, whose payload length and checksum are
+	// filled in last; the section directory, ids 1-based and consecutive
+	// and offsets relative to the payload start; then the sections, tiling
+	// the rest of the payload. sec holds each section's window of out, by
+	// id. The answer bodies, the last section, are appended at the end.
 	var lens [numSections + 1]int
 	lens[secMeta] = 5 * 8
 	lens[secStrOffsets] = 4 * (len(e.strs) + 1)
@@ -299,17 +297,15 @@ func Encode(db *core.DB) ([]byte, error) {
 		lens[c.id] = counts[c.table] * c.width
 	}
 	lens[secAnswerSlots] = NumSlots * answerSlotLen
-	lens[secAnswerBodies] = bodyLen
 	const dirLen = 4 + numSections*(4+8+8)
-	payloadLen := dirLen
+	size := headerLen + dirLen
 	for _, n := range lens {
-		payloadLen += n
+		size += n
 	}
 	le := binary.LittleEndian
-	out := make([]byte, headerLen+payloadLen)
+	out := make([]byte, size, size+answerBodiesHint)
 	copy(out, magic)
 	le.PutUint16(out[len(magic):], Version)
-	le.PutUint64(out[len(magic)+2:], uint64(payloadLen))
 	payload := out[headerLen:]
 	le.PutUint32(payload, numSections)
 	var sec [numSections + 1][]byte
@@ -339,8 +335,8 @@ func Encode(db *core.DB) ([]byte, error) {
 	// the raw integer (the View renders display strings on access),
 	// timestamps store Unix seconds + in-second nanoseconds.
 	for i, ev := range db.Events {
-		putU32(sec[secEvMfr], i, evMfr[i])
-		putU32(sec[secEvVehicle], i, evVeh[i])
+		putU32(sec[secEvMfr], i, e.internVia(&evMfr, string(ev.Manufacturer)))
+		putU32(sec[secEvVehicle], i, e.internVia(&evVeh, string(ev.Vehicle)))
 		putI64(sec[secEvYear], i, int64(ev.ReportYear))
 		putI64(sec[secEvTimeSec], i, ev.Time.Unix())
 		putI64(sec[secEvTimeNsec], i, int64(ev.Time.Nanosecond()))
@@ -353,20 +349,20 @@ func Encode(db *core.DB) ([]byte, error) {
 		putI64(sec[secEvCategory], i, int64(ev.Category))
 	}
 	for i, m := range db.Mileage {
-		putU32(sec[secMlMfr], i, mlMfr[i])
-		putU32(sec[secMlVehicle], i, mlVeh[i])
+		putU32(sec[secMlMfr], i, e.internVia(&mlMfr, string(m.Manufacturer)))
+		putU32(sec[secMlVehicle], i, e.internVia(&mlVeh, string(m.Vehicle)))
 		putI64(sec[secMlYear], i, int64(m.ReportYear))
 		putI64(sec[secMlMonthSec], i, m.Month.Unix())
 		putI64(sec[secMlMonthNsec], i, int64(m.Month.Nanosecond()))
 		putF64(sec[secMlMiles], i, m.Miles)
 	}
 	for i, f := range db.Fleets {
-		putU32(sec[secFlMfr], i, flMfr[i])
+		putU32(sec[secFlMfr], i, e.strIndex[string(f.Manufacturer)])
 		putI64(sec[secFlYear], i, int64(f.ReportYear))
 		putI64(sec[secFlCars], i, int64(f.Cars))
 	}
 	for i, a := range db.Accidents {
-		putU32(sec[secAcMfr], i, acMfr[i])
+		putU32(sec[secAcMfr], i, e.strIndex[string(a.Manufacturer)])
 		putU32(sec[secAcVehicle], i, e.strIndex[string(a.Vehicle)])
 		putI64(sec[secAcYear], i, int64(a.ReportYear))
 		putI64(sec[secAcTimeSec], i, a.Time.Unix())
@@ -385,15 +381,31 @@ func Encode(db *core.DB) ([]byte, error) {
 		sec[secAcFlags][i] = flags
 	}
 
-	bodies := sec[secAnswerBodies]
+	// Render the answers from the columns just written, through a View
+	// over their windows: the sums are the ones every reader of the file
+	// takes. The encoder's own string table names the ids.
+	v := View{nEvents: counts[0], nMileage: counts[1], nFleets: counts[2], nAccidents: counts[3]}
+	copy(v.secs[:], sec[1:])
+	answers := report.Answers(v.exposure(func(id uint32) string { return e.strs[id] }))
+	bodyLen, err := checkAnswers(answers)
+	if err != nil {
+		return nil, err
+	}
 	for i, a := range answers {
 		ent := sec[secAnswerSlots][i*answerSlotLen:]
 		le.PutUint16(ent, uint16(a.Status))
 		le.PutUint16(ent[2:], uint16(slices.Index(contentTypes[:], a.ContentType)))
 		le.PutUint32(ent[4:], uint32(len(a.Body)))
-		bodies = bodies[copy(bodies, a.Body):]
 	}
-	le.PutUint32(out[headerLen-4:], crc32.Checksum(payload, castagnoli))
+	out = slices.Grow(out, bodyLen)
+	for _, a := range answers {
+		out = append(out, a.Body...)
+	}
+	// The bodies' length goes into the last directory entry, then the
+	// payload length and checksum into the header.
+	le.PutUint64(out[headerLen+4+20*int(secAnswerBodies-1)+12:], uint64(bodyLen))
+	le.PutUint64(out[len(magic)+2:], uint64(len(out)-headerLen))
+	le.PutUint32(out[headerLen-4:], crc32.Checksum(out[headerLen:], castagnoli))
 	return out, nil
 }
 
@@ -438,6 +450,22 @@ func (e *encoder) intern(s string) uint32 {
 	e.strs = append(e.strs, s)
 	e.blobLen += len(s)
 	return id
+}
+
+// lastID is the last string a column interned and its id. Rows arrive
+// grouped by report, so most rows repeat their column's last manufacturer
+// or vehicle and skip the map. The zero value holds the empty string's id.
+type lastID struct {
+	s  string
+	id uint32
+}
+
+// internVia is intern(s) through the column's last string and id.
+func (e *encoder) internVia(c *lastID, s string) uint32 {
+	if s != c.s {
+		c.s, c.id = s, e.intern(s)
+	}
+	return c.id
 }
 
 // putU32, putI64 and putF64 write row i of a fixed-width column section,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -471,8 +472,8 @@ func TestEarlierSectionsUnchanged(t *testing.T) {
 }
 
 // TestAnswersStored: every slot of an encoded study holds report.Answers'
-// answer for its database, with its status and content type, on a random
-// database and an empty one.
+// answer for its database, with its status and content type, and passes
+// CheckAnswers, on a random database and an empty one.
 func TestAnswersStored(t *testing.T) {
 	for _, db := range []*core.DB{testDB(5, 80, 9), {}} {
 		data, err := Encode(db)
@@ -483,7 +484,10 @@ func TestAnswersStored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := report.Answers(db, db.Exposure())
+		if err := v.CheckAnswers(); err != nil {
+			t.Errorf("encoded study fails its own answer check: %v", err)
+		}
+		want := report.Answers(db.Exposure())
 		for s := Slot(0); int(s) < NumSlots; s++ {
 			status, ct := v.Answer(s)
 			if status != want[s].Status || ct != want[s].ContentType {
@@ -501,5 +505,122 @@ func TestAnswersStored(t *testing.T) {
 	}
 	if _, ok := TableSlot("ii"); ok {
 		t.Error(`TableSlot("ii") found a slot; Table II is not served`)
+	}
+}
+
+// TestCheckAnswersNamesFirstDifferingSlot: a file whose stored answers were
+// edited behind a valid checksum opens, and CheckAnswers names the first
+// slot that no longer matches a render of the columns.
+func TestCheckAnswersNamesFirstDifferingSlot(t *testing.T) {
+	data, err := Encode(testDB(5, 80, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := TableSlot("iv")
+	vii, _ := TableSlot("vii")
+	for _, tc := range []struct {
+		name   string
+		mutate func(p []byte)
+		want   Slot
+	}{
+		{"table iv body", func(p []byte) {
+			start, _ := sectionRange(t, p, secAnswerBodies)
+			for s := Slot(0); s < iv; s++ {
+				start += int(binary.LittleEndian.Uint32(p[slotEntry(t, p, s)+4:]))
+			}
+			p[start] ^= 0x20
+		}, iv},
+		{"reliability status", func(p []byte) {
+			binary.LittleEndian.PutUint16(p[slotEntry(t, p, SlotReliability):], report.StatusError)
+		}, SlotReliability},
+		{"table vii content type", func(p []byte) {
+			binary.LittleEndian.PutUint16(p[slotEntry(t, p, vii)+2:], 0)
+		}, vii},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := bytes.Clone(data[headerLen:])
+			tc.mutate(payload)
+			v, err := NewView(reseal(data, payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ae *AnswerError
+			if err := v.CheckAnswers(); !errors.As(err, &ae) || ae.Slot != tc.want {
+				t.Errorf("CheckAnswers = %v, want an *AnswerError for slot %d", err, tc.want)
+			}
+		})
+	}
+}
+
+// slotEntry returns the payload offset of slot s's answer-slot entry.
+func slotEntry(t *testing.T, payload []byte, s Slot) int {
+	start, _ := sectionRange(t, payload, secAnswerSlots)
+	return start + int(s)*answerSlotLen
+}
+
+// TestFleetManufacturerIDValidated: a fleet manufacturer id past the
+// string table, behind a valid checksum, is a *FormatError at open, like
+// every other string-id column, so no accessor or summary resolves it.
+func TestFleetManufacturerIDValidated(t *testing.T) {
+	data, err := Encode(testDB(19, 60, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Clone(data[headerLen:])
+	start, end := sectionRange(t, payload, secFlMfr)
+	if start == end {
+		t.Fatal("fixture has no fleet rows")
+	}
+	binary.LittleEndian.PutUint32(payload[start:], 0xFFFFFFFF)
+	var fe *FormatError
+	if v, err := NewView(reseal(data, payload)); !errors.As(err, &fe) {
+		t.Fatalf("got view=%v err=%v, want *FormatError", v, err)
+	}
+}
+
+// oddCodes rewrites an encoded study's event report years, categories,
+// tags and modalities to codes outside their types' defined values, and
+// its miles and fleet sizes to non-finite and negative values, behind a
+// valid checksum: columns that open without a range check and reach the
+// summary behind the answers.
+func oddCodes(data []byte) []byte {
+	payload := bytes.Clone(data[headerLen:])
+	le := binary.LittleEndian
+	column := func(id uint32) []byte {
+		ent := payload[4+int(id-1)*20:]
+		start := le.Uint64(ent[4:])
+		return payload[start : start+le.Uint64(ent[12:])]
+	}
+	for id, code := range map[uint32]func(i int) uint64{
+		secEvYear:     func(i int) uint64 { return uint64(i) << 40 },
+		secEvCategory: func(i int) uint64 { return uint64(-i) },
+		secEvTag:      func(i int) uint64 { return uint64(1000 + i) },
+		secEvModality: func(i int) uint64 { return uint64(i - 50) },
+		secMlMiles:    func(i int) uint64 { return math.Float64bits([]float64{math.NaN(), math.Inf(1), -1}[i%3]) },
+		secFlCars:     func(i int) uint64 { return uint64(-i) },
+	} {
+		col := column(id)
+		for i := 0; 8*i < len(col); i++ {
+			le.PutUint64(col[8*i:], code(i))
+		}
+	}
+	return reseal(data, payload)
+}
+
+// TestCheckAnswersOnOddCodes: a study whose code columns hold values its
+// encoder never writes still opens, renders and checks: CheckAnswers
+// reports the stored answers as stale, it does not panic.
+func TestCheckAnswersOnOddCodes(t *testing.T) {
+	data, err := Encode(testDB(5, 80, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewView(oddCodes(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae *AnswerError
+	if err := v.CheckAnswers(); !errors.As(err, &ae) {
+		t.Errorf("CheckAnswers = %v, want an *AnswerError", err)
 	}
 }

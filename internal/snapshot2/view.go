@@ -1,6 +1,7 @@
 package snapshot2
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -11,6 +12,7 @@ import (
 
 	"avfda/internal/core"
 	"avfda/internal/ontology"
+	"avfda/internal/report"
 	"avfda/internal/schema"
 )
 
@@ -232,6 +234,7 @@ func (v *View) validateColumns() error {
 	for _, id := range []uint32{
 		secEvMfr, secEvVehicle, secEvCause,
 		secMlMfr, secMlVehicle,
+		secFlMfr,
 		secAcMfr, secAcVehicle, secAcLocation, secAcNarrative,
 	} {
 		b := v.sec(id)
@@ -406,26 +409,32 @@ func (v *View) Weather(i int) string { return schema.Weather(v.Code(ColWeather, 
 // not reported).
 func (v *View) ReactionSeconds(i int) float64 { return v.f64(secEvReaction, i) }
 
-// Exposure summarizes the study's exposure (Tables VI-VII) straight from
-// the fleet, mileage, event and accident columns, keyed by string ids: no
-// table is decoded and only the manufacturer and vehicle names are read.
-// Each table is fed in row order, so every sum is bit-identical to the
-// materialized database's. The error is always nil for a validated View.
-func (v *View) Exposure() (*core.Exposure, error) {
-	t := core.NewExposureTally(v.str)
+// Exposure summarizes the study (Tables I and IV-VIII and the
+// reliability metrics) straight from the fleet, mileage, event and
+// accident columns, keyed by string ids: no table is decoded and only the
+// manufacturer and vehicle names are read. Each table is fed in row order,
+// so every sum is bit-identical to the materialized database's.
+func (v *View) Exposure() *core.Exposure { return v.exposure(v.str) }
+
+// exposure feeds every table's rows to a tally whose string ids name
+// resolves.
+func (v *View) exposure(name func(uint32) string) *core.Exposure {
+	t := core.NewExposureTally(name)
+	year := func(id uint32, i int) schema.ReportYear { return schema.ReportYear(v.i64(id, i)) }
 	for i := 0; i < v.nFleets; i++ {
-		t.Fleet(v.u32(secFlMfr, i))
+		t.Fleet(v.u32(secFlMfr, i), year(secFlYear, i), int(v.i64(secFlCars, i)))
 	}
 	for i := 0; i < v.nMileage; i++ {
-		t.Mileage(v.u32(secMlMfr, i), v.u32(secMlVehicle, i), v.f64(secMlMiles, i))
+		t.Mileage(v.u32(secMlMfr, i), v.u32(secMlVehicle, i), year(secMlYear, i), v.f64(secMlMiles, i))
 	}
 	for i := 0; i < v.nEvents; i++ {
-		t.Event(v.u32(secEvMfr, i), v.u32(secEvVehicle, i))
+		t.Event(v.u32(secEvMfr, i), v.u32(secEvVehicle, i), year(secEvYear, i),
+			ontology.Category(v.i64(secEvCategory, i)), ontology.Tag(v.i64(secEvTag, i)), schema.Modality(v.i64(secEvModality, i)))
 	}
 	for i := 0; i < v.nAccidents; i++ {
-		t.Accident(v.u32(secAcMfr, i))
+		t.Accident(v.u32(secAcMfr, i), year(secAcYear, i))
 	}
-	return t.Exposure(), nil
+	return t.Exposure()
 }
 
 // Answer returns the HTTP status and content type of the answer stored in
@@ -441,6 +450,21 @@ func (v *View) Answer(s Slot) (status int, contentType string) {
 // already did.
 func (v *View) AppendAnswer(dst []byte, s Slot) []byte {
 	return append(dst, v.answers[s].body...)
+}
+
+// CheckAnswers re-renders the answers from the View's columns and returns
+// an *AnswerError naming the first slot whose stored status, content type
+// or body differs. NewView checks only that the slots are well formed, so
+// a file from a source that is not trusted to have encoded it (a peer) is
+// checked here before it is installed.
+func (v *View) CheckAnswers() error {
+	for i, a := range report.Answers(v.Exposure()) {
+		s := &v.answers[i]
+		if a.Status != s.status || a.ContentType != s.contentType || !bytes.Equal(a.Body, s.body) {
+			return &AnswerError{Slot: Slot(i)}
+		}
+	}
+	return nil
 }
 
 // Accidents decodes the accident table alone, heap-allocated and

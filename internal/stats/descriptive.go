@@ -63,15 +63,6 @@ func Variance(xs []float64) (float64, error) {
 	return ss / float64(len(xs)-1), nil
 }
 
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // Min returns the smallest value in xs.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
