@@ -26,7 +26,9 @@ race:
 
 # The analyzer suite over the whole repository, the same single pass as
 # CI's lint job (which adds -gha only to render findings as annotations).
-# See DESIGN.md system #21 for what each analyzer enforces.
+# See DESIGN.md system #21 for what each analyzer enforces; the concurrency
+# invariants are held by serve's scoped lock helpers, the test timeout and
+# -race instead (system #26).
 lint:
 	$(GO) run ./cmd/avlint ./...
 

@@ -54,8 +54,8 @@ func TestRepoIsLintClean(t *testing.T) {
 // out, typos are typed errors, and disabling everything is refused.
 func TestSelectAnalyzers(t *testing.T) {
 	all, err := selectAnalyzers("")
-	if err != nil || len(all) != len(lint.All()) || len(all) != 9 {
-		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, err %v; want all 9", len(all), err)
+	if err != nil || len(all) != len(lint.All()) || len(all) != 6 {
+		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, err %v; want all 6", len(all), err)
 	}
 
 	some, err := selectAnalyzers("mapiter,errsubstr")
@@ -93,8 +93,8 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, stderr.String())
 	}
-	if lines := strings.Count(stdout.String(), "\n"); lines != 9 {
-		t.Errorf("-list printed %d lines, want 9:\n%s", lines, stdout.String())
+	if lines := strings.Count(stdout.String(), "\n"); lines != 6 {
+		t.Errorf("-list printed %d lines, want 6:\n%s", lines, stdout.String())
 	}
 	for _, a := range lint.All() {
 		if !strings.Contains(stdout.String(), a.Name) {
@@ -131,7 +131,7 @@ func TestBrokenPackageExitsTwo(t *testing.T) {
 // TestJSONOutput pins the -json contract: exit 1 on findings, stdout is a
 // parseable object whose only key, "findings", is an array carrying
 // file/line/analyzer/message for each diagnostic — one per dirty-fixture
-// violation, covering resleak and atomicmix alongside errsubstr.
+// violation, covering resleak alongside errsubstr.
 func TestJSONOutput(t *testing.T) {
 	dirty := filepath.Join(repoRoot(t), "cmd", "avlint", "testdata", "dirty")
 	var stdout, stderr bytes.Buffer
@@ -155,7 +155,6 @@ func TestJSONOutput(t *testing.T) {
 	want := map[string]string{
 		"errsubstr": "dirty.go",
 		"resleak":   "leak.go",
-		"atomicmix": "amix.go",
 	}
 	got := map[string]string{}
 	for _, f := range report.Findings {
@@ -210,7 +209,7 @@ func TestJSONOutputCleanTree(t *testing.T) {
 	dirty := filepath.Join(repoRoot(t), "cmd", "avlint", "testdata", "dirty")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-C", dirty, "-json",
-		"-disable", "errsubstr,resleak,atomicmix", "./..."}, &stdout, &stderr)
+		"-disable", "errsubstr,resleak", "./..."}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exited %d, want 0\nstderr: %s", code, stderr.String())
 	}
@@ -227,7 +226,8 @@ func TestJSONOutputCleanTree(t *testing.T) {
 }
 
 // TestGHAOutput pins the -gha annotation format: one ::error workflow
-// command per finding, with file, line, and the analyzer in the title.
+// command per finding, with file, line, and the analyzer in the title —
+// the dirty fixture's errsubstr and resleak findings, in that order.
 func TestGHAOutput(t *testing.T) {
 	dirty := filepath.Join(repoRoot(t), "cmd", "avlint", "testdata", "dirty")
 	var stdout, stderr bytes.Buffer
@@ -239,8 +239,14 @@ func TestGHAOutput(t *testing.T) {
 	if !strings.HasPrefix(out, "::error file=") {
 		t.Errorf("-gha output is not a workflow command:\n%s", out)
 	}
-	if !strings.Contains(out, "title=avlint errsubstr::") {
-		t.Errorf("-gha output missing analyzer title:\n%s", out)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("-gha printed %d lines, want 2:\n%s", len(lines), out)
+	}
+	for i, analyzer := range []string{"errsubstr", "resleak"} {
+		if !strings.Contains(lines[i], "title=avlint "+analyzer+"::") {
+			t.Errorf("-gha line %d missing analyzer title %q:\n%s", i+1, analyzer, out)
+		}
 	}
 	if !strings.Contains(out, "line=") || !strings.Contains(out, "col=") {
 		t.Errorf("-gha output missing position properties:\n%s", out)

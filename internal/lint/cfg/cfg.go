@@ -1,9 +1,9 @@
 // Package cfg builds intra-procedural control-flow graphs over go/ast
 // function bodies and provides a small forward dataflow driver, the
-// foundation of the flow-sensitive generation of avlint analyzers
-// (lockcheck, resleak). Like the rest of internal/lint it is built on the
-// standard library only, so `go run ./cmd/avlint ./...` keeps working in
-// offline, dependency-free environments.
+// foundation of avlint's flow-sensitive resource-leak analyzer, resleak.
+// Like the rest of internal/lint it is built on the standard library only,
+// so `go run ./cmd/avlint ./...` keeps working in offline, dependency-free
+// environments.
 //
 // # Scope and limits
 //
@@ -13,9 +13,9 @@
 // calls, sends, defers, returns) plus the condition/tag expressions of the
 // control statements that split blocks. Control statements themselves never
 // appear as block nodes, with one deliberate exception: a RangeStmt heads
-// its own loop block (analyzers that care about range-over-channel blocking
-// need the statement, not just the ranged expression) and its Body is
-// excluded from shallow scans by convention (see NodeCalls).
+// its own loop block, standing for its header (key, value and ranged
+// expression), and scanners must not descend into its Body, whose
+// statements live in their own blocks.
 //
 // Edges cover if/else, for (cond/post/infinite), range, switch and type
 // switch (including fallthrough and missing default), select (one edge per
@@ -24,8 +24,8 @@
 // never return (os.Exit, runtime.Goexit, log.Fatal*) terminate their block
 // without reaching Exit, so "on every path to return" analyses do not flag
 // abort paths. Deferred calls stay in their blocks as DeferStmt nodes;
-// run-at-exit semantics are interpreted by the analyzers (lockcheck treats
-// `defer mu.Unlock()` as a release that is pending, not performed).
+// run-at-exit semantics are interpreted by the analyzers (resleak counts
+// `defer resp.Body.Close()` as a release on every path from the defer on).
 //
 // Code after a terminating statement starts a fresh block with no
 // predecessors; the dataflow driver never visits unreachable blocks.

@@ -1,9 +1,8 @@
 package lint
 
-// Shared helpers for the flow-sensitive (CFG-based) analyzer generation:
-// shallow node scanning that respects basic-block boundaries, and the type
-// queries (mutexes, contexts, channels) the concurrency analyzers
-// classify calls with.
+// Shared helpers for the flow-sensitive analyzers: shallow node scanning
+// that respects basic-block boundaries (resleak), and the context and
+// request type queries ctxflow classifies values with.
 
 import (
 	"go/ast"
@@ -92,41 +91,6 @@ func signatureTakesContext(pass *Pass, call *ast.CallExpr) bool {
 	for i := 0; i < params.Len(); i++ {
 		if isContextType(params.At(i).Type()) {
 			return true
-		}
-	}
-	return false
-}
-
-// typeContainsTether reports whether t transitively contains a channel, a
-// sync.WaitGroup, or a context.Context — the three shapes that tether a
-// goroutine to its parent. Named types are memoized in seen to cut cycles;
-// depth bounds pathological nesting.
-func typeContainsTether(t types.Type, seen map[types.Type]bool, depth int) bool {
-	if t == nil || depth > 8 || seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.(type) {
-	case *types.Chan:
-		return true
-	case *types.Named:
-		if namedPathIs(u, "sync", "WaitGroup") || isContextType(u) {
-			return true
-		}
-		return typeContainsTether(u.Underlying(), seen, depth+1)
-	case *types.Pointer:
-		return typeContainsTether(u.Elem(), seen, depth+1)
-	case *types.Slice:
-		return typeContainsTether(u.Elem(), seen, depth+1)
-	case *types.Array:
-		return typeContainsTether(u.Elem(), seen, depth+1)
-	case *types.Map:
-		return typeContainsTether(u.Elem(), seen, depth+1) || typeContainsTether(u.Key(), seen, depth+1)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeContainsTether(u.Field(i).Type(), seen, depth+1) {
-				return true
-			}
 		}
 	}
 	return false

@@ -1,6 +1,6 @@
 package lint
 
-// Type-resolution helpers for resleak (and calleeFunc for atomicmix):
+// Type-resolution helpers for resleak:
 // static callee resolution, type and function matching by package-path
 // suffix, the root object of a selector chain, and the err-nil branch
 // contract. Every analyzer reasons about one function body at a time;

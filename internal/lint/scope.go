@@ -42,15 +42,6 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/scandoc", "internal/schema", "internal/stats",
 			"internal/stpa"),
 	),
-	"goroleak": mergeExempt(
-		lintToolingExempt,
-		exemptPkgs("sequential package: spawns no goroutines, so there is "+
-			"nothing to tether",
-			"internal/calib", "internal/core", "internal/mission",
-			"internal/ontology", "internal/query", "internal/reliability",
-			"internal/report", "internal/scandoc", "internal/schema",
-			"internal/stats", "internal/stpa", "internal/synth"),
-	),
 	"ctxflow": mergeExempt(
 		lintToolingExempt,
 		exemptPkgs("no context.Context plumbing: the package API is "+

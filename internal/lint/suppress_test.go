@@ -10,16 +10,16 @@ import (
 )
 
 // TestAllowIsPerAnalyzer pins the suppression contract on shared lines:
-// the cross fixture has three `go record(time.Now())` statements — each a
-// goroleak and a nondeterm violation on one line — with a //lint:allow
-// for goroleak above the first, nondeterm above the second, and nothing
-// above the third. Suppressing one analyzer must not hide the other.
+// the cross fixture has three `strings.Contains(err.Error(), time.Now()...)`
+// lines — each an errsubstr and a nondeterm violation — with a
+// //lint:allow for errsubstr above the first, nondeterm above the second,
+// and nothing above the third. Suppressing one analyzer must not hide the other.
 func TestAllowIsPerAnalyzer(t *testing.T) {
 	pkgs, err := lint.LoadFixture(filepath.Join("testdata", "src"), "cross/internal/snapshot2")
 	if err != nil {
 		t.Fatalf("loading cross fixture: %v", err)
 	}
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.GoroLeak, lint.NonDeterm})
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.ErrSubstr, lint.NonDeterm})
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestAllowIsPerAnalyzer(t *testing.T) {
 		got = append(got, strings.Join(names, "+"))
 	}
 	sort.Strings(got)
-	want := []string{"goroleak", "goroleak+nondeterm", "nondeterm"}
+	want := []string{"errsubstr", "errsubstr+nondeterm", "nondeterm"}
 	if len(got) != len(want) {
 		t.Fatalf("diagnostic line groups = %v, want %v (diags: %v)", got, want, diags)
 	}

@@ -1,26 +1,28 @@
-// Package snapshot2 (fixture; the path suffix puts it in both goroleak's
-// and nondeterm's scope) puts a goroleak and a nondeterm violation on the
-// same source line so the suppression test can pin that a //lint:allow
-// for one analyzer does not hide the other's diagnostic on that line.
+// Package snapshot2 (fixture; the path suffix puts it in nondeterm's
+// scope, and errsubstr runs everywhere) puts an errsubstr and a nondeterm
+// violation on the same source line so the suppression test can pin that
+// a //lint:allow for one analyzer does not hide the other's diagnostic on
+// that line.
 package snapshot2
 
-import "time"
+import (
+	"strings"
+	"time"
+)
 
-func record(t time.Time) {}
-
-// goroAllowed: only goroleak is suppressed; nondeterm must survive.
-func goroAllowed() {
-	//lint:allow goroleak fixture: suppression must stay per-analyzer
-	go record(time.Now())
+// errsubstrAllowed: only errsubstr is suppressed; nondeterm must survive.
+func errsubstrAllowed(err error) bool {
+	//lint:allow errsubstr fixture: suppression must stay per-analyzer
+	return strings.Contains(err.Error(), time.Now().Weekday().String())
 }
 
-// nondetermAllowed: only nondeterm is suppressed; goroleak must survive.
-func nondetermAllowed() {
+// nondetermAllowed: only nondeterm is suppressed; errsubstr must survive.
+func nondetermAllowed(err error) bool {
 	//lint:allow nondeterm fixture: suppression must stay per-analyzer
-	go record(time.Now())
+	return strings.Contains(err.Error(), time.Now().Weekday().String())
 }
 
 // bothFlagged has no allow: both analyzers fire on the one line.
-func bothFlagged() {
-	go record(time.Now())
+func bothFlagged(err error) bool {
+	return strings.Contains(err.Error(), time.Now().Weekday().String())
 }

@@ -171,7 +171,7 @@ type Cache struct {
 	snapDir string           // "" disables the snapshot tier
 	fetcher *snapshotFetcher // nil disables the peer pull-through tier
 
-	mu      sync.Mutex
+	mu      sync.Mutex              // taken only through locked; guards the fields below
 	order   *list.List              // of *cacheEntry, most recently used first
 	entries map[int64]*list.Element // resident studies
 	flights map[int64]*flight       // in-progress builds
@@ -252,36 +252,45 @@ func (c *Cache) hold(ctx context.Context, seed int64) (*Study, error) {
 
 // get is Get (pin) or hold.
 func (c *Cache) get(ctx context.Context, seed int64, pin bool) (*Study, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[seed]; ok {
-		c.order.MoveToFront(el)
-		c.stats.Hits++
-		study := el.Value.(*cacheEntry).study
-		study.users.add(pin)
-		c.mu.Unlock()
+	var (
+		study *Study
+		fl    *flight
+		start bool
+	)
+	c.locked(func() {
+		if el, ok := c.entries[seed]; ok {
+			c.order.MoveToFront(el)
+			c.stats.Hits++
+			study = el.Value.(*cacheEntry).study
+			study.users.add(pin)
+			return
+		}
+		c.stats.Misses++
+		if fl = c.flights[seed]; fl == nil {
+			fl = &flight{done: make(chan struct{})}
+			c.flights[seed] = fl
+			start = true
+		}
+		fl.users.add(pin)
+	})
+	if study != nil {
 		return study, nil
 	}
-	c.stats.Misses++
-	fl, inFlight := c.flights[seed]
-	if !inFlight {
-		fl = &flight{done: make(chan struct{})}
-		c.flights[seed] = fl
+	if start {
 		go c.run(seed, fl)
 	}
-	fl.users.add(pin)
-	c.mu.Unlock()
 
 	select {
 	case <-fl.done:
 		return fl.study, fl.err
 	case <-ctx.Done():
 		if !pin {
-			c.mu.Lock()
-			published := fl.published
-			if !published {
-				fl.users.holds--
-			}
-			c.mu.Unlock()
+			var published bool
+			c.locked(func() {
+				if published = fl.published; !published {
+					fl.users.holds--
+				}
+			})
 			if published && fl.err == nil {
 				c.release(fl.study)
 			}
@@ -293,13 +302,13 @@ func (c *Cache) get(ctx context.Context, seed int64, pin bool) (*Study, error) {
 // release drops one hold taken by hold. The last release of an evicted
 // mapped study closes its mapping.
 func (c *Cache) release(study *Study) {
-	c.mu.Lock()
-	study.users.holds--
-	closing := study.closable()
-	if closing {
-		c.stats.SnapshotReleases++
-	}
-	c.mu.Unlock()
+	var closing bool
+	c.locked(func() {
+		study.users.holds--
+		if closing = study.closable(); closing {
+			c.stats.SnapshotReleases++
+		}
+	})
 	if closing {
 		study.view.Close()
 	}
@@ -311,10 +320,12 @@ func (c *Cache) run(seed int64, fl *flight) {
 	fl.study, fl.err = study, err
 
 	var closing []*Study
-	c.mu.Lock()
-	delete(c.flights, seed)
-	fl.published = true
-	if err == nil {
+	c.locked(func() {
+		delete(c.flights, seed)
+		fl.published = true
+		if err != nil {
+			return
+		}
 		study.users.holds += fl.users.holds
 		study.users.pinned = study.users.pinned || fl.users.pinned
 		el := c.order.PushFront(&cacheEntry{seed: seed, study: study})
@@ -331,8 +342,7 @@ func (c *Cache) run(seed int64, fl *flight) {
 				c.stats.SnapshotReleases++
 			}
 		}
-	}
-	c.mu.Unlock()
+	})
 	// Requests still holding an evicted study finish with it; a mapping
 	// nobody holds is closed before the waiters wake, so no request that
 	// caused an eviction returns with the unmap pending.
@@ -456,18 +466,26 @@ func (c *Cache) loadSnapshot2(seed int64) (*Study, error) {
 		decoded: func() { c.bump(&c.stats.StudyMaterializations) }}, nil
 }
 
+// locked runs f with c.mu held. It is the only place c.mu is taken, and
+// the deferred unlock releases it on every path out of f, so no caller can
+// leave the cache locked. f only reads and writes the cache's state: the
+// waits, the build, the unmaps and the waiter wake-up run after it returns.
+func (c *Cache) locked(f func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f()
+}
+
 // bump increments one stats counter under the cache lock.
 func (c *Cache) bump(counter *int64) {
-	c.mu.Lock()
-	*counter++
-	c.mu.Unlock()
+	c.locked(func() { *counter++ })
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Resident = c.order.Len()
+func (c *Cache) Stats() (s CacheStats) {
+	c.locked(func() {
+		s = c.stats
+		s.Resident = c.order.Len()
+	})
 	return s
 }

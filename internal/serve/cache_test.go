@@ -59,6 +59,51 @@ func TestCacheHitSecondGet(t *testing.T) {
 	}
 }
 
+// TestCacheStatsDuringTraffic reads Stats while other goroutines hit, miss,
+// build and evict, so go test -race sees every counter's writes against
+// Stats' reads: a counter bumped other than under the cache lock (a raw
+// atomic add, say) is a reported race.
+func TestCacheStatsDuringTraffic(t *testing.T) {
+	var calls atomic.Int64
+	c, err := NewSnapshotCache(countingBuilder(&calls, 0), 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.Get(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if _, err := c.Get(ctx, int64(1+i%3)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		_ = c.Stats()
+	}
+	if s := c.Stats(); s.Hits+s.Misses != 2001 || s.Builds != calls.Load() {
+		t.Errorf("stats = %+v after 2001 Gets and %d builds", s, calls.Load())
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	var calls atomic.Int64
 	c, err := NewSnapshotCache(countingBuilder(&calls, 0), 2, "")

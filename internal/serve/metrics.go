@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -17,7 +18,13 @@ var latencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025, 0.1
 // them in Prometheus text exposition format using only the standard
 // library. All methods are safe for concurrent use.
 type Metrics struct {
-	mu       sync.Mutex
+	mu     sync.Mutex // taken only by Observe and snapshot; guards counts
+	counts metricCounts
+}
+
+// metricCounts is the registry's plain data: what Metrics guards, and
+// the copy a scrape renders from.
+type metricCounts struct {
 	requests map[requestKey]int64
 	latency  map[string]*histogram
 }
@@ -37,21 +44,21 @@ type histogram struct {
 
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
+	return &Metrics{counts: metricCounts{
 		requests: make(map[requestKey]int64),
 		latency:  make(map[string]*histogram),
-	}
+	}}
 }
 
 // Observe records one completed request.
 func (m *Metrics) Observe(route string, code int, seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.requests[requestKey{route: route, code: code}]++
-	h := m.latency[route]
+	m.counts.requests[requestKey{route: route, code: code}]++
+	h := m.counts.latency[route]
 	if h == nil {
 		h = &histogram{counts: make([]int64, len(latencyBuckets)+1)}
-		m.latency[route] = h
+		m.counts.latency[route] = h
 	}
 	bucket := len(latencyBuckets) // +Inf
 	for i, le := range latencyBuckets {
@@ -65,33 +72,42 @@ func (m *Metrics) Observe(route string, code int, seconds float64) {
 	h.total++
 }
 
-// WriteText renders every series, plus the given cache counters, in
-// Prometheus text format with deterministic ordering.
-//
-// The counters are snapshotted under the lock and rendered outside it: w is
-// usually a network connection, and holding m.mu across its writes would
-// let one slow scrape client stall every request's Observe (the
-// lock-across-I/O class lockcheck enforces).
-func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
+// snapshot returns a deep copy of the counters, taken under the lock.
+func (m *Metrics) snapshot() metricCounts {
 	m.mu.Lock()
-	requests := make(map[requestKey]int64, len(m.requests))
-	for k, v := range m.requests {
-		requests[k] = v
+	defer m.mu.Unlock()
+	c := metricCounts{
+		requests: maps.Clone(m.counts.requests),
+		latency:  make(map[string]*histogram, len(m.counts.latency)),
 	}
-	latency := make(map[string]*histogram, len(m.latency))
-	for r, h := range m.latency {
-		latency[r] = &histogram{
+	for r, h := range m.counts.latency {
+		c.latency[r] = &histogram{
 			counts: append([]int64(nil), h.counts...),
 			sum:    h.sum,
 			total:  h.total,
 		}
 	}
-	m.mu.Unlock()
+	return c
+}
 
+// WriteText renders every series, plus the given cache counters, in
+// Prometheus text format with deterministic ordering.
+//
+// It renders from a snapshot, so the lock is never held while w is
+// written: w is usually a network connection, and one slow scrape client
+// must not stall every request's Observe. TestScrapeDoesNotHoldLock pins
+// that.
+func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
+	m.snapshot().writeText(w, cache)
+	return nil
+}
+
+// writeText renders c and the cache counters.
+func (c metricCounts) writeText(w io.Writer, cache CacheStats) {
 	fmt.Fprintln(w, "# HELP avserve_requests_total Completed HTTP requests by route and status code.")
 	fmt.Fprintln(w, "# TYPE avserve_requests_total counter")
-	reqKeys := make([]requestKey, 0, len(requests))
-	for k := range requests {
+	reqKeys := make([]requestKey, 0, len(c.requests))
+	for k := range c.requests {
 		reqKeys = append(reqKeys, k)
 	}
 	sort.Slice(reqKeys, func(i, j int) bool {
@@ -101,18 +117,18 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		return reqKeys[i].code < reqKeys[j].code
 	})
 	for _, k := range reqKeys {
-		fmt.Fprintf(w, "avserve_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, requests[k])
+		fmt.Fprintf(w, "avserve_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, c.requests[k])
 	}
 
 	fmt.Fprintln(w, "# HELP avserve_request_duration_seconds Request latency by route.")
 	fmt.Fprintln(w, "# TYPE avserve_request_duration_seconds histogram")
-	routes := make([]string, 0, len(latency))
-	for r := range latency {
+	routes := make([]string, 0, len(c.latency))
+	for r := range c.latency {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
 	for _, r := range routes {
-		h := latency[r]
+		h := c.latency[r]
 		var cum int64
 		for i, le := range latencyBuckets {
 			cum += h.counts[i]
@@ -125,7 +141,7 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		fmt.Fprintf(w, "avserve_request_duration_seconds_count{route=%q} %d\n", r, h.total)
 	}
 
-	for _, c := range []struct {
+	for _, ctr := range []struct {
 		name, help string
 		value      int64
 	}{
@@ -145,10 +161,9 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats) error {
 		{"avserve_study_materializations_total", "Whole-database decodes of mapped studies (no served route makes one: listings, group-bys and accidents read the columns, reliability and tables are stored answers).", cache.StudyMaterializations},
 		{"avserve_snapshot_releases_total", "Mappings of evicted studies closed when their last request released them.", cache.SnapshotReleases},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", ctr.name, ctr.help, ctr.name, ctr.name, ctr.value)
 	}
 	fmt.Fprintln(w, "# HELP avserve_cache_resident Studies currently cached.")
 	fmt.Fprintln(w, "# TYPE avserve_cache_resident gauge")
 	fmt.Fprintf(w, "avserve_cache_resident %d\n", cache.Resident)
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"sort"
@@ -318,11 +319,15 @@ func (r *hashRing) owners(key uint64, k int) []string {
 	return out
 }
 
-// proxyMetrics is the proxy's own counter registry. Like Metrics, it is
-// snapshotted under its lock and rendered outside it (lockcheck: w is a
-// network connection).
+// proxyMetrics is the proxy's own counter registry. Like Metrics, a
+// scrape renders a copy taken under the lock, never the locked counts.
 type proxyMetrics struct {
-	mu       sync.Mutex
+	mu     sync.Mutex // taken only through locked; guards counts
+	counts proxyCounts
+}
+
+// proxyCounts is the registry's plain data.
+type proxyCounts struct {
 	requests map[string]int64 // forward attempts per backend
 	errors   map[string]int64 // transport failures per backend
 	retries  int64            // failovers to a next replica
@@ -334,54 +339,55 @@ type proxyMetrics struct {
 
 // newProxyMetrics creates an empty registry.
 func newProxyMetrics() *proxyMetrics {
-	return &proxyMetrics{
+	return &proxyMetrics{counts: proxyCounts{
 		requests: make(map[string]int64),
 		errors:   make(map[string]int64),
-	}
+	}}
+}
+
+// locked runs f on the counts with m.mu held; the deferred unlock
+// releases it on every path out of f.
+func (m *proxyMetrics) locked(f func(*proxyCounts)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f(&m.counts)
 }
 
 // bumpBackend counts one forward attempt (isErr false) or one transport
 // failure (isErr true) against a backend.
 func (m *proxyMetrics) bumpBackend(backend string, isErr bool) {
-	m.mu.Lock()
-	if isErr {
-		m.errors[backend]++
-	} else {
-		m.requests[backend]++
-	}
-	m.mu.Unlock()
+	m.locked(func(c *proxyCounts) {
+		if isErr {
+			c.errors[backend]++
+		} else {
+			c.requests[backend]++
+		}
+	})
 }
 
 // bumpRetries counts one failover to the next replica.
 func (m *proxyMetrics) bumpRetries() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
+	m.locked(func(c *proxyCounts) { c.retries++ })
 }
 
 // bumpCopyErrors counts one mid-stream relay failure.
 func (m *proxyMetrics) bumpCopyErrors() {
-	m.mu.Lock()
-	m.copyErrors++
-	m.mu.Unlock()
+	m.locked(func(c *proxyCounts) { c.copyErrors++ })
 }
 
 // writeText renders the counters in Prometheus text format with
-// deterministic ordering.
+// deterministic ordering, from a copy taken under the lock.
 func (m *proxyMetrics) writeText(w io.Writer) {
-	m.mu.Lock()
-	requests := make(map[string]int64, len(m.requests))
-	for k, v := range m.requests {
-		requests[k] = v
-	}
-	errCounts := make(map[string]int64, len(m.errors))
-	for k, v := range m.errors {
-		errCounts[k] = v
-	}
-	retries := m.retries
-	copyErrors := m.copyErrors
-	m.mu.Unlock()
+	var snap proxyCounts
+	m.locked(func(c *proxyCounts) {
+		snap = *c
+		snap.requests, snap.errors = maps.Clone(c.requests), maps.Clone(c.errors)
+	})
+	snap.writeText(w)
+}
 
+// writeText renders c.
+func (c proxyCounts) writeText(w io.Writer) {
 	writeBackendCounter := func(name, help string, counts map[string]int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 		backends := make([]string, 0, len(counts))
@@ -394,11 +400,11 @@ func (m *proxyMetrics) writeText(w io.Writer) {
 		}
 	}
 	writeBackendCounter("avserve_proxy_backend_requests_total",
-		"Requests forwarded to each backend (attempts, including ones that later failed).", requests)
+		"Requests forwarded to each backend (attempts, including ones that later failed).", c.requests)
 	writeBackendCounter("avserve_proxy_backend_errors_total",
-		"Transport-level forwarding failures per backend.", errCounts)
+		"Transport-level forwarding failures per backend.", c.errors)
 	fmt.Fprintf(w, "# HELP avserve_proxy_retries_total Failovers to a seed's next replica after a transport failure.\n")
-	fmt.Fprintf(w, "# TYPE avserve_proxy_retries_total counter\navserve_proxy_retries_total %d\n", retries)
+	fmt.Fprintf(w, "# TYPE avserve_proxy_retries_total counter\navserve_proxy_retries_total %d\n", c.retries)
 	fmt.Fprintf(w, "# HELP avserve_proxy_copy_errors_total Mid-stream relay failures after the status was committed (client saw a truncated body).\n")
-	fmt.Fprintf(w, "# TYPE avserve_proxy_copy_errors_total counter\navserve_proxy_copy_errors_total %d\n", copyErrors)
+	fmt.Fprintf(w, "# TYPE avserve_proxy_copy_errors_total counter\navserve_proxy_copy_errors_total %d\n", c.copyErrors)
 }

@@ -261,14 +261,16 @@ func Encode(db *core.DB) ([]byte, error) {
 
 	// Intern every string in the traversal order that assigns the ids:
 	// event by event (manufacturer, vehicle, cause), then mileage, fleets
-	// and accidents.
+	// and accidents. Cause texts rarely repeat row to row, so their ids
+	// are kept for the write pass rather than looked up again.
 	e := encoder{strIndex: make(map[string]uint32)}
 	e.intern("") // id 0 is always the empty string
 	var evMfr, evVeh, mlMfr, mlVeh lastID
-	for _, ev := range db.Events {
+	causes := make([]uint32, len(db.Events))
+	for i, ev := range db.Events {
 		e.internVia(&evMfr, string(ev.Manufacturer))
 		e.internVia(&evVeh, string(ev.Vehicle))
-		e.intern(ev.Cause)
+		causes[i] = e.intern(ev.Cause)
 	}
 	for _, m := range db.Mileage {
 		e.internVia(&mlMfr, string(m.Manufacturer))
@@ -340,7 +342,7 @@ func Encode(db *core.DB) ([]byte, error) {
 		putI64(sec[secEvYear], i, int64(ev.ReportYear))
 		putI64(sec[secEvTimeSec], i, ev.Time.Unix())
 		putI64(sec[secEvTimeNsec], i, int64(ev.Time.Nanosecond()))
-		putU32(sec[secEvCause], i, e.strIndex[ev.Cause])
+		putU32(sec[secEvCause], i, causes[i])
 		putI64(sec[secEvModality], i, int64(ev.Modality))
 		putI64(sec[secEvRoad], i, int64(ev.Road))
 		putI64(sec[secEvWeather], i, int64(ev.Weather))
